@@ -9,7 +9,9 @@ search engine, and graph6/sparse6 + generator-file I/O with a CLI.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as kernel_backend
+# every kernel in ``_kernels`` runs on the one numpy/Python path
+kernel_backend = "numpy"
+
 from .perm import CycleDecomposition, Permutation
 from .group import (
     ActionBundle,

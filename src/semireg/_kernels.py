@@ -1,24 +1,16 @@
-"""Hot inner loops, compiled with numba when available.
+"""Hot inner loops over permutation image arrays and CSR adjacency.
 
-Every kernel has a pure numpy/python twin with the same signature. The active
-backend is chosen at import time:
-
-* default: numba ``@njit`` (cached) when numba imports cleanly;
-* ``SEMIREG_PURE_NUMPY=1`` in the environment forces the fallback path.
-
-``benchmarks/bench_kernels.py`` times both paths side by side.
+Each kernel has one implementation: plain Python loops over numpy arrays.
+There is no compiled path and no backend switch; callers use the public
+names below directly.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_PURE = os.environ.get("SEMIREG_PURE_NUMPY", "0") not in ("", "0")
 
-
-def _point_cycle_lengths_py(images):
+def point_cycle_lengths(images):
     """Length of the cycle through each point, as an int64 array."""
     n = images.shape[0]
     out = np.zeros(n, dtype=np.int64)
@@ -37,7 +29,7 @@ def _point_cycle_lengths_py(images):
     return out
 
 
-def _is_semiregular_py(images):
+def is_semiregular_images(images):
     """True iff all cycles (fixed points included) share one length."""
     n = images.shape[0]
     seen = np.zeros(n, dtype=np.uint8)
@@ -59,7 +51,7 @@ def _is_semiregular_py(images):
     return True
 
 
-def _orbit_mask_py(gens, start):
+def orbit_mask(gens, start):
     """Boolean mask of the orbit of ``start`` under the rows of ``gens``."""
     k, n = gens.shape
     mask = np.zeros(n, dtype=np.uint8)
@@ -79,7 +71,7 @@ def _orbit_mask_py(gens, start):
     return mask
 
 
-def _density_closure_py(indptr, indices, seed_mask, lifo):
+def density_closure_mask(indptr, indices, seed_mask, lifo):
     """Close ``seed_mask`` under "two neighbours inside" and return the mask.
 
     ``lifo`` switches the worklist from queue to stack; the closure itself is
@@ -117,7 +109,7 @@ def _density_closure_py(indptr, indices, seed_mask, lifo):
     return in_s
 
 
-def _triangle_witness_py(indptr, indices):
+def triangle_witness(indptr, indices):
     """First triangle (u < v < w) in lexicographic order, else (-1,-1,-1)."""
     n = indptr.shape[0] - 1
     out = np.full(3, -1, dtype=np.int64)
@@ -149,7 +141,7 @@ def _triangle_witness_py(indptr, indices):
     return out
 
 
-def _arc_orbit_size_py(indptr, indices, heads, gens, e0):
+def arc_orbit_size(indptr, indices, heads, gens, e0):
     """Size of the orbit of directed edge ``e0`` under the generator rows.
 
     Directed edges are indexed by their position in ``indices``; ``heads[e]``
@@ -186,46 +178,3 @@ def _arc_orbit_size_py(indptr, indices, heads, gens, e0):
                 top += 1
                 size += 1
     return size
-
-
-_PY_IMPLS = {
-    "point_cycle_lengths": _point_cycle_lengths_py,
-    "is_semiregular_images": _is_semiregular_py,
-    "orbit_mask": _orbit_mask_py,
-    "density_closure_mask": _density_closure_py,
-    "triangle_witness": _triangle_witness_py,
-    "arc_orbit_size": _arc_orbit_size_py,
-}
-
-BACKEND = "numpy"
-_NUMBA_IMPLS = {}
-
-if not _FORCE_PURE:
-    try:
-        from numba import njit
-
-        for _name, _fn in _PY_IMPLS.items():
-            _NUMBA_IMPLS[_name] = njit(cache=True)(_fn)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _NUMBA_IMPLS = {}
-
-_ACTIVE = _NUMBA_IMPLS if BACKEND == "numba" else _PY_IMPLS
-
-point_cycle_lengths = _ACTIVE["point_cycle_lengths"]
-is_semiregular_images = _ACTIVE["is_semiregular_images"]
-orbit_mask = _ACTIVE["orbit_mask"]
-density_closure_mask = _ACTIVE["density_closure_mask"]
-triangle_witness = _ACTIVE["triangle_witness"]
-arc_orbit_size = _ACTIVE["arc_orbit_size"]
-
-
-def implementations(backend):
-    """Return the kernel dict for ``backend`` in {"numba", "numpy"}."""
-    if backend == "numpy":
-        return dict(_PY_IMPLS)
-    if backend == "numba":
-        if not _NUMBA_IMPLS:
-            raise RuntimeError("numba backend unavailable")
-        return dict(_NUMBA_IMPLS)
-    raise ValueError(f"unknown backend {backend!r}")

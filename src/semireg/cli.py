@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .engine import (
+    ALL_ROUTES,
     EngineConfig,
     InconclusiveError,
     find_semiregular,
@@ -53,6 +54,10 @@ EXIT_PRECONDITION = 4
 EXIT_INCONCLUSIVE = 5
 
 
+class UsageError(Exception):
+    """The command line is well-formed but incomplete (exit code 2)."""
+
+
 def _load_graph(path: str):
     return read_graph_auto(Path(path).read_bytes())
 
@@ -69,8 +74,34 @@ def _parse_params(text: str) -> dict:
         if "=" not in piece:
             raise ParseError(f"bad --params entry {piece!r}, expected key=value")
         key, val = piece.split("=", 1)
-        out[key.strip()] = int(val.strip())
+        try:
+            out[key.strip()] = int(val.strip())
+        except ValueError:
+            raise ParseError(f"bad --params value {piece!r}, expected an integer") from None
     return out
+
+
+def _require(params: dict, family: str, *keys: str) -> None:
+    missing = [k for k in keys if k not in params]
+    if missing:
+        raise UsageError(f"--family {family} needs --params key(s): {', '.join(missing)}")
+
+
+def _routes(text: str) -> tuple[str, ...]:
+    routes = tuple(text.split(","))
+    unknown = [r for r in routes if r not in ALL_ROUTES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown route(s) {', '.join(unknown)}; choose from {', '.join(ALL_ROUTES)}"
+        )
+    return routes
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _cmd_construct(args) -> int:
@@ -79,12 +110,14 @@ def _cmd_construct(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     extra: dict = {}
     if args.family == "px":
+        _require(params, args.family, "p", "r")
         p, r, s = params["p"], params["r"], params.get("s", 1)
         graph, rotation = praeger_xu(p, r, s)
         group = praeger_xu_group(p, r, s)
         name = args.id or f"px-p{p}-r{r}-s{s}"
         extra["rotation"] = rotation.cycle_string(one_based=True)
     elif args.family == "lemma33":
+        _require(params, args.family, "p", "s")
         p, s = params["p"], params["s"]
         bundle = psl2_coset_instance(p, s)
         graph, group = bundle.graph, bundle.acting_group
@@ -182,15 +215,15 @@ def _cmd_find(args) -> int:
     graph = _load_graph(args.graph)
     group = _load_group(args.group)
     config = EngineConfig(
-        routes=tuple(args.routes.split(",")) if args.routes else EngineConfig.routes,
+        routes=args.routes,
         enum_bound=args.bound,
         seed=args.seed,
         graph_id=args.id or Path(args.graph).stem,
     )
+    # find_semiregular verifies the certificate and raises if it fails
     cert = find_semiregular(graph, group, config)
-    ok, _reason = verify_certificate(graph, group, cert, bound=args.bound)
     doc = certificate_to_document(
-        cert, graph, group, verified=ok, seed=args.seed
+        cert, graph, group, verified=True, seed=args.seed
     )
     sys.stdout.write(document_to_json(doc))
     return EXIT_OK
@@ -213,9 +246,8 @@ def _corpus_worker(payload):
     inst, seed, bound = payload
     config = EngineConfig(seed=seed, enum_bound=bound, graph_id=inst.id)
     cert = find_semiregular(inst.graph, inst.group, config)
-    ok, _ = verify_certificate(inst.graph, inst.group, cert, bound=bound)
     doc = certificate_to_document(
-        cert, inst.graph, inst.group, verified=ok, seed=seed
+        cert, inst.graph, inst.group, verified=True, seed=seed
     )
     return inst.manifest_row(seed), doc
 
@@ -247,9 +279,8 @@ def _cmd_corpus(args) -> int:
         for row, doc in results:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
             (outdir / f"{row['id']}.cert.json").write_text(document_to_json(doc))
-    n_ok = sum(1 for _, doc in results if doc["verified"])
-    print(f"{len(results)} instances, {n_ok} verified certificates -> {outdir}")
-    return EXIT_OK if n_ok == len(results) else EXIT_INVALID
+    print(f"{len(results)} instances, {len(results)} verified certificates -> {outdir}")
+    return EXIT_OK
 
 
 def _cmd_report(args) -> int:
@@ -301,8 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="search for a semiregular automorphism")
     p.add_argument("--graph", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--routes", default=None, help="comma-separated route names")
-    p.add_argument("--bound", type=int, default=100_000)
+    p.add_argument(
+        "--routes", type=_routes, default=ALL_ROUTES, help="comma-separated route names"
+    )
+    p.add_argument("--bound", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--id", default=None)
     p.set_defaults(func=_cmd_find)
@@ -318,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="corpus-out")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=100_000)
+    p.add_argument("--bound", type=_positive_int, default=100_000)
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("report", help="structural diagnostics for an instance")
@@ -339,6 +372,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

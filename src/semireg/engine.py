@@ -25,7 +25,7 @@ cannot be established within bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +36,10 @@ from .group import (
     PermGroup,
     PreconditionError,
     action_on_partition,
+    is_subgroup,
     lift_semiregular,
     minimal_normal_subgroups,
+    partition_index,
     prime_factors,
     semiregular_of_prime_power_degree,
 )
@@ -340,15 +342,7 @@ def _route_quotient_lift(g, grp, config, trace, depth, max_depth) -> Certificate
             continue
         # the recursion is internal to this route: the quotient search uses
         # every route, whatever the top-level restriction was
-        sub_config = EngineConfig(
-            routes=ALL_ROUTES,
-            enum_bound=config.enum_bound,
-            normal_bound=config.normal_bound,
-            sample_count=config.sample_count,
-            seed=config.seed,
-            max_depth=max_depth,
-            graph_id=config.graph_id,
-        )
+        sub_config = replace(config, routes=ALL_ROUTES, max_depth=max_depth)
         trace.append(
             f"quotient-lift: normal subgroup of order {nsub.order()} with "
             f"{len(partition)} orbits; recursing on {qgraph.n} classes"
@@ -357,16 +351,19 @@ def _route_quotient_lift(g, grp, config, trace, depth, max_depth) -> Certificate
         if sub_cert is None or sub_cert.element is None:
             trace.append("quotient-lift: recursion found nothing liftable")
             continue
+        # the coprime lifting lemma needs prime order: lift the power of the
+        # quotient element whose order is a prime q not dividing |K|
         r = sub_cert.element_order
         k_order = bundle.kernel.order()
-        if math.gcd(r, k_order) != 1:
+        q = next((q for q in sorted(prime_factors(r)) if k_order % q), None)
+        if q is None:
             trace.append(
-                f"quotient-lift: found order {r} but kernel order {k_order} "
-                "is not coprime"
+                f"quotient-lift: found order {r} but no prime divisor is "
+                f"coprime to kernel order {k_order}"
             )
             continue
-        lifted = lift_semiregular(bundle, grp, sub_cert.element, r)
-        trace.append(f"quotient-lift: lifted element of order {r} through kernel")
+        lifted = lift_semiregular(bundle, grp, sub_cert.element ** (r // q), q)
+        trace.append(f"quotient-lift: lifted element of order {q} through kernel")
         return _certificate(config.graph_id, lifted, ROUTE_QUOTIENT_LIFT, trace)
     return None
 
@@ -408,13 +405,7 @@ def c4_buddy_structure(g: Graph, partition) -> BuddyStructure:
     vertex has exactly two neighbours on the other side, and those
     neighbour-pairs match up into disjoint 4-cycles.
     """
-    classes = [tuple(sorted(int(x) for x in cls)) for cls in partition]
-    class_index = np.full(g.n, -1, dtype=_INT)
-    for c, members in enumerate(classes):
-        for x in members:
-            class_index[x] = c
-    if np.any(class_index < 0):
-        raise PreconditionError("partition does not cover all vertices")
+    classes, class_index = partition_index(partition, g.n)
     if has_intra_class_edges(g, classes):
         raise PreconditionError("partition has edges inside a class")
 
@@ -629,7 +620,7 @@ def proof_invariant_report(
         if len(partition) < 3:
             continue
         for m_sub in mins:
-            if not _centralizes(m_sub, p_sub) or not _is_contained(m_sub, p_sub):
+            if not _centralizes(m_sub, p_sub) or not is_subgroup(m_sub, p_sub):
                 continue
             if any(not el.is_identity() and el.is_semiregular() for el in m_sub.elements(normal_bound)):
                 rec_c = _record(
@@ -701,7 +692,7 @@ def proof_invariant_report(
         except PreconditionError:
             continue
         m_sub = next(
-            (m for m in mins if _is_contained(m, p_sub) and _centralizes(m, p_sub)),
+            (m for m in mins if is_subgroup(m, p_sub) and _centralizes(m, p_sub)),
             None,
         )
         if m_sub is None:
@@ -729,24 +720,15 @@ def proof_invariant_report(
     return ProofReport(records=tuple(records))
 
 
-def _is_contained(a: PermGroup, b: PermGroup) -> bool:
-    chain = b.chain()
-    return all(chain.contains(x) for x in a.generators)
-
-
 def _centralizes(a: PermGroup, b: PermGroup) -> bool:
     return all(x * y == y * x for x in a.generators for y in b.generators)
 
 
 def _check_claim(g: Graph, m_sub: PermGroup, partition) -> CheckRecord:
-    classes = [tuple(cls) for cls in partition]
-    class_index = {}
-    for c, members in enumerate(classes):
-        for x in members:
-            class_index[int(x)] = c
+    classes, class_index = partition_index(partition, g.n)
     adjacency: dict[int, set] = {c: set() for c in range(len(classes))}
     for u, w in g.edges():
-        cu, cw = class_index[u], class_index[w]
+        cu, cw = int(class_index[u]), int(class_index[w])
         if cu != cw:
             adjacency[cu].add(cw)
             adjacency[cw].add(cu)

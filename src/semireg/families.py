@@ -32,6 +32,7 @@ from .group import (
     PermGroup,
     PreconditionError,
     action_on_partition,
+    coset_action,
     is_prime,
     normalizes,
 )
@@ -304,32 +305,9 @@ def m11_degree12_from_scratch() -> PermGroup:
             break
     if sub is None:
         raise RuntimeError("index-12 subgroup not found (internal error)")
-    chain = sub.chain()
-    # cosets of `sub` by BFS on representatives under right multiplication
-    reps = [Permutation.identity(11)]
-    head = 0
-    while head < len(reps):
-        r = reps[head]
-        head += 1
-        for s in g11.generators:
-            cand = r * s
-            if all(not chain.contains(cand * q.inverse()) for q in reps):
-                reps.append(cand)
+    reps, _, gens12 = coset_action(g11, sub)
     if len(reps) != 12:
         raise RuntimeError("coset count is not 12 (internal error)")
-
-    def coset_of(x):
-        for i, q in enumerate(reps):
-            if chain.contains(x * q.inverse()):
-                return i
-        raise RuntimeError("coset lookup failed")
-
-    gens12 = []
-    for s in g11.generators:
-        img = np.empty(12, dtype=_INT)
-        for i, q in enumerate(reps):
-            img[i] = coset_of(q * s)
-        gens12.append(Permutation(img))
     return PermGroup(gens12, 12)
 
 

@@ -18,10 +18,12 @@ from .group import (
     PermGroup,
     PreconditionError,
     StabilizerChain,
-    _compose,
-    _inverse,
+    coset_action,
+    coset_key,
     is_subgroup,
+    normalizer,
     normalizes,
+    partition_index,
 )
 from .perm import Permutation
 
@@ -235,15 +237,7 @@ def quotient_graph(g: Graph, partition) -> Graph:
     Edges inside a class are dropped (no loops); use
     ``has_intra_class_edges`` to detect that they existed.
     """
-    classes = [sorted(int(x) for x in cls) for cls in partition]
-    class_index = np.full(g.n, -1, dtype=_INT)
-    for c, members in enumerate(classes):
-        for x in members:
-            if class_index[x] >= 0:
-                raise ValueError(f"vertex {x} in two classes")
-            class_index[x] = c
-    if np.any(class_index < 0):
-        raise ValueError("partition does not cover all vertices")
+    classes, class_index = partition_index(partition, g.n)
     edges = set()
     for u, w in g.edges():
         cu, cw = int(class_index[u]), int(class_index[w])
@@ -253,10 +247,7 @@ def quotient_graph(g: Graph, partition) -> Graph:
 
 
 def has_intra_class_edges(g: Graph, partition) -> bool:
-    class_index = np.empty(g.n, dtype=_INT)
-    for c, members in enumerate(partition):
-        for x in members:
-            class_index[int(x)] = c
+    _, class_index = partition_index(partition, g.n)
     return any(class_index[u] == class_index[w] for u, w in g.edges())
 
 
@@ -334,6 +325,7 @@ class CosetGraphBundle:
     group: PermGroup = field(compare=False)
     subgroup: PermGroup = field(compare=False)
     element: Permutation = field(compare=False)
+    _coset_index: dict = field(compare=False)
 
     def __repr__(self) -> str:
         return (
@@ -343,11 +335,10 @@ class CosetGraphBundle:
 
     def coset_of(self, x: Permutation) -> int:
         """Index of the coset Hx."""
-        h_chain = self.subgroup.chain()
-        for i, rep in enumerate(self.coset_reps):
-            if h_chain.contains(x * rep.inverse()):
-                return i
-        raise ValueError("element is not in the group")
+        index = self._coset_index.get(coset_key(self.subgroup.chain(), x))
+        if index is None:
+            raise ValueError("element is not in the group")
+        return index
 
 
 def coset_graph(
@@ -361,7 +352,8 @@ def coset_graph(
     """Build the coset graph of (G, H, H elem H) with its G-action.
 
     Preconditions checked: H <= G, elem in G, elem^2 in H, elem outside
-    N_G(H), index within bound. Connectivity is verified to coincide with
+    N_G(H), index within ``index_bound`` and |G| within ``bound`` (the
+    normalizer scan enumerates G). Connectivity is verified to coincide with
     <H, elem> = G and recorded, not assumed.
     """
     if not is_subgroup(h, g):
@@ -375,43 +367,21 @@ def coset_graph(
     index = g.order() // h.order()
     if index > index_bound:
         raise PreconditionError(f"index {index} exceeds bound {index_bound}")
+    if g.order() > bound:
+        raise PreconditionError(
+            f"group order {g.order()} exceeds bound {bound} for normalizer scan"
+        )
 
-    h_chain = h.chain()
-    gens = list(g.generators)
-
-    # enumerate cosets: BFS on representatives under right multiplication
-    reps: list[Permutation] = [Permutation.identity(g.degree)]
-
-    def find_coset(x: Permutation) -> int | None:
-        for i, rep in enumerate(reps):
-            if h_chain.contains(x * rep.inverse()):
-                return i
-        return None
-
-    head = 0
-    while head < len(reps):
-        r = reps[head]
-        head += 1
-        for s in gens:
-            cand = r * s
-            if find_coset(cand) is None:
-                reps.append(cand)
+    reps, coset_index, action = coset_action(g, h)
     if len(reps) != index:
         raise RuntimeError("coset enumeration mismatch (internal error)")
-
-    # right-multiplication action of each generator on coset indices
-    action = []
-    for s in gens:
-        img = np.empty(index, dtype=_INT)
-        for i, r in enumerate(reps):
-            img[i] = find_coset(r * s)
-        action.append(Permutation(img))
-    acting_group = PermGroup(action or [Permutation.identity(index)], index)
+    acting_group = PermGroup(action, index)
 
     # neighbours of the base coset: cosets H*elem*h for h in H
-    base_nbrs = set()
-    for hh in h.elements(bound):
-        base_nbrs.add(find_coset(elem * hh))
+    h_chain = h.chain()
+    base_nbrs = {
+        coset_index[coset_key(h_chain, elem * hh)] for hh in h.elements(bound)
+    }
     base_nbrs.discard(0)
 
     # close the base star under the action
@@ -441,7 +411,7 @@ def coset_graph(
             "connectivity disagrees with <H, elem> = G (internal error)"
         )
 
-    norm = _bounded_normalizer_order(g, h, bound)
+    norm = normalizer(g, h, bound).order()
 
     return CosetGraphBundle(
         graph=graph,
@@ -453,26 +423,8 @@ def coset_graph(
         group=g,
         subgroup=h,
         element=elem,
+        _coset_index=coset_index,
     )
-
-
-def _bounded_normalizer_order(g: PermGroup, h: PermGroup, bound: int) -> int:
-    order = g.order()
-    if order > bound:
-        raise PreconditionError(
-            f"group order {order} exceeds bound {bound} for normalizer scan"
-        )
-    h_chain = h.chain()
-    h_gens = [p.images for p in h.generators]
-    count = 0
-    for arr in g.chain().iter_elements():
-        inv = _inverse(arr)
-        if all(
-            h_chain.contains_array(_compose(_compose(inv, x), arr))
-            for x in h_gens
-        ):
-            count += 1
-    return count
 
 
 def left_mult_automorphism(bundle: CosetGraphBundle, x: Permutation) -> Permutation:

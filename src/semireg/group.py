@@ -405,6 +405,54 @@ def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
     return all(chain.contains(x) for x in h.generators)
 
 
+def coset_key(h_chain: StabilizerChain, x: Permutation) -> bytes:
+    """A key identifying the right coset Hx, for H with chain ``h_chain``.
+
+    One greedy pass down H's levels: at each level left-multiply by the
+    transversal rep whose point has the least image under the current
+    element. The result is the element of Hx that is lexicographically least
+    on H's base points, returned whole (its base images alone would not
+    separate cosets when H is trivial). Keys are comparable only between
+    calls that pass the same chain.
+    """
+    if x.degree != h_chain.degree:
+        raise ValueError("degree mismatch")
+    g = x.images
+    for lv in h_chain.levels:
+        q = min(lv.transversal, key=g.__getitem__)
+        g = _compose(lv.transversal[q][0], g)
+    return g.tobytes()
+
+
+def coset_action(
+    g: PermGroup, h: PermGroup
+) -> tuple[list[Permutation], dict[bytes, int], list[Permutation]]:
+    """Right cosets of H in G, found by BFS under G's generators.
+
+    Returns the coset reps in BFS order (rep 0 is the identity), the map
+    from ``coset_key`` to coset index, and the action of each generator of
+    G on coset indices by right multiplication.
+    """
+    h_chain = h.chain()
+    reps = [Permutation.identity(g.degree)]
+    index = {coset_key(h_chain, reps[0]): 0}
+    head = 0
+    while head < len(reps):
+        r = reps[head]
+        head += 1
+        for s in g.generators:
+            cand = r * s
+            key = coset_key(h_chain, cand)
+            if key not in index:
+                index[key] = len(reps)
+                reps.append(cand)
+    action = [
+        Permutation([index[coset_key(h_chain, r * s)] for r in reps])
+        for s in g.generators
+    ]
+    return reps, index, action
+
+
 def normalizes(x: Permutation, h: PermGroup) -> bool:
     """True iff conjugation by x maps H onto itself."""
     chain = h.chain()
@@ -414,23 +462,35 @@ def normalizes(x: Permutation, h: PermGroup) -> bool:
 # -- induced actions ------------------------------------------------------
 
 
-def _validate_partition(partition, n: int) -> list[tuple[int, ...]]:
+def partition_index(partition, n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Validate a partition of 0..n-1; return its classes (each sorted) and
+    the int64 array mapping every point to the index of its class."""
     classes = [tuple(sorted(int(x) for x in cls)) for cls in partition]
-    seen = np.zeros(n, dtype=bool)
-    total = 0
-    for cls in classes:
+    index = np.full(n, -1, dtype=_INT)
+    for c, cls in enumerate(classes):
         if not cls:
-            raise ValueError("empty class in partition")
+            raise PreconditionError("empty class in partition")
         for x in cls:
             if not 0 <= x < n:
-                raise ValueError(f"point {x} out of range")
-            if seen[x]:
-                raise ValueError(f"point {x} appears in two classes")
-            seen[x] = True
-        total += len(cls)
-    if total != n:
-        raise ValueError("partition does not cover all points")
-    return classes
+                raise PreconditionError(f"point {x} out of range")
+            if index[x] >= 0:
+                raise PreconditionError(f"point {x} appears in two classes")
+            index[x] = c
+    if np.any(index < 0):
+        raise PreconditionError("partition does not cover all points")
+    return classes, index
+
+
+def _image_on_classes(arr: np.ndarray, classes, index: np.ndarray):
+    """Class images under the point map ``arr``, or None when ``arr`` does
+    not map classes onto classes."""
+    img = np.empty(len(classes), dtype=_INT)
+    for c, members in enumerate(classes):
+        targets = index[arr[np.asarray(members)]]
+        if not np.all(targets == targets[0]):
+            return None
+        img[c] = targets[0]
+    return img
 
 
 @dataclass(frozen=True, repr=False)
@@ -465,14 +525,9 @@ class ActionBundle:
         n = self._source_degree
         if p.degree != n:
             raise ValueError("degree mismatch")
-        m = len(self.class_labels)
-        img = np.empty(m, dtype=_INT)
-        arr = p.images
-        for c, members in enumerate(self.class_labels):
-            targets = self._class_index[arr[np.asarray(members)]]
-            if not np.all(targets == targets[0]):
-                raise PreconditionError("element does not preserve the partition")
-            img[c] = targets[0]
+        img = _image_on_classes(p.images, self.class_labels, self._class_index)
+        if img is None:
+            raise PreconditionError("element does not preserve the partition")
         return Permutation(img)
 
     def preimage(self, q: Permutation) -> Permutation:
@@ -508,23 +563,16 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
     strong generators fixing that prefix are exactly the kernel.
     """
     n = g.degree
-    classes = _validate_partition(partition, n)
+    classes, index = partition_index(partition, n)
     m = len(classes)
-    class_index = np.empty(n, dtype=_INT)
-    for c, members in enumerate(classes):
-        class_index[list(members)] = c
 
     image_arrays = []
     for gen in g.generators:
-        arr = gen.images
-        img = np.empty(m, dtype=_INT)
-        for c, members in enumerate(classes):
-            targets = class_index[arr[np.asarray(members)]]
-            if not np.all(targets == targets[0]):
-                raise PreconditionError(
-                    f"partition is not invariant under generator {gen!r}"
-                )
-            img[c] = targets[0]
+        img = _image_on_classes(gen.images, classes, index)
+        if img is None:
+            raise PreconditionError(
+                f"partition is not invariant under generator {gen!r}"
+            )
         image_arrays.append(img)
 
     image_group = PermGroup(
@@ -555,7 +603,7 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
         image_group=image_group,
         kernel=kernel,
         class_labels=tuple(classes),
-        _class_index=class_index,
+        _class_index=index,
         _combined=combined,
         _prefix_len=prefix_len,
         _source_degree=n,

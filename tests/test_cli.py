@@ -177,8 +177,16 @@ def test_find_exhausted_none_exit_zero(tmp_path, capsys):
 
 def test_exit_codes(tmp_path, capsys, c6_files):
     graph_path, group_path = c6_files
-    # usage error
+    # usage errors
     assert main(["find"]) == 2
+    find = ["find", "--graph", str(graph_path), "--group", str(group_path)]
+    assert main(find + ["--routes", "bogus"]) == 2
+    assert main(find + ["--bound", "-5"]) == 2
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    assert main(["construct", "--family", "px", "--params", "p=2", "--out", out]) == 2
+    assert "needs --params key(s): r" in capsys.readouterr().err
+    assert main(["construct", "--family", "px", "--params", "p=x", "--out", out]) == 3
     # parse error
     bad = tmp_path / "bad.gens"
     bad.write_text("n=3\n(1,9)\n")
@@ -187,6 +195,9 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     small = tmp_path / "small.gens"
     small.write_text("n=3\n(1,2,3)\n")
     code = main(["find", "--graph", str(graph_path), "--group", str(small)])
+    assert code == 4
+    # precondition error: |PSL(2,61)| exceeds the normalizer-scan bound
+    code = main(["construct", "--family", "lemma33", "--params", "p=61,s=1", "--out", out])
     assert code == 4
     # inconclusive: sampling cannot conclude on C6 rotations with tiny bound
     rot_only = tmp_path / "rot.gens"

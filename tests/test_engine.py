@@ -158,6 +158,29 @@ def test_find_quotient_lift_route(d6):
     assert ok, reason
 
 
+@pytest.mark.parametrize(
+    "p, s, quotient",
+    [(3, 1, False), (3, 2, False), (5, 1, False), (5, 2, False), (3, 2, True), (5, 2, True)],
+)
+def test_quotient_lift_alone_lifts_prime_power_of_composite_order(p, s, quotient):
+    # the recursion on these quotients returns an element of order 4; the
+    # route must lift a prime-order power of it instead of raising
+    from semireg.families import _px_diagonal_subgroup
+    from semireg.graphs import quotient_graph
+    from semireg.group import action_on_partition
+
+    g, _ = praeger_xu(p, 4, s)
+    grp = praeger_xu_group(p, 4, s)
+    if quotient:
+        partition = _px_diagonal_subgroup(p, 4, s).orbit_partition()
+        grp = action_on_partition(grp, partition).image_group
+        g = quotient_graph(g, partition)
+    cert = find_semiregular(g, grp, EngineConfig(routes=("quotient-lift",)))
+    assert cert.method == "quotient-lift"
+    ok, reason = verify_certificate(g, grp, cert)
+    assert ok, reason
+
+
 def test_find_buddy_swap_route():
     g, _ = praeger_xu(2, 4, 1)
     grp = praeger_xu_group(2, 4, 1)

@@ -25,6 +25,23 @@ from semireg.families import (
 from oracles import closure_t
 
 
+@pytest.mark.parametrize("p, s", [(7, 1), (13, 1)])
+def test_psl2_coset_normalizer_order_matches_sympy(p, s):
+    # brute-force count of the elements of G conjugating H to itself
+    from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
+
+    def sym(x):
+        return SymPerm(x.images.tolist())
+
+    bundle = psl2_coset_instance(p, s)
+    g = PermutationGroup([sym(x) for x in bundle.group.generators])
+    h = PermutationGroup([sym(x) for x in bundle.subgroup.generators])
+    count = sum(
+        1 for x in g.generate() if all(h.contains(y ^ x) for y in h.generators)
+    )
+    assert bundle.normalizer_order == count
+
+
 def test_psl2_pgl2_orders():
     assert psl2_action(5).order() == 60
     assert pgl2_action(5).order() == 120

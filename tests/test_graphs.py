@@ -12,6 +12,7 @@ from semireg.graphs import (
     coset_graph,
     cycle_graph,
     density_closure,
+    has_intra_class_edges,
     has_triangle,
     is_arc_transitive,
     is_s_arc,
@@ -79,6 +80,11 @@ def test_quotient_examples():
     assert quotient_graph(g, [[v] for v in range(5)]) == g
     q = quotient_graph(cycle_graph(4), [[0, 2], [1, 3]])
     assert q.n == 2 and q.num_edges == 1
+    assert not has_intra_class_edges(cycle_graph(4), [[0, 2], [1, 3]])
+    with pytest.raises(PreconditionError, match="cover"):
+        has_intra_class_edges(cycle_graph(4), [[0, 2]])
+    with pytest.raises(PreconditionError, match="two classes"):
+        quotient_graph(cycle_graph(4), [[0, 2], [1, 2, 3]])
 
 
 def test_quotient_valency_divides_for_px_setting():

@@ -10,13 +10,14 @@ from semireg.group import (
     PermGroup,
     PreconditionError,
     action_on_partition,
+    coset_key,
     lift_semiregular,
     minimal_normal_subgroups,
     normalizer,
     semiregular_of_prime_power_degree,
     transitivity_class,
 )
-from semireg.families import m11_degree11, psl2_action
+from semireg.families import m11_degree11, pgl2_action, psl2_action
 
 from oracles import (
     closure_t,
@@ -175,6 +176,36 @@ def test_transitivity_class_against_brute_oracle():
         grp = PermGroup([Permutation(list(g)) for g in gens], n)
         assert transitivity_class(grp) == transitivity_class_t(gens, n)
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "make_group", [lambda: psl2_action(5), lambda: pgl2_action(7)], ids=["psl2-5", "pgl2-7"]
+)
+def test_coset_key_matches_sympy_membership(make_group):
+    # Hx == Hy exactly when x * y^-1 lies in H, as an independent
+    # implementation decides it
+    from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
+
+    def sym(x):
+        return SymPerm(x.images.tolist())
+
+    g = make_group()
+    n = g.degree
+    subgroups = [
+        PermGroup([], n),
+        PermGroup([g.generators[0]], n),
+        g.point_stabilizer(0),
+        g,
+    ]
+    rng = np.random.default_rng(11)
+    for h in subgroups:
+        hc = h.chain()
+        sym_h = PermutationGroup([sym(x) for x in h.generators])
+        for _ in range(40):
+            x = g.random_element(rng)
+            for y in (g.random_element(rng), h.random_element(rng) * x):
+                same = coset_key(hc, x) == coset_key(hc, y)
+                assert same == sym_h.contains(sym(x) * ~sym(y))
 
 
 def test_normalizer_examples(s4):

@@ -1,20 +1,11 @@
 import random
 
 import numpy as np
-import pytest
 
 from semireg import _kernels
 from semireg.graphs import Graph
 
 from oracles import cycle_lengths_t, is_semiregular_t, orbit_t
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.BACKEND == "numba" else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def impls(request):
-    return _kernels.implementations(request.param)
-
 
 def random_graph(rng, n, p):
     edges = [
@@ -23,14 +14,14 @@ def random_graph(rng, n, p):
     return Graph(n, edges)
 
 
-def test_point_cycle_lengths(impls):
+def test_point_cycle_lengths():
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randrange(1, 60)
         images = list(range(n))
         rng.shuffle(images)
         arr = np.array(images, dtype=np.int64)
-        lengths = impls["point_cycle_lengths"](arr)
+        lengths = _kernels.point_cycle_lengths(arr)
         # each point's value equals the length of its cycle
         expected_multiset = []
         for ln in cycle_lengths_t(tuple(images)):
@@ -38,19 +29,19 @@ def test_point_cycle_lengths(impls):
         assert sorted(int(x) for x in lengths) == sorted(expected_multiset)
 
 
-def test_is_semiregular(impls):
+def test_is_semiregular():
     rng = random.Random(6)
     for _ in range(300):
         n = rng.randrange(1, 40)
         images = list(range(n))
         rng.shuffle(images)
         arr = np.array(images, dtype=np.int64)
-        assert bool(impls["is_semiregular_images"](arr)) == is_semiregular_t(
+        assert bool(_kernels.is_semiregular_images(arr)) == is_semiregular_t(
             tuple(images)
         )
 
 
-def test_orbit_mask(impls):
+def test_orbit_mask():
     rng = random.Random(7)
     for _ in range(60):
         n = rng.randrange(2, 30)
@@ -62,11 +53,11 @@ def test_orbit_mask(impls):
             gens.append(tuple(images))
         arr = np.array(gens, dtype=np.int64)
         v = rng.randrange(n)
-        mask = impls["orbit_mask"](arr, v)
+        mask = _kernels.orbit_mask(arr, v)
         assert {int(x) for x in np.flatnonzero(mask)} == orbit_t(list(gens), v)
 
 
-def test_density_closure_kernel(impls):
+def test_density_closure_kernel():
     rng = random.Random(8)
     for _ in range(80):
         n = rng.randrange(2, 25)
@@ -74,8 +65,8 @@ def test_density_closure_kernel(impls):
         seed_mask = np.zeros(n, dtype=np.uint8)
         for v in rng.sample(range(n), rng.randrange(1, n)):
             seed_mask[v] = 1
-        fifo = impls["density_closure_mask"](g.indptr, g.indices, seed_mask, 0)
-        lifo = impls["density_closure_mask"](g.indptr, g.indices, seed_mask, 1)
+        fifo = _kernels.density_closure_mask(g.indptr, g.indices, seed_mask, 0)
+        lifo = _kernels.density_closure_mask(g.indptr, g.indices, seed_mask, 1)
         assert np.array_equal(fifo, lifo)
         # brute closure
         s = {int(x) for x in np.flatnonzero(seed_mask)}
@@ -89,12 +80,12 @@ def test_density_closure_kernel(impls):
         assert {int(x) for x in np.flatnonzero(fifo)} == s
 
 
-def test_triangle_kernel(impls):
+def test_triangle_kernel():
     rng = random.Random(9)
     for _ in range(150):
         n = rng.randrange(3, 20)
         g = random_graph(rng, n, rng.random())
-        out = impls["triangle_witness"](g.indptr, g.indices)
+        out = _kernels.triangle_witness(g.indptr, g.indices)
         brute = None
         for u in range(n):
             for v in range(u + 1, n):
@@ -113,13 +104,13 @@ def test_triangle_kernel(impls):
             assert g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
 
 
-def test_arc_orbit_kernel_matches_brute(impls):
+def test_arc_orbit_kernel_matches_brute():
     from semireg.families import praeger_xu, praeger_xu_group
 
     g, _ = praeger_xu(2, 4, 1)
     grp = praeger_xu_group(2, 4, 1)
     heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    size = impls["arc_orbit_size"](
+    size = _kernels.arc_orbit_size(
         g.indptr, g.indices, heads, grp.gen_arrays(), 0
     )
     gens = [tuple(x.images) for x in grp.generators]
@@ -134,8 +125,3 @@ def test_arc_orbit_kernel_matches_brute(impls):
                 frontier.append(nxt)
     assert int(size) == len(orbit)
 
-
-def test_backend_flag_reporting():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        _kernels.implementations("fortran")
