@@ -100,12 +100,8 @@ def density_closure_mask(indptr, indices, seed_mask, lifo):
                 count[w] += 1
                 if count[w] >= 2:
                     in_s[w] = 1
-                    if lifo:
-                        work[tail] = w
-                        tail += 1
-                    else:
-                        work[tail] = w
-                        tail += 1
+                    work[tail] = w
+                    tail += 1
     return in_s
 
 

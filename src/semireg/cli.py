@@ -104,6 +104,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not a nonnegative integer")
+    return value
+
+
 def _cmd_construct(args) -> int:
     params = _parse_params(args.params or "")
     outdir = Path(args.out)
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", help="connecting element, cycle notation (family=coset)")
     p.add_argument("--out", default=".")
     p.add_argument("--id", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("quotient", help="quotient by the orbits of a group")
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--routes", type=_routes, default=ALL_ROUTES, help="comma-separated route names"
     )
     p.add_argument("--bound", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--id", default=None)
     p.set_defaults(func=_cmd_find)
 
@@ -350,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", default="corpus-out")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--bound", type=_positive_int, default=100_000)
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("report", help="structural diagnostics for an instance")
     p.add_argument("--graph", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -29,9 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, has_intra_class_edges, local_graph, quotient_graph, s_arcs
+from .graphs import Graph, has_intra_class_edges, quotient_graph, s_arcs
 from .group import (
-    ActionBundle,
     BoundExceededError,
     PermGroup,
     PreconditionError,
@@ -325,6 +324,9 @@ def _candidate_normal_subgroups(grp, config, trace) -> list[PermGroup]:
             f"bound {config.normal_bound}"
         )
         return []
+    # quotient-lift and buddy-swap on one group share its stored scan
+    if grp._minimal_normal is not None:
+        return list(grp._minimal_normal)
     return minimal_normal_subgroups(grp, config.normal_bound)
 
 
@@ -406,7 +408,7 @@ def c4_buddy_structure(g: Graph, partition) -> BuddyStructure:
     neighbour-pairs match up into disjoint 4-cycles.
     """
     classes, class_index = partition_index(partition, g.n)
-    if has_intra_class_edges(g, classes):
+    if any(class_index[u] == class_index[w] for u, w in g.edges()):
         raise PreconditionError("partition has edges inside a class")
 
     nbrs_by_class: list[dict] = [dict() for _ in range(g.n)]

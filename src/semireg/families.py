@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .engine import Certificate, EXHAUSTED_NONE
+from .engine import Certificate
 from .graphs import Graph
 from .group import PermGroup
 from .perm import Permutation

@@ -8,7 +8,6 @@ closure and s-arc sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -14,7 +14,6 @@ are exact Python integers throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .perm import Permutation
+from .perm import Permutation, identity_images, is_identity_images
 
 _INT = np.int64
 
@@ -46,12 +45,8 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _inverse(a: np.ndarray) -> np.ndarray:
     inv = np.empty_like(a)
-    inv[a] = np.arange(a.size, dtype=_INT)
+    inv[a] = identity_images(a.size)
     return inv
-
-
-def _is_identity(a: np.ndarray) -> bool:
-    return bool(np.array_equal(a, np.arange(a.size)))
 
 
 def prime_factors(n: int) -> Counter:
@@ -104,7 +99,7 @@ class StabilizerChain:
         for g in generators:
             arr = np.asarray(g, dtype=_INT)
             key = arr.tobytes()
-            if key not in seen and not _is_identity(arr):
+            if key not in seen and not is_identity_images(arr):
                 seen.add(key)
                 gens.append(arr)
         for arr in gens:
@@ -112,13 +107,32 @@ class StabilizerChain:
         for lv_index in range(len(self.levels)):
             self._rebuild_level(lv_index)
         self._random_boost(gens, seed)
-        self._schreier_sims()
+        self._schreier_sims(len(self.levels) - 1)
+        self._summarize()
+
+    def extend(self, arr) -> bool:
+        """Adjoin ``arr`` to the group in place; False, with the chain
+        unchanged, when it is already a member.
+
+        Incremental Schreier-Sims: ``arr`` joins the generating sets of
+        levels 0..d, where base point d is the first one it moves, so only
+        those levels are rebuilt and verified again. Deeper levels keep their
+        generators and stay verified.
+        """
+        arr = np.asarray(arr, dtype=_INT)
+        if self.contains_array(arr):
+            return False
+        self._schreier_sims(self._add_strong(arr))
+        self._summarize()
+        return True
+
+    # -- construction ----------------------------------------------------
+
+    def _summarize(self) -> None:
         self.order = 1
         for lv in self.levels:
             self.order *= len(lv.transversal)
         self.base = tuple(lv.point for lv in self.levels)
-
-    # -- construction ----------------------------------------------------
 
     def _depth_of(self, arr: np.ndarray) -> int:
         for i, lv in enumerate(self.levels):
@@ -130,7 +144,7 @@ class StabilizerChain:
         """Register a strong generator, extending the base if needed."""
         depth = self._depth_of(arr)
         if depth == len(self.levels):
-            moved = np.flatnonzero(arr != np.arange(self.degree, dtype=_INT))
+            moved = np.flatnonzero(arr != identity_images(self.degree))
             self.levels.append(_Level(int(moved[0])))
         self._strong.append((arr, depth))
         return depth
@@ -141,11 +155,13 @@ class StabilizerChain:
     def _rebuild_level(self, i: int) -> None:
         lv = self.levels[i]
         gens = self._level_gens(i)
-        ident = np.arange(self.degree, dtype=_INT)
+        ident = identity_images(self.degree)
         lv.transversal = {lv.point: (ident, ident)}
         queue = [lv.point]
-        while queue:
-            p = queue.pop(0)
+        head = 0
+        while head < len(queue):
+            p = queue[head]
+            head += 1
             rep = lv.transversal[p][0]
             for g in gens:
                 q = int(g[p])
@@ -180,14 +196,16 @@ class StabilizerChain:
                 g = _inverse(g)
             w = _compose(w, g)
             residue, j = self._sift(w)
-            if not _is_identity(residue):
+            if not is_identity_images(residue):
                 depth = self._add_strong(residue)
                 for lv_index in range(depth, len(self.levels)):
                     self._rebuild_level(lv_index)
 
-    def _schreier_sims(self) -> None:
-        """Deterministic verification: every Schreier generator must sift."""
-        i = len(self.levels) - 1
+    def _schreier_sims(self, start: int) -> None:
+        """Deterministic verification of levels ``start`` down to 0, given
+        that the deeper levels are complete: every Schreier generator must
+        sift."""
+        i = start
         while i >= 0:
             self._rebuild_level(i)
             lv = self.levels[i]
@@ -199,10 +217,10 @@ class StabilizerChain:
                     q = int(g[p])
                     tail_inv = lv.transversal[q][1]
                     schreier = _compose(_compose(rep, g), tail_inv)
-                    if _is_identity(schreier):
+                    if is_identity_images(schreier):
                         continue
                     residue, j = self._sift(schreier, i + 1)
-                    if not _is_identity(residue):
+                    if not is_identity_images(residue):
                         depth = self._add_strong(residue)
                         for lv_index in range(depth, len(self.levels)):
                             self._rebuild_level(lv_index)
@@ -218,10 +236,11 @@ class StabilizerChain:
     # -- queries ----------------------------------------------------------
 
     def contains_array(self, arr: np.ndarray) -> bool:
+        arr = np.asarray(arr, dtype=_INT)
         if arr.size != self.degree:
             raise ValueError("degree mismatch")
         residue, _ = self._sift(arr)
-        return _is_identity(residue)
+        return is_identity_images(residue)
 
     def contains(self, p: Permutation) -> bool:
         return self.contains_array(p.images)
@@ -293,6 +312,7 @@ class PermGroup:
         self._seed = seed
         self._chain: StabilizerChain | None = None
         self._chain_cache: dict[tuple[int, ...], StabilizerChain] = {}
+        self._minimal_normal: tuple[PermGroup, ...] | None = None
 
     @property
     def degree(self) -> int:
@@ -549,7 +569,7 @@ class ActionBundle:
             rep, rep_inv = pair
             w = (rep_inv[n:] - n)[w]
             acc = _compose(rep, acc)
-        if not _is_identity(w):
+        if not is_identity_images(w):
             raise PreconditionError("element is not in the image group")
         source = Permutation._wrap(acc[:n].copy())
         return source
@@ -613,11 +633,8 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
 # -- bounded structure computations ---------------------------------------
 
 
-def _conjugacy_classes(g: PermGroup, bound: int):
+def _conjugacy_classes(g: PermGroup):
     """All conjugacy classes as lists of image arrays (identity omitted)."""
-    order = g.order()
-    if order > bound:
-        raise BoundExceededError(f"order {order} exceeds bound {bound}")
     gens = [p.images for p in g.generators]
     gen_invs = [_inverse(a) for a in gens]
     elements = []
@@ -629,7 +646,7 @@ def _conjugacy_classes(g: PermGroup, bound: int):
     visited = np.zeros(len(elements), dtype=bool)
     classes = []
     for start, arr in enumerate(elements):
-        if visited[start] or _is_identity(arr):
+        if visited[start] or is_identity_images(arr):
             continue
         cls = [start]
         visited[start] = True
@@ -652,18 +669,23 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
 
     Normal closures of conjugacy class representatives are computed (the class
     itself generates the closure), deduplicated, then filtered to the minimal
-    ones under containment.
+    ones under containment. The result is stored on ``g``, so later calls on
+    the same group return it without recomputing; every call raises
+    ``BoundExceededError`` when |G| > ``bound``.
     """
-    classes = _conjugacy_classes(g, bound)
+    order = g.order()
+    if order > bound:
+        raise BoundExceededError(f"order {order} exceeds bound {bound}")
+    if g._minimal_normal is not None:
+        return list(g._minimal_normal)
     n = g.degree
     closures = []
-    for cls in classes:
+    for cls in _conjugacy_classes(g):
         sel: list[np.ndarray] = []
-        chain = None
+        chain = StabilizerChain([], n)
         for arr in cls:
-            if chain is None or not chain.contains_array(arr):
+            if chain.extend(arr):
                 sel.append(arr)
-                chain = StabilizerChain(sel, n)
         closures.append((chain.order, sel, chain))
     closures.sort(key=lambda t: t[0])
     distinct = []
@@ -686,6 +708,7 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
             minimal.append(
                 PermGroup([Permutation._wrap(a.copy()) for a in sel], n)
             )
+    g._minimal_normal = tuple(minimal)
     return minimal
 
 
@@ -718,18 +741,16 @@ def normalizer(g: PermGroup, h: PermGroup, bound: int = DEFAULT_BOUND) -> PermGr
     h_chain = h.chain()
     h_gens = [p.images for p in h.generators]
     found: list[np.ndarray] = []
-    chain = None
+    chain = StabilizerChain([], g.degree)
     for arr in g.chain().iter_elements():
-        if _is_identity(arr):
+        if is_identity_images(arr):
             continue
         inv = _inverse(arr)
         if all(
             h_chain.contains_array(_compose(_compose(inv, x), arr))
             for x in h_gens
-        ):
-            if chain is None or not chain.contains_array(arr):
-                found.append(arr)
-                chain = StabilizerChain(found, g.degree)
+        ) and chain.extend(arr):
+            found.append(arr)
     gens = [Permutation._wrap(a.copy()) for a in found]
     return PermGroup(gens or [Permutation.identity(g.degree)], g.degree)
 
@@ -774,7 +795,7 @@ def semiregular_of_prime_power_degree(
 
     def try_adjoin(arr: np.ndarray) -> None:
         nonlocal sylow_chain
-        if _is_identity(arr):
+        if is_identity_images(arr):
             return
         if sylow_chain is not None and sylow_chain.contains_array(arr):
             return
@@ -823,7 +844,7 @@ def semiregular_of_prime_power_degree(
         )
     central = None
     for arr in sylow_chain.iter_elements():
-        if _is_identity(arr):
+        if is_identity_images(arr):
             continue
         if all(
             np.array_equal(_compose(arr, s), _compose(s, arr))

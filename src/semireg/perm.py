@@ -17,6 +17,29 @@ from . import _kernels
 
 _INT = np.int64
 
+# degree -> the read-only identity image array and its bytes
+_IDENTITY: dict[int, tuple[np.ndarray, bytes]] = {}
+
+
+def _identity_entry(n: int) -> tuple[np.ndarray, bytes]:
+    entry = _IDENTITY.get(n)
+    if entry is None:
+        ident = np.arange(n, dtype=_INT)
+        ident.setflags(write=False)
+        entry = _IDENTITY[n] = (ident, ident.tobytes())
+    return entry
+
+
+def identity_images(n: int) -> np.ndarray:
+    """The identity image array of degree n (read-only, made once per degree)."""
+    return _identity_entry(n)[0]
+
+
+def is_identity_images(a: np.ndarray) -> bool:
+    """True iff the int64 image array ``a`` is the identity, by a bytes
+    compare; an array of another dtype must be converted first."""
+    return a.tobytes() == _identity_entry(a.size)[1]
+
 
 def _validated_images(images) -> np.ndarray:
     arr = np.array(images, dtype=_INT)
@@ -45,7 +68,7 @@ class Permutation:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Permutation":
-        # Internal fast path: arr must already be a bijection.
+        # Internal fast path: arr must already be an int64 bijection.
         self = object.__new__(cls)
         arr.setflags(write=False)
         self._images = arr
@@ -98,7 +121,7 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         inv = np.empty_like(self._images)
-        inv[self._images] = np.arange(self.degree, dtype=_INT)
+        inv[self._images] = identity_images(self.degree)
         return Permutation._wrap(inv)
 
     def __invert__(self) -> "Permutation":
@@ -147,7 +170,7 @@ class Permutation:
         return bool(_kernels.is_semiregular_images(self._images))
 
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self._images, np.arange(self.degree)))
+        return is_identity_images(self._images)
 
     def moved_points(self) -> np.ndarray:
         return np.flatnonzero(self._images != np.arange(self.degree))

@@ -101,18 +101,20 @@ def all_normal_subgroups_t(gens: list[tuple]) -> list[frozenset]:
     n = len(gens[0])
     ident = tuple(range(n))
 
+    gen_invs = [inverse_t(g) for g in gens]
+
     def normal_closure(xs) -> frozenset:
+        # closing under conjugation by the generators closes under the whole
+        # group: in a finite group every inverse is a positive power
         core = set(xs)
-        while True:
-            new = set()
-            for x in core:
-                for g in elements:
-                    y = compose_t(compose_t(inverse_t(g), x), g)
-                    if y not in core:
-                        new.add(y)
-            if not new:
-                break
-            core |= new
+        work = list(core)
+        while work:
+            x = work.pop()
+            for g, g_inv in zip(gens, gen_invs):
+                y = compose_t(compose_t(g_inv, x), g)
+                if y not in core:
+                    core.add(y)
+                    work.append(y)
         # close under multiplication
         return frozenset(closure_t(sorted(core)))
 

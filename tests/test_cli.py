@@ -182,6 +182,14 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     find = ["find", "--graph", str(graph_path), "--group", str(group_path)]
     assert main(find + ["--routes", "bogus"]) == 2
     assert main(find + ["--bound", "-5"]) == 2
+    negative_seed = [
+        find,
+        ["corpus", "--out", str(tmp_path / "corpus")],
+        ["report"] + find[1:],
+        ["construct", "--family", "px", "--params", "p=3,r=3", "--out", str(tmp_path)],
+    ]
+    for cmd in negative_seed:
+        assert main(cmd + ["--seed", "-1"]) == 2
     capsys.readouterr()
     out = str(tmp_path / "out")
     assert main(["construct", "--family", "px", "--params", "p=2", "--out", out]) == 2

@@ -9,6 +9,7 @@ from semireg.group import (
     BoundExceededError,
     PermGroup,
     PreconditionError,
+    StabilizerChain,
     action_on_partition,
     coset_key,
     lift_semiregular,
@@ -17,7 +18,7 @@ from semireg.group import (
     semiregular_of_prime_power_degree,
     transitivity_class,
 )
-from semireg.families import m11_degree11, pgl2_action, psl2_action
+from semireg.families import m11_degree11, pgl2_action, praeger_xu_group, psl2_action
 
 from oracles import (
     closure_t,
@@ -336,3 +337,102 @@ def test_deterministic_chains(s4):
     assert [tuple(a.images) for a in g1.elements()] == [
         tuple(a.images) for a in g2.elements()
     ]
+
+
+def _sympy_group(arrays):
+    from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
+
+    return PermutationGroup([SymPerm([int(x) for x in a]) for a in arrays])
+
+
+def _extend_cases():
+    rng = random.Random(2024)
+    cases = [
+        [g.images for g in psl2_action(7).generators],
+        [g.images for g in m11_degree11().generators],
+    ]
+    while len(cases) < 10:
+        n, gens, _ = random_group_t(rng, 9, 5000)
+        if len(gens) > 1:
+            cases.append([np.array(g) for g in gens])
+    return cases
+
+
+@pytest.mark.parametrize("gens", _extend_cases())
+def test_extend_matches_fresh_chains_and_sympy(gens):
+    from sympy.combinatorics import Permutation as SymPerm
+
+    n = len(gens[0])
+    rng = np.random.default_rng(n)
+    chain = StabilizerChain([], n)
+    for k in range(1, len(gens) + 1):
+        was_member = chain.contains_array(gens[k - 1])
+        assert chain.extend(gens[k - 1]) is not was_member
+        assert chain.contains_array(gens[k - 1])
+        fresh = StabilizerChain(gens[:k], n)
+        sym = _sympy_group(gens[:k])
+        assert chain.order == fresh.order == sym.order()
+        assert chain.base == tuple(lv.point for lv in chain.levels)
+        for _ in range(10):
+            assert chain.contains_array(fresh.random_element(rng))
+            x = rng.permutation(n)
+            assert chain.contains_array(x) == sym.contains(SymPerm(x.tolist()))
+        # a member changes nothing
+        before = (chain.order, chain.base, len(chain.strong_generators()))
+        assert not chain.extend(fresh.random_element(rng))
+        assert (chain.order, chain.base, len(chain.strong_generators())) == before
+    # the identity test compares int64 bytes: other dtypes are converted
+    assert chain.contains_array(np.arange(n, dtype=np.int32))
+    assert chain.contains_array(gens[0].astype(np.int32))
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [
+        lambda: psl2_action(7),
+        lambda: pgl2_action(5),
+        lambda: praeger_xu_group(3, 3, 1),
+        lambda: praeger_xu_group(2, 3, 1),
+        lambda: PermGroup(
+            [
+                Permutation.from_cycles(8, [(0, 1, 2, 3)]),
+                Permutation.from_cycles(8, [(4, 5), (6, 7)]),
+            ]
+        ),
+    ],
+    ids=["psl2-7", "pgl2-5", "px-3-3-1", "px-2-3-1", "c4xc2"],
+)
+def test_minimal_normal_subgroups_match_sympy(make_group):
+    g = make_group()
+    sym_g = _sympy_group(x.images for x in g.generators)
+    mins = minimal_normal_subgroups(g)
+    assert mins
+    for m in mins:
+        sym_m = _sympy_group(x.images for x in m.generators)
+        assert sym_m.is_normal(sym_g)
+        # minimal: the normal closure of any nontrivial element is all of it
+        first = _sympy_group([m.generators[0].images])
+        assert m.order() == sym_g.normal_closure(first).order() == sym_m.order()
+
+
+def test_minimal_normal_subgroups_stored_per_group(monkeypatch):
+    g = pgl2_action(5)
+    first = minimal_normal_subgroups(g)
+    builds = []
+    init = StabilizerChain.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+    second = minimal_normal_subgroups(g)
+    assert builds == []
+    assert [m.generators for m in second] == [m.generators for m in first]
+    with pytest.raises(BoundExceededError):
+        minimal_normal_subgroups(g, bound=g.order() - 1)
+    # a new group with the same generators computes afresh
+    assert [m.order() for m in minimal_normal_subgroups(PermGroup(g.generators))] == [
+        m.order() for m in first
+    ]
+    assert builds
