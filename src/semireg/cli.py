@@ -259,19 +259,46 @@ def _corpus_worker(payload):
     return inst.manifest_row(seed), doc
 
 
+def _corpus_config(path: str) -> CorpusConfig:
+    """The ``corpus --config`` file: a JSON object whose keys are fields of
+    ``CorpusConfig``, with ``primes`` a list of integers and ``px_grid`` an
+    object mapping each prime to ``[r_min, r_max, s_max]``."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"--config {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise UsageError(f"--config must hold a JSON object, not {type(raw).__name__}")
+    default = CorpusConfig()
+    fields = {}
+    for key, value in raw.items():
+        if key == "primes":
+            ok = isinstance(value, list) and all(type(p) is int for p in value)
+            value = tuple(value) if ok else value
+        elif key == "px_grid":
+            ok = isinstance(value, dict) and all(
+                p.isdigit()
+                and isinstance(row, list)
+                and len(row) == 3
+                and all(type(x) is int for x in row)
+                for p, row in value.items()
+            )
+            if ok:
+                value = {
+                    int(p): (range(lo, hi + 1), smax) for p, (lo, hi, smax) in value.items()
+                }
+        elif hasattr(default, key):
+            ok = type(value) is type(getattr(default, key))
+        else:
+            raise UsageError(f"--config: unknown key {key!r}")
+        if not ok:
+            raise UsageError(f"--config: malformed {key!r}: {json.dumps(raw[key])}")
+        fields[key] = value
+    return CorpusConfig(**fields)
+
+
 def _cmd_corpus(args) -> int:
-    cfg = CorpusConfig()
-    if args.config:
-        raw = json.loads(Path(args.config).read_text())
-        grid = raw.pop("px_grid", None)
-        if grid is not None:
-            raw["px_grid"] = {
-                int(p): (range(lo, hi + 1), smax)
-                for p, (lo, hi, smax) in grid.items()
-            }
-        if "primes" in raw:
-            raw["primes"] = tuple(raw["primes"])
-        cfg = CorpusConfig(**raw)
+    cfg = _corpus_config(args.config) if args.config else CorpusConfig()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     instances = corpus_generate(cfg)
@@ -382,10 +409,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PreconditionError, FileNotFoundError) as exc:
+    except (PreconditionError, OSError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (BoundExceededError, InconclusiveError) as exc:

@@ -2,10 +2,12 @@
 
 Stabilizer chains (randomized Schreier-Sims with a deterministic verification
 pass) support exact orders, membership sifting, point stabilizers and element
-enumeration. On top of those sit induced actions on invariant partitions with
-kernels, bounded normal-subgroup enumeration, quasiprimitivity classification,
-a prime-power-degree semiregular element finder and coprime lifting of
-semiregular elements through quotients.
+enumeration, either lazily one element at a time or as one (order, degree)
+array built with a numpy gather per transversal rep, on which powers and
+conjugation act row-wise. On top of those sit induced actions on invariant
+partitions with kernels, bounded normal-subgroup enumeration,
+quasiprimitivity classification, a prime-power-degree semiregular element
+finder and coprime lifting of semiregular elements through quotients.
 
 Heavy operations (normal subgroups, normalizers, full enumeration) take an
 explicit element-count bound and fail loudly when it is exceeded; group orders
@@ -112,19 +114,38 @@ class StabilizerChain:
 
     def extend(self, arr) -> bool:
         """Adjoin ``arr`` to the group in place; False, with the chain
-        unchanged, when it is already a member.
+        unchanged, when it is already a member."""
+        return bool(self.extend_all([arr]))
 
-        Incremental Schreier-Sims: ``arr`` joins the generating sets of
-        levels 0..d, where base point d is the first one it moves, so only
-        those levels are rebuilt and verified again. Deeper levels keep their
+    def extend_all(self, arrs) -> list[np.ndarray]:
+        """Adjoin every element of ``arrs`` to the group in place; return the
+        ones that were not members of the chain as it stood when sifted.
+
+        Incremental Schreier-Sims: each element is sifted through the chain
+        as it stands, and a non-identity residue becomes a strong generator
+        of levels 0..d, where base point d is the first one it moves. Level
+        d gets its orbit recomputed, so later elements sift further, but
+        nothing is verified yet. One deterministic pass then verifies the
+        levels from the deepest such d up to 0. Deeper levels keep their
         generators and stay verified.
         """
-        arr = np.asarray(arr, dtype=_INT)
-        if self.contains_array(arr):
-            return False
-        self._schreier_sims(self._add_strong(arr))
-        self._summarize()
-        return True
+        added = []
+        deepest = -1
+        for arr in arrs:
+            arr = np.asarray(arr, dtype=_INT)
+            if arr.size != self.degree:
+                raise ValueError("degree mismatch")
+            residue, _ = self._sift(arr)
+            if is_identity_images(residue):
+                continue
+            depth = self._add_strong(residue)
+            self._rebuild_level(depth)
+            deepest = max(deepest, depth)
+            added.append(arr)
+        if added:
+            self._schreier_sims(deepest)
+            self._summarize()
+        return added
 
     # -- construction ----------------------------------------------------
 
@@ -275,6 +296,23 @@ class StabilizerChain:
                     yield _compose(h, rep)
 
         yield from rec(0)
+
+    def element_array(self) -> np.ndarray:
+        """Every element as one (order, degree) int64 array, rows in
+        ``iter_elements`` order.
+
+        Built from the deepest level up: a level's elements are h * rep for
+        every element h of the levels below it and every rep of its
+        transversal, one gather ``rep[h]`` over all h per rep.
+        """
+        elements = np.arange(self.degree, dtype=_INT)[None, :]
+        for lv in reversed(self.levels):
+            keys = sorted(lv.transversal)
+            out = np.empty((len(elements), len(keys), self.degree), dtype=_INT)
+            for j, p in enumerate(keys):
+                out[:, j] = lv.transversal[p][0][elements]
+            elements = out.reshape(-1, self.degree)
+        return elements
 
     def random_element(self, rng) -> np.ndarray:
         """Uniformly random element (exact, via transversal products)."""
@@ -633,45 +671,98 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
 # -- bounded structure computations ---------------------------------------
 
 
-def _conjugacy_classes(g: PermGroup):
-    """All conjugacy classes as lists of image arrays (identity omitted)."""
-    gens = [p.images for p in g.generators]
-    gen_invs = [_inverse(a) for a in gens]
-    elements = []
-    index: dict[bytes, int] = {}
-    for arr in g.chain().iter_elements():
-        key = arr.tobytes()
-        index[key] = len(elements)
-        elements.append(arr)
-    visited = np.zeros(len(elements), dtype=bool)
+_POWER_ROWS = 4096  # rows per block when raising every element to a power
+
+
+def _row_powers(x: np.ndarray, e: int) -> np.ndarray:
+    """Each row of ``x``, a permutation's images, raised to the power e >= 1."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else np.take_along_axis(x, result, axis=1)
+        e >>= 1
+        if not e:
+            return result
+        x = np.take_along_axis(x, x, axis=1)
+
+
+def _row_keys(x: np.ndarray) -> np.ndarray:
+    """One void scalar per row of the int64 array ``x``, so that whole rows
+    compare, sort and search as single values."""
+    x = np.ascontiguousarray(x)
+    return x.view(np.dtype((np.void, x.shape[1] * x.itemsize))).ravel()
+
+
+def _prime_order_classes(g: PermGroup):
+    """The conjugacy classes of elements of prime order.
+
+    Returns every element as the rows of ``g.chain().element_array()`` and
+    each class as an array of row indices: the class's first row in
+    enumeration order, then the rest in the order a depth-first search
+    under conjugation by the generators reaches them. The prime-order rows
+    come from row-wise p-th powers, one for each prime p dividing |G|; a
+    conjugate is looked up by its images of the base points, which
+    determine an element.
+    """
+    chain = g.chain()
+    elements = chain.element_array()
+    ident = identity_images(chain.degree)
+    prime = np.zeros(len(elements), dtype=bool)
+    for lo in range(0, len(elements), _POWER_ROWS):
+        block = elements[lo : lo + _POWER_ROWS]
+        for p in chain.order_factored():
+            prime[lo : lo + _POWER_ROWS] |= np.all(_row_powers(block, p) == ident, axis=1)
+    prime &= ~np.all(elements == ident, axis=1)
+    rows = np.flatnonzero(prime)
+    if not len(rows):
+        return elements, []
+    base = np.asarray(chain.base)
+    x = elements[rows]
+    keys = _row_keys(x[:, base])
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    conj = []
+    for gen in (s.images for s in g.generators):
+        # the base images of gen^-1 * x * gen, for every x at once
+        images = _row_keys(gen[x[:, _inverse(gen)[base]]])
+        at = np.minimum(np.searchsorted(sorted_keys, images), len(keys) - 1)
+        if np.any(sorted_keys[at] != images):
+            raise RuntimeError("conjugate outside the group (internal error)")
+        conj.append(by_key[at].tolist())
+    visited = [False] * len(rows)
     classes = []
-    for start, arr in enumerate(elements):
-        if visited[start] or is_identity_images(arr):
+    for start in range(len(rows)):
+        if visited[start]:
             continue
-        cls = [start]
         visited[start] = True
-        queue = [arr]
-        while queue:
-            x = queue.pop()
-            for ginv, gen in zip(gen_invs, gens):
-                y = _compose(_compose(ginv, x), gen)
-                idx = index[y.tobytes()]
-                if not visited[idx]:
-                    visited[idx] = True
-                    cls.append(idx)
-                    queue.append(elements[idx])
-        classes.append([elements[i] for i in cls])
-    return classes
+        cls = [start]
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for images in conj:
+                j = images[i]
+                if not visited[j]:
+                    visited[j] = True
+                    cls.append(j)
+                    stack.append(j)
+        classes.append(rows[cls])
+    return elements, classes
 
 
 def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[PermGroup]:
-    """All minimal normal subgroups of ``g``.
+    """All minimal normal subgroups of ``g``, ordered by order, then by the
+    position of their first nontrivial element in ``iter_elements`` order.
 
-    Normal closures of conjugacy class representatives are computed (the class
-    itself generates the closure), deduplicated, then filtered to the minimal
-    ones under containment. The result is stored on ``g``, so later calls on
-    the same group return it without recomputing; every call raises
-    ``BoundExceededError`` when |G| > ``bound``.
+    A minimal normal subgroup is the normal closure of any one of its
+    nontrivial elements, and like every nontrivial group it has an element
+    of prime order. So the normal closures of the classes of prime-order
+    elements (a class generates its closure) include every minimal normal
+    subgroup, and no other class needs a closure. The closures are
+    deduplicated, then filtered to the minimal ones under containment; each
+    closure is one ``extend_all`` with a single verification. The result is
+    stored on ``g``, so later calls on the same group return it without
+    recomputing; every call raises ``BoundExceededError`` when |G| >
+    ``bound``.
     """
     order = g.order()
     if order > bound:
@@ -679,37 +770,51 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
     if g._minimal_normal is not None:
         return list(g._minimal_normal)
     n = g.degree
+    elements, classes = _prime_order_classes(g)
     closures = []
-    for cls in _conjugacy_classes(g):
-        sel: list[np.ndarray] = []
+    for cls in classes:
         chain = StabilizerChain([], n)
-        for arr in cls:
-            if chain.extend(arr):
-                sel.append(arr)
-        closures.append((chain.order, sel, chain))
+        sel = chain.extend_all(elements[cls])
+        closures.append((chain.order, sel, chain, int(cls[0])))
     closures.sort(key=lambda t: t[0])
     distinct = []
-    for order, sel, chain in closures:
+    for order, sel, chain, first in closures:
         dup = False
-        for order2, sel2, chain2 in distinct:
+        for order2, sel2, chain2, _ in distinct:
             if order2 == order and all(chain2.contains_array(a) for a in sel):
                 dup = True
                 break
         if not dup:
-            distinct.append((order, sel, chain))
+            distinct.append((order, sel, chain, first))
     minimal = []
-    for order, sel, chain in distinct:
+    for order, sel, chain, first in distinct:
         is_min = True
-        for order2, sel2, chain2 in distinct:
+        for order2, sel2, chain2, _ in distinct:
             if order2 < order and all(chain.contains_array(a) for a in sel2):
                 is_min = False
                 break
         if is_min:
-            minimal.append(
-                PermGroup([Permutation._wrap(a.copy()) for a in sel], n)
-            )
-    g._minimal_normal = tuple(minimal)
-    return minimal
+            if len(prime_factors(order)) > 1:
+                # ``first`` is its first element of prime order. One of
+                # prime-power order is elementary abelian, so that is its
+                # first nontrivial element; this one is not, and an element
+                # of composite order may come before it.
+                first = next(
+                    (
+                        i
+                        for i in range(first)
+                        if not is_identity_images(elements[i])
+                        and chain.contains_array(elements[i])
+                    ),
+                    first,
+                )
+            minimal.append((order, first, sel))
+    minimal.sort(key=lambda t: t[:2])
+    result = [
+        PermGroup([Permutation._wrap(a.copy()) for a in sel], n) for _, _, sel in minimal
+    ]
+    g._minimal_normal = tuple(result)
+    return result
 
 
 def transitivity_class(g: PermGroup, bound: int = DEFAULT_BOUND) -> str:

@@ -195,15 +195,43 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     assert main(["construct", "--family", "px", "--params", "p=2", "--out", out]) == 2
     assert "needs --params key(s): r" in capsys.readouterr().err
     assert main(["construct", "--family", "px", "--params", "p=x", "--out", out]) == 3
+    # corpus --config: not JSON is a parse error, a well-formed file that is
+    # not a valid configuration is a usage error
+    config = tmp_path / "config.json"
+    corpus = ["corpus", "--config", str(config), "--out", str(tmp_path / "corpus")]
+    for text, code in [
+        ("{not json", 3),
+        ("[1]", 2),
+        ('{"bogus": 1}', 2),
+        ('{"px_grid": {"2": [3, 4]}}', 2),
+        ('{"px_grid": {"two": [3, 4, 2]}}', 2),
+        ('{"px_grid": [3, 4, 2]}', 2),
+        ('{"primes": 5}', 2),
+        ('{"primes": ["2"]}', 2),
+        ('{"max_vertices": "many"}', 2),
+    ]:
+        config.write_text(text)
+        assert main(corpus) == code, text
+    config.write_bytes(b"\xff\xfe")
+    assert main(corpus) == 3
     # parse error
     bad = tmp_path / "bad.gens"
     bad.write_text("n=3\n(1,9)\n")
     assert main(["find", "--graph", str(graph_path), "--group", str(bad)]) == 3
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\xc2")
+    assert main(["find", "--graph", str(graph_path), "--group", str(binary)]) == 3
+    verify = ["verify", "--graph", str(graph_path), "--group", str(group_path)]
+    assert main(verify + ["--certificate", str(binary)]) == 3
     # precondition error: group degree mismatch
     small = tmp_path / "small.gens"
     small.write_text("n=3\n(1,2,3)\n")
     code = main(["find", "--graph", str(graph_path), "--group", str(small)])
     assert code == 4
+    # precondition error: an input path that cannot be read as a file
+    assert main(["find", "--graph", str(tmp_path), "--group", str(group_path)]) == 4
+    assert main(["find", "--graph", str(graph_path), "--group", str(tmp_path)]) == 4
+    assert main(["corpus", "--config", str(tmp_path), "--out", str(tmp_path / "c")]) == 4
     # precondition error: |PSL(2,61)| exceeds the normalizer-scan bound
     code = main(["construct", "--family", "lemma33", "--params", "p=61,s=1", "--out", out])
     assert code == 4

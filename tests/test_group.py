@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from semireg.group import (
     PermGroup,
     PreconditionError,
     StabilizerChain,
+    _prime_order_classes,
     action_on_partition,
     coset_key,
+    is_prime,
     lift_semiregular,
     minimal_normal_subgroups,
     normalizer,
@@ -436,3 +439,115 @@ def test_minimal_normal_subgroups_stored_per_group(monkeypatch):
         m.order() for m in first
     ]
     assert builds
+
+
+def _s4():
+    return PermGroup(
+        [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])]
+    )
+
+
+_ENUMERATED_GROUPS = {
+    "s4": _s4,
+    "psl2-7": lambda: psl2_action(7),
+    "pgl2-5": lambda: pgl2_action(5),
+    "m11": m11_degree11,
+    "px-3-3-1": lambda: praeger_xu_group(3, 3, 1),
+}
+
+
+@pytest.mark.parametrize("make_group", _ENUMERATED_GROUPS.values(), ids=list(_ENUMERATED_GROUPS))
+def test_element_array_rows_follow_iter_elements(make_group):
+    g = make_group()
+    for chain in (g.chain(), g.chain_with_base([g.degree - 1])):
+        rows = chain.element_array()
+        assert rows.dtype == np.int64
+        assert rows.shape == (chain.order, chain.degree)
+        assert np.array_equal(rows, np.array(list(chain.iter_elements())))
+    trivial = PermGroup([Permutation.identity(5)], 5).chain().element_array()
+    assert trivial.tolist() == [list(range(5))]
+
+
+@pytest.mark.parametrize("make_group", _ENUMERATED_GROUPS.values(), ids=list(_ENUMERATED_GROUPS))
+def test_prime_order_classes_match_sympy(make_group):
+    g = make_group()
+    elements, classes = _prime_order_classes(g)
+    ours = Counter(
+        (len(cls), Permutation(elements[cls[0]]).order()) for cls in classes
+    )
+    sym_classes = _sympy_group(x.images for x in g.generators).conjugacy_classes()
+    theirs = Counter(
+        (len(cls), next(iter(cls)).order())
+        for cls in sym_classes
+        if is_prime(next(iter(cls)).order())
+    )
+    assert ours == theirs
+    # every class starts at its first row and no row is in two classes
+    rows = np.concatenate(classes)
+    assert len(set(rows.tolist())) == len(rows)
+    assert all(cls[0] == min(cls) for cls in classes)
+
+
+@pytest.mark.parametrize("make_group", _ENUMERATED_GROUPS.values(), ids=list(_ENUMERATED_GROUPS))
+def test_extend_all_matches_fresh_chains_and_sympy(make_group):
+    from sympy.combinatorics import Permutation as SymPerm
+
+    g = make_group()
+    n = g.degree
+    sym_g = _sympy_group(x.images for x in g.generators)
+    elements = g.chain().element_array()
+    rng = np.random.default_rng(n)
+    for x in elements[rng.choice(len(elements), 3, replace=False)]:
+        sym_x = SymPerm(x.tolist())
+        conjugates = sorted(sym_g.conjugacy_class(sym_x), key=lambda y: y.array_form)
+        arrays = [np.array(y.array_form) for y in conjugates]
+        chain = StabilizerChain([], n)
+        added = chain.extend_all(arrays)
+        closure = sym_g.normal_closure(_sympy_group([x]))
+        assert chain.order == closure.order() == StabilizerChain(added, n).order
+        assert chain.base == tuple(lv.point for lv in chain.levels)
+        assert all(chain.contains_array(a) for a in arrays)
+        for _ in range(10):
+            assert chain.contains_array(np.array(closure.random().array_form))
+            y = rng.permutation(n)
+            assert chain.contains_array(y) == closure.contains(SymPerm(y.tolist()))
+        # members change nothing
+        before = (chain.order, chain.base, len(chain.strong_generators()))
+        assert chain.extend_all(arrays[:5] + [np.arange(n)]) == []
+        assert (chain.order, chain.base, len(chain.strong_generators())) == before
+    # extending a chain that is not empty: x, then G's generators
+    chain = StabilizerChain([elements[-1]], n)
+    chain.extend_all([s.images for s in g.generators])
+    assert chain.order == g.order() == sym_g.order()
+
+
+# PSL(2,7) x PSL(2,7) on 7 + 7 points, from three random elements: its first
+# nontrivial element in enumeration order has order 4 and lies in the
+# minimal normal subgroup whose first element of prime order comes later
+_PSL27_SQUARED = [
+    [6, 0, 5, 2, 4, 3, 1, 11, 12, 9, 7, 10, 13, 8],
+    [1, 5, 4, 6, 0, 3, 2, 9, 10, 13, 12, 11, 8, 7],
+    [1, 5, 0, 6, 4, 2, 3, 10, 11, 7, 13, 12, 9, 8],
+]
+
+
+def test_minimal_normal_subgroups_ties_by_first_element():
+    g = PermGroup([Permutation(x) for x in _PSL27_SQUARED])
+    mins = minimal_normal_subgroups(g, g.order())
+    assert g.order() == 168**2
+    assert [m.order() for m in mins] == [168, 168]
+    elements = g.chain().element_array()
+
+    def first(m):
+        chain = m.chain()
+        return next(
+            i
+            for i, x in enumerate(elements)
+            if not np.array_equal(x, np.arange(g.degree)) and chain.contains_array(x)
+        )
+
+    firsts = [first(m) for m in mins]
+    assert firsts == sorted(firsts)
+    assert Permutation(elements[firsts[0]]).order() == 4
+    sym_g = _sympy_group(_PSL27_SQUARED)
+    assert all(_sympy_group(x.images for x in m.generators).is_normal(sym_g) for m in mins)

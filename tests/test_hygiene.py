@@ -35,3 +35,41 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes that no module refers to
+    outside their own definition, as ``module: name``."""
+    nodes = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    names.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    names.add(n.name)
+            nodes.append((module, node, names))
+    return [
+        f"{module}: {node.name}"
+        for module, node, _ in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not any(other is not node and node.name in names for _, other, names in nodes)
+    ]
+
+
+def test_unreferenced_private_definitions_are_found():
+    sources = {
+        "a": "def _imported():\n    pass\n\ndef _recursive():\n    _recursive()\n\n"
+        "class _Dead:\n    pass\n\ndef _attribute():\n    pass\n\ndef public():\n    pass\n",
+        "b": "from .a import _imported\nimport a\na._attribute()\n",
+    }
+    assert unreferenced_private(sources) == ["a: _recursive", "a: _Dead"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []
