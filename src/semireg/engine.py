@@ -29,7 +29,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, has_intra_class_edges, quotient_graph, s_arcs
+from .graphs import (
+    Graph,
+    check_automorphisms,
+    has_intra_class_edges,
+    quotient_graph,
+    s_arcs,
+)
 from .group import (
     BoundExceededError,
     PermGroup,
@@ -53,6 +59,13 @@ ROUTE_BUDDY_SWAP = "buddy-swap"
 EXHAUSTED_NONE = "exhausted-none"
 
 ALL_ROUTES = (ROUTE_DIRECT, ROUTE_PRIME_POWER, ROUTE_QUOTIENT_LIFT, ROUTE_BUDDY_SWAP)
+
+# largest group order whose minimal normal subgroups are computed
+NORMAL_BOUND = 20_000
+# random elements direct-search draws when the group is too large to enumerate
+SAMPLE_COUNT = 3000
+# s-arcs sampled per s by the arc-stabilizer check of proof_invariant_report
+ARC_SAMPLES = 50
 
 
 class InconclusiveError(RuntimeError):
@@ -79,12 +92,20 @@ class Certificate:
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """Per-run settings of ``find_semiregular``.
+
+    ``routes`` are tried in order at the top level; ``enum_bound`` is the
+    largest group order that direct-search enumerates (and that a certificate
+    check re-enumerates); ``seed`` fixes the random draws of direct-search
+    and prime-power; ``graph_id`` labels the certificate. The normal-subgroup
+    bound and the sample count are the constants ``NORMAL_BOUND`` and
+    ``SAMPLE_COUNT``; quotient-lift recurses to depth log2 of the vertex
+    count.
+    """
+
     routes: tuple[str, ...] = ALL_ROUTES
     enum_bound: int = 100_000
-    normal_bound: int = 20_000
-    sample_count: int = 3000
     seed: int = 0
-    max_depth: int | None = None
     graph_id: str = "graph"
 
 
@@ -132,18 +153,10 @@ class ProofReport:
 # -- local action ------------------------------------------------------------
 
 
-def _check_automorphisms(g: Graph, grp: PermGroup) -> None:
-    if grp.degree != g.n:
-        raise PreconditionError("group degree does not match vertex count")
-    for gen in grp.generators:
-        if not g.is_automorphism(gen):
-            raise PreconditionError(f"generator {gen!r} is not an automorphism")
-
-
 def local_action(g: Graph, grp: PermGroup, v: int) -> PermGroup:
     """The permutation group induced on the neighbourhood of v by its
     stabilizer. Faithfulness is not assumed; the kernel may be nontrivial."""
-    _check_automorphisms(g, grp)
+    check_automorphisms(g, grp)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     nbrs = g.neighbors(v)
@@ -236,10 +249,11 @@ def find_semiregular(
     config = config or EngineConfig()
     if not g.is_connected():
         raise PreconditionError("graph is not connected")
-    _check_automorphisms(g, grp)
+    check_automorphisms(g, grp)
     if not grp.is_transitive():
         raise PreconditionError("group is not vertex-transitive")
-    cert = _search(g, grp, config, trace=[], depth=0)
+    max_depth = max(1, int(math.log2(max(g.n, 2))))
+    cert = _search(g, grp, config, trace=[], depth=0, max_depth=max_depth)
     if cert is None:
         raise InconclusiveError(
             "all routes exhausted their bounds without an answer"
@@ -250,10 +264,7 @@ def find_semiregular(
     return cert
 
 
-def _search(g, grp, config, trace, depth) -> Certificate | None:
-    max_depth = config.max_depth
-    if max_depth is None:
-        max_depth = max(1, int(math.log2(max(g.n, 2))))
+def _search(g, grp, config, trace, depth, max_depth) -> Certificate | None:
     for route in config.routes:
         if route == ROUTE_DIRECT:
             cert = _route_direct(g, grp, config, trace)
@@ -285,7 +296,7 @@ def _route_direct(g, grp, config, trace) -> Certificate | None:
         return _certificate(config.graph_id, None, EXHAUSTED_NONE, trace)
     rng = np.random.default_rng(config.seed)
     chain = grp.chain()
-    for _ in range(config.sample_count):
+    for _ in range(SAMPLE_COUNT):
         el = Permutation._wrap(chain.random_element(rng))
         if el.is_identity():
             continue
@@ -294,7 +305,7 @@ def _route_direct(g, grp, config, trace) -> Certificate | None:
                 trace.append(f"direct-search: sampled element of prime order {q}")
                 return _certificate(config.graph_id, cand, ROUTE_DIRECT, trace)
     trace.append(
-        f"direct-search: {config.sample_count} samples without a hit "
+        f"direct-search: {SAMPLE_COUNT} samples without a hit "
         f"(order {order} exceeds enumeration bound)"
     )
     return None
@@ -317,24 +328,21 @@ def _route_prime_power(g, grp, config, trace) -> Certificate | None:
     return _certificate(config.graph_id, el, ROUTE_PRIME_POWER, trace)
 
 
-def _candidate_normal_subgroups(grp, config, trace) -> list[PermGroup]:
-    if grp.order() > config.normal_bound:
+def _candidate_normal_subgroups(grp, trace) -> list[PermGroup]:
+    if grp.order() > NORMAL_BOUND:
         trace.append(
             f"normal-subgroup scan skipped: order {grp.order()} exceeds "
-            f"bound {config.normal_bound}"
+            f"bound {NORMAL_BOUND}"
         )
         return []
-    # quotient-lift and buddy-swap on one group share its stored scan
-    if grp._minimal_normal is not None:
-        return list(grp._minimal_normal)
-    return minimal_normal_subgroups(grp, config.normal_bound)
+    return minimal_normal_subgroups(grp, NORMAL_BOUND)
 
 
 def _route_quotient_lift(g, grp, config, trace, depth, max_depth) -> Certificate | None:
     if depth >= max_depth:
         trace.append("quotient-lift: recursion depth cap reached")
         return None
-    for nsub in _candidate_normal_subgroups(grp, config, trace):
+    for nsub in _candidate_normal_subgroups(grp, trace):
         partition = nsub.orbit_partition()
         if len(partition) < 3 or len(partition) >= g.n:
             continue
@@ -344,12 +352,14 @@ def _route_quotient_lift(g, grp, config, trace, depth, max_depth) -> Certificate
             continue
         # the recursion is internal to this route: the quotient search uses
         # every route, whatever the top-level restriction was
-        sub_config = replace(config, routes=ALL_ROUTES, max_depth=max_depth)
+        sub_config = replace(config, routes=ALL_ROUTES)
         trace.append(
             f"quotient-lift: normal subgroup of order {nsub.order()} with "
             f"{len(partition)} orbits; recursing on {qgraph.n} classes"
         )
-        sub_cert = _search(qgraph, bundle.image_group, sub_config, trace, depth + 1)
+        sub_cert = _search(
+            qgraph, bundle.image_group, sub_config, trace, depth + 1, max_depth
+        )
         if sub_cert is None or sub_cert.element is None:
             trace.append("quotient-lift: recursion found nothing liftable")
             continue
@@ -371,7 +381,7 @@ def _route_quotient_lift(g, grp, config, trace, depth, max_depth) -> Certificate
 
 
 def _route_buddy_swap(g, grp, config, trace) -> Certificate | None:
-    for nsub in _candidate_normal_subgroups(grp, config, trace):
+    for nsub in _candidate_normal_subgroups(grp, trace):
         if len(prime_factors(nsub.order())) != 1 or 2 not in prime_factors(nsub.order()):
             continue
         partition = nsub.orbit_partition()
@@ -514,21 +524,15 @@ def arc_stabilizer_bound_check(
     return out
 
 
-def proof_invariant_report(
-    g: Graph,
-    grp: PermGroup,
-    *,
-    normal_bound: int = 20_000,
-    arc_samples: int = 50,
-    seed: int = 0,
-) -> ProofReport:
+def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofReport:
     """Run the structural checks behind the pipeline on one instance.
 
     Each check names its hypothesis; when the hypothesis cannot be
-    established within bounds the check is marked inapplicable rather than
-    failed.
+    established within bounds (a group order above ``NORMAL_BOUND``) the
+    check is marked inapplicable rather than failed. The arc-stabilizer
+    check samples ``ARC_SAMPLES`` s-arcs per s, drawn under ``seed``.
     """
-    _check_automorphisms(g, grp)
+    check_automorphisms(g, grp)
     records: list[CheckRecord] = []
 
     # (a) primes dividing a vertex stabilizer also divide the local action
@@ -561,10 +565,10 @@ def proof_invariant_report(
         )
 
     mins: list[PermGroup] = []
-    if grp.order() <= normal_bound:
-        mins = minimal_normal_subgroups(grp, normal_bound)
+    if grp.order() <= NORMAL_BOUND:
+        mins = minimal_normal_subgroups(grp, NORMAL_BOUND)
     else:
-        note = f"group order {grp.order()} exceeds bound {normal_bound}"
+        note = f"group order {grp.order()} exceeds bound {NORMAL_BOUND}"
         for name in (
             "kernel-fixing-classes-is-2-group",
             "conjugate-cover-counting-bound",
@@ -624,7 +628,10 @@ def proof_invariant_report(
         for m_sub in mins:
             if not _centralizes(m_sub, p_sub) or not is_subgroup(m_sub, p_sub):
                 continue
-            if any(not el.is_identity() and el.is_semiregular() for el in m_sub.elements(normal_bound)):
+            if any(
+                not el.is_identity() and el.is_semiregular()
+                for el in m_sub.elements(NORMAL_BOUND)
+            ):
                 rec_c = _record(
                     "conjugate-cover-counting-bound",
                     False,
@@ -667,7 +674,7 @@ def proof_invariant_report(
         if not sizes <= {1, 2}:
             continue
         results = arc_stabilizer_bound_check(
-            g, m_sub, s_values=(1, 2, 3), samples=arc_samples, seed=seed
+            g, m_sub, s_values=(1, 2, 3), samples=ARC_SAMPLES, seed=seed
         )
         ok = all(passed for _, _, passed in results)
         rec_d = _record(

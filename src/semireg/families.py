@@ -34,6 +34,7 @@ from .group import (
     coset_action,
     is_prime,
     normalizes,
+    prime_factors,
 )
 from .perm import Permutation
 
@@ -74,20 +75,9 @@ def _least_nonresidue(p: int) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    order_needed = p - 1
-    factors = set()
-    m = order_needed
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
+    factors = prime_factors(p - 1)
     for g in range(2, p):
-        if all(pow(g, order_needed // q, p) != 1 for q in factors):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise ValueError("no primitive root found")
 

@@ -307,7 +307,6 @@ def certificate_to_document(
     *,
     verified: bool,
     seed: int | None = None,
-    tool_version: str | None = None,
 ) -> dict:
     from . import __version__
 
@@ -326,7 +325,7 @@ def certificate_to_document(
         "cycle_length": cert.cycle_length,
         "trace": list(cert.trace),
         "verified": verified,
-        "tool_version": tool_version or __version__,
+        "tool_version": __version__,
         "seed": seed,
     }
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .group import (
+    DEFAULT_BOUND,
     PermGroup,
     PreconditionError,
     StabilizerChain,
@@ -27,6 +28,9 @@ from .group import (
 from .perm import Permutation
 
 _INT = np.int64
+
+# largest index [G:H] for which coset_graph enumerates the cosets
+COSET_INDEX_BOUND = 5000
 
 
 class Graph:
@@ -276,14 +280,12 @@ def double_cover_swap(n: int) -> Permutation:
     return Permutation._wrap(arr)
 
 
-def density_closure(
-    g: Graph, seed_set, order: str = "fifo"
-) -> tuple[frozenset, bool]:
+def density_closure(g: Graph, seed_set) -> tuple[frozenset, bool]:
     """Smallest superset of seed_set closed under "two neighbours inside".
 
     Returns (closure, is_dense) where is_dense means the closure is all of
-    V. The closure is confluent; ``order`` ("fifo" or "lifo") only changes
-    the processing schedule and exists so tests can check that.
+    V. Raises ``PreconditionError`` for an empty seed set or a vertex
+    outside the graph.
     """
     seed = [int(v) for v in seed_set]
     if not seed:
@@ -291,13 +293,9 @@ def density_closure(
     mask = np.zeros(g.n, dtype=np.uint8)
     for v in seed:
         if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+            raise PreconditionError(f"vertex {v} out of range 0..{g.n - 1}")
         mask[v] = 1
-    if order not in ("fifo", "lifo"):
-        raise ValueError("order must be 'fifo' or 'lifo'")
-    out = _kernels.density_closure_mask(
-        g.indptr, g.indices, mask, 1 if order == "lifo" else 0
-    )
+    out = _kernels.density_closure_mask(g.indptr, g.indices, mask, 0)
     closure = frozenset(int(x) for x in np.flatnonzero(out))
     return closure, len(closure) == g.n
 
@@ -340,20 +338,13 @@ class CosetGraphBundle:
         return index
 
 
-def coset_graph(
-    g: PermGroup,
-    h: PermGroup,
-    elem: Permutation,
-    *,
-    index_bound: int = 5000,
-    bound: int = 100_000,
-) -> CosetGraphBundle:
+def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBundle:
     """Build the coset graph of (G, H, H elem H) with its G-action.
 
     Preconditions checked: H <= G, elem in G, elem^2 in H, elem outside
-    N_G(H), index within ``index_bound`` and |G| within ``bound`` (the
-    normalizer scan enumerates G). Connectivity is verified to coincide with
-    <H, elem> = G and recorded, not assumed.
+    N_G(H), index within ``COSET_INDEX_BOUND`` and |G| within
+    ``DEFAULT_BOUND`` (the normalizer scan enumerates G). Connectivity is
+    verified to coincide with <H, elem> = G and recorded, not assumed.
     """
     if not is_subgroup(h, g):
         raise PreconditionError("H is not a subgroup of G")
@@ -364,11 +355,12 @@ def coset_graph(
     if normalizes(elem, h):
         raise PreconditionError("element normalizes H")
     index = g.order() // h.order()
-    if index > index_bound:
-        raise PreconditionError(f"index {index} exceeds bound {index_bound}")
-    if g.order() > bound:
+    if index > COSET_INDEX_BOUND:
+        raise PreconditionError(f"index {index} exceeds bound {COSET_INDEX_BOUND}")
+    if g.order() > DEFAULT_BOUND:
         raise PreconditionError(
-            f"group order {g.order()} exceeds bound {bound} for normalizer scan"
+            f"group order {g.order()} exceeds bound {DEFAULT_BOUND} "
+            "for normalizer scan"
         )
 
     reps, coset_index, action = coset_action(g, h)
@@ -379,7 +371,7 @@ def coset_graph(
     # neighbours of the base coset: cosets H*elem*h for h in H
     h_chain = h.chain()
     base_nbrs = {
-        coset_index[coset_key(h_chain, elem * hh)] for hh in h.elements(bound)
+        coset_index[coset_key(h_chain, elem * hh)] for hh in h.elements()
     }
     base_nbrs.discard(0)
 
@@ -410,7 +402,7 @@ def coset_graph(
             "connectivity disagrees with <H, elem> = G (internal error)"
         )
 
-    norm = normalizer(g, h, bound).order()
+    norm = normalizer(g, h).order()
 
     return CosetGraphBundle(
         graph=graph,
@@ -452,13 +444,19 @@ def left_mult_automorphism(bundle: CosetGraphBundle, x: Permutation) -> Permutat
 # -- arc machinery ----------------------------------------------------------
 
 
-def is_arc_transitive(g: Graph, grp: PermGroup) -> bool:
-    """True iff the orbit of one arc under grp covers all n*valency arcs."""
+def check_automorphisms(g: Graph, grp: PermGroup) -> None:
+    """Raise ``PreconditionError`` unless grp acts on g's vertices by
+    automorphisms: equal degree, and every generator an automorphism."""
     if grp.degree != g.n:
-        raise ValueError("group degree does not match vertex count")
+        raise PreconditionError("group degree does not match vertex count")
     for gen in grp.generators:
         if not g.is_automorphism(gen):
             raise PreconditionError(f"generator {gen!r} is not an automorphism")
+
+
+def is_arc_transitive(g: Graph, grp: PermGroup) -> bool:
+    """True iff the orbit of one arc under grp covers all n*valency arcs."""
+    check_automorphisms(g, grp)
     if g.valency() is None:
         return False
     if g.indices.size == 0:

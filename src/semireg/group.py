@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .perm import Permutation, identity_images, is_identity_images
+from .perm import Permutation, identity_images, inverse_images, is_identity_images
 
 _INT = np.int64
 
 DEFAULT_BOUND = 100_000
 
 _RANDOM_ROUNDS = 30
+_RANDOM_SEED = 0
 
 
 class PreconditionError(ValueError):
@@ -43,12 +44,6 @@ class BoundExceededError(RuntimeError):
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Apply a, then b."""
     return b[a]
-
-
-def _inverse(a: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(a)
-    inv[a] = identity_images(a.size)
-    return inv
 
 
 def prime_factors(n: int) -> Counter:
@@ -84,10 +79,11 @@ class StabilizerChain:
     """Base, strong generators and transversals for a permutation group.
 
     The base extension rule is "smallest moved point first" (after any caller
-    supplied prefix), so chains are deterministic for a fixed seed.
+    supplied prefix), and the random pre-pass has a fixed seed, so chains
+    are deterministic.
     """
 
-    def __init__(self, generators, degree: int, base_prefix=(), seed: int = 0):
+    def __init__(self, generators, degree: int, base_prefix=()):
         self.degree = degree
         self.levels: list[_Level] = []
         # strong generators as (array, depth); depth = first base index moved
@@ -108,7 +104,7 @@ class StabilizerChain:
             self._add_strong(arr)
         for lv_index in range(len(self.levels)):
             self._rebuild_level(lv_index)
-        self._random_boost(gens, seed)
+        self._random_boost(gens)
         self._schreier_sims(len(self.levels) - 1)
         self._summarize()
 
@@ -170,12 +166,9 @@ class StabilizerChain:
         self._strong.append((arr, depth))
         return depth
 
-    def _level_gens(self, i: int) -> list[np.ndarray]:
-        return [g for g, d in self._strong if d >= i]
-
     def _rebuild_level(self, i: int) -> None:
         lv = self.levels[i]
-        gens = self._level_gens(i)
+        gens = self.stabilizer_generators(i)
         ident = identity_images(self.degree)
         lv.transversal = {lv.point: (ident, ident)}
         queue = [lv.point]
@@ -188,7 +181,7 @@ class StabilizerChain:
                 q = int(g[p])
                 if q not in lv.transversal:
                     new_rep = _compose(rep, g)
-                    lv.transversal[q] = (new_rep, _inverse(new_rep))
+                    lv.transversal[q] = (new_rep, inverse_images(new_rep))
                     queue.append(q)
 
     def _sift(self, arr: np.ndarray, start: int = 0):
@@ -205,16 +198,16 @@ class StabilizerChain:
             g = _compose(g, pair[1])
         return g, len(self.levels)
 
-    def _random_boost(self, gens: list[np.ndarray], seed: int) -> None:
+    def _random_boost(self, gens: list[np.ndarray]) -> None:
         """Seeded random walk; sifting residues pre-populates strong gens."""
         if not gens:
             return
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_RANDOM_SEED)
         w = np.arange(self.degree, dtype=_INT)
         for _ in range(_RANDOM_ROUNDS):
             g = gens[int(rng.integers(len(gens)))]
             if rng.integers(2):
-                g = _inverse(g)
+                g = inverse_images(g)
             w = _compose(w, g)
             residue, j = self._sift(w)
             if not is_identity_images(residue):
@@ -230,7 +223,7 @@ class StabilizerChain:
         while i >= 0:
             self._rebuild_level(i)
             lv = self.levels[i]
-            gens = self._level_gens(i)
+            gens = self.stabilizer_generators(i)
             dirty = None
             for p in sorted(lv.transversal):
                 rep = lv.transversal[p][0]
@@ -327,7 +320,7 @@ class StabilizerChain:
 class PermGroup:
     """A permutation group given by generators on 0..degree-1."""
 
-    def __init__(self, generators, degree: int | None = None, *, seed: int = 0):
+    def __init__(self, generators, degree: int | None = None):
         gens = list(generators)
         if degree is None:
             if not gens:
@@ -347,8 +340,6 @@ class PermGroup:
                 seen.add(g)
                 kept.append(g)
         self._gens = tuple(kept)
-        self._seed = seed
-        self._chain: StabilizerChain | None = None
         self._chain_cache: dict[tuple[int, ...], StabilizerChain] = {}
         self._minimal_normal: tuple[PermGroup, ...] | None = None
 
@@ -372,20 +363,13 @@ class PermGroup:
         return not self._gens
 
     def chain(self) -> StabilizerChain:
-        if self._chain is None:
-            self._chain = StabilizerChain(
-                [g.images for g in self._gens], self._degree, seed=self._seed
-            )
-        return self._chain
+        return self.chain_with_base(())
 
     def chain_with_base(self, prefix) -> StabilizerChain:
         key = tuple(int(b) for b in prefix)
         if key not in self._chain_cache:
             self._chain_cache[key] = StabilizerChain(
-                [g.images for g in self._gens],
-                self._degree,
-                base_prefix=key,
-                seed=self._seed,
+                [g.images for g in self._gens], self._degree, base_prefix=key
             )
         return self._chain_cache[key]
 
@@ -428,7 +412,7 @@ class PermGroup:
             raise ValueError(f"point {v} out of range")
         chain = self.chain_with_base([v])
         gens = [Permutation._wrap(a.copy()) for a in chain.stabilizer_generators(1)]
-        return PermGroup(gens, self._degree, seed=self._seed)
+        return PermGroup(gens, self._degree)
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         pts = [int(v) for v in points]
@@ -437,7 +421,7 @@ class PermGroup:
             Permutation._wrap(a.copy())
             for a in chain.stabilizer_generators(len(pts))
         ]
-        return PermGroup(gens, self._degree, seed=self._seed)
+        return PermGroup(gens, self._degree)
 
     def elements(self, bound: int = DEFAULT_BOUND):
         """Iterate every element exactly once; errors if order > bound."""
@@ -447,9 +431,7 @@ class PermGroup:
         for arr in self.chain().iter_elements():
             yield Permutation._wrap(arr.copy())
 
-    def random_element(self, rng=None) -> Permutation:
-        if rng is None:
-            rng = np.random.default_rng(self._seed)
+    def random_element(self, rng) -> Permutation:
         return Permutation._wrap(self.chain().random_element(rng))
 
     def __repr__(self) -> str:
@@ -724,7 +706,7 @@ def _prime_order_classes(g: PermGroup):
     conj = []
     for gen in (s.images for s in g.generators):
         # the base images of gen^-1 * x * gen, for every x at once
-        images = _row_keys(gen[x[:, _inverse(gen)[base]]])
+        images = _row_keys(gen[x[:, inverse_images(gen)[base]]])
         at = np.minimum(np.searchsorted(sorted_keys, images), len(keys) - 1)
         if np.any(sorted_keys[at] != images):
             raise RuntimeError("conjugate outside the group (internal error)")
@@ -850,7 +832,7 @@ def normalizer(g: PermGroup, h: PermGroup, bound: int = DEFAULT_BOUND) -> PermGr
     for arr in g.chain().iter_elements():
         if is_identity_images(arr):
             continue
-        inv = _inverse(arr)
+        inv = inverse_images(arr)
         if all(
             h_chain.contains_array(_compose(_compose(inv, x), arr))
             for x in h_gens

@@ -41,6 +41,13 @@ def is_identity_images(a: np.ndarray) -> bool:
     return a.tobytes() == _identity_entry(a.size)[1]
 
 
+def inverse_images(a: np.ndarray) -> np.ndarray:
+    """The image array of the inverse of the permutation with images ``a``."""
+    inv = np.empty_like(a)
+    inv[a] = identity_images(a.size)
+    return inv
+
+
 def _validated_images(images) -> np.ndarray:
     arr = np.array(images, dtype=_INT)
     if arr.ndim != 1 or arr.size == 0:
@@ -120,9 +127,7 @@ class Permutation:
         return Permutation._wrap(other._images[self._images])
 
     def inverse(self) -> "Permutation":
-        inv = np.empty_like(self._images)
-        inv[self._images] = identity_images(self.degree)
-        return Permutation._wrap(inv)
+        return Permutation._wrap(inverse_images(self._images))
 
     def __invert__(self) -> "Permutation":
         return self.inverse()

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from semireg import _kernels
 from semireg.perm import Permutation
 from semireg.group import (
     PermGroup,
@@ -320,9 +321,12 @@ def test_criterion_05_density(corpus):
         n = rng.randrange(3, 25)
         g = _random_graph(rng, n, rng.random())
         s0 = rng.sample(range(n), rng.randrange(1, n))
-        fifo, d1 = density_closure(g, s0, order="fifo")
-        lifo, d2 = density_closure(g, s0, order="lifo")
-        assert fifo == lifo and d1 == d2
+        fifo, dense = density_closure(g, s0)
+        mask = np.zeros(n, dtype=np.uint8)
+        mask[s0] = 1
+        lifo = _kernels.density_closure_mask(g.indptr, g.indices, mask, 1)
+        assert fifo == set(np.flatnonzero(lifo).tolist())
+        assert dense == bool(lifo.all())
     print(
         f"\nACCEPTANCE 05 density: PASS ({checked} prime-valency instances, "
         f"8 cycles non-dense, 500 confluence pairs)"

@@ -232,6 +232,11 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     assert main(["find", "--graph", str(tmp_path), "--group", str(group_path)]) == 4
     assert main(["find", "--graph", str(graph_path), "--group", str(tmp_path)]) == 4
     assert main(["corpus", "--config", str(tmp_path), "--out", str(tmp_path / "c")]) == 4
+    # precondition error: a --seed-set vertex outside the graph
+    capsys.readouterr()
+    for vertex in ("999", "-1"):
+        assert main(["dense", "--graph", str(graph_path), "--seed-set", vertex]) == 4
+        assert f"vertex {vertex} out of range" in capsys.readouterr().err
     # precondition error: |PSL(2,61)| exceeds the normalizer-scan bound
     code = main(["construct", "--family", "lemma33", "--params", "p=61,s=1", "--out", out])
     assert code == 4

@@ -193,15 +193,15 @@ def test_find_buddy_swap_route():
 
 
 def test_find_inconclusive_vs_exhausted():
-    # tiny bound and no routes that can conclude -> inconclusive, not none
-    g, _ = praeger_xu(2, 4, 1)
-    grp = praeger_xu_group(2, 4, 1)
+    # M11 on 12 points has no semiregular element: random sampling under a
+    # tiny enumeration bound cannot conclude, full enumeration proves none
+    g, grp = k12_m11()
     with pytest.raises(InconclusiveError):
         find_semiregular(
-            g,
-            grp,
-            EngineConfig(routes=("direct-search",), enum_bound=10, sample_count=0),
+            g, grp, EngineConfig(routes=("direct-search",), enum_bound=10)
         )
+    cert = find_semiregular(g, grp, EngineConfig(routes=("direct-search",)))
+    assert cert.method == "exhausted-none" and cert.element is None
 
 
 def test_find_requires_connected_and_transitive(d6):

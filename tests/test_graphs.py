@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from semireg import _kernels
 from semireg.perm import Permutation
 from semireg.group import PermGroup, PreconditionError, normalizes
 from semireg.graphs import (
@@ -133,9 +134,12 @@ def test_density_monotone_idempotent_confluent():
         n = rng.randrange(3, 18)
         g = random_graph(rng, n, rng.random())
         s0 = set(rng.sample(range(n), rng.randrange(1, n)))
-        c_fifo, _ = density_closure(g, s0, order="fifo")
-        c_lifo, _ = density_closure(g, s0, order="lifo")
-        assert c_fifo == c_lifo
+        c_fifo, _ = density_closure(g, s0)
+        # the kernel's lifo schedule reaches the same closure
+        mask = np.zeros(n, dtype=np.uint8)
+        mask[list(s0)] = 1
+        c_lifo = _kernels.density_closure_mask(g.indptr, g.indices, mask, 1)
+        assert c_fifo == set(np.flatnonzero(c_lifo).tolist())
         # idempotent
         again, _ = density_closure(g, c_fifo)
         assert again == c_fifo
