@@ -22,7 +22,6 @@ from .group import (
     action_on_partition,
     lift_semiregular,
     minimal_normal_subgroups,
-    normalizer,
     semiregular_of_prime_power_degree,
     transitivity_class,
 )

@@ -230,10 +230,7 @@ def _certificate(graph_id, element, method, trace) -> Certificate:
 def _element_prime_order_powers(el: Permutation):
     """Prime-order powers of an element, one per prime dividing its order."""
     o = el.order()
-    primes = set()
-    for cyc in el.cycle_decomposition().cycles:
-        primes.update(prime_factors(len(cyc)))
-    for q in sorted(primes):
+    for q in sorted(prime_factors(o)):
         yield q, el ** (o // q)
 
 

@@ -30,8 +30,10 @@ from .graphs import (
 from .group import (
     PermGroup,
     PreconditionError,
+    StabilizerChain,
     action_on_partition,
     coset_action,
+    coset_key,
     is_prime,
     normalizes,
     prime_factors,
@@ -210,18 +212,11 @@ def praeger_xu_group(p: int, r: int, s: int) -> PermGroup:
     ps = p**s
     n = r * ps
     refl = np.empty(n, dtype=_INT)
-    trans = np.empty(n, dtype=_INT)
     for i in range(r):
         for e in range(ps):
-            digits = _px_digits(e, p, s)
-            rev = digits[::-1]
+            rev = _px_digits(e, p, s)[::-1]
             refl[i * ps + e] = _px_vertex((-i) % r, rev, p, s)
-            shifted = [
-                (d + 1) % p if (i + j) % r == 0 else d
-                for j, d in enumerate(digits)
-            ]
-            trans[i * ps + e] = _px_vertex(i, shifted, p, s)
-    gens = [rotation, Permutation(refl), Permutation(trans)]
+    gens = [rotation, Permutation(refl), _px_translation(p, r, s, [0])]
     group = PermGroup(gens, n)
     for gen in gens:
         if not graph.is_automorphism(gen):
@@ -231,24 +226,26 @@ def praeger_xu_group(p: int, r: int, s: int) -> PermGroup:
     return group
 
 
+def _px_translation(p: int, r: int, s: int, positions) -> Permutation:
+    """Add 1 to every window symbol of (i, x) whose position t has
+    (i + t) mod r in ``positions``."""
+    positions = set(positions)
+    ps = p**s
+    arr = np.empty(r * ps, dtype=_INT)
+    for i in range(r):
+        for e in range(ps):
+            shifted = [
+                (d + 1) % p if (i + t) % r in positions else d
+                for t, d in enumerate(_px_digits(e, p, s))
+            ]
+            arr[i * ps + e] = _px_vertex(i, shifted, p, s)
+    return Permutation(arr)
+
+
 def px_fiber_translations(p: int, r: int, s: int) -> PermGroup:
     """The translation subgroup Z_p^r acting on C(p,r,s) windows."""
     _px_check(p, r, s)
-    ps = p**s
-    n = r * ps
-    gens = []
-    for j in range(r):
-        arr = np.empty(n, dtype=_INT)
-        for i in range(r):
-            for e in range(ps):
-                digits = _px_digits(e, p, s)
-                shifted = [
-                    (d + 1) % p if (i + t) % r == j else d
-                    for t, d in enumerate(digits)
-                ]
-                arr[i * ps + e] = _px_vertex(i, shifted, p, s)
-        gens.append(Permutation(arr))
-    return PermGroup(gens, n)
+    return PermGroup([_px_translation(p, r, s, [j]) for j in range(r)], r * p**s)
 
 
 # -- K12 with M11 ------------------------------------------------------------
@@ -433,7 +430,6 @@ def paley_instance(q: int) -> tuple[Graph, PermGroup]:
 class CorpusConfig:
     primes: tuple[int, ...] = (2, 3, 5)
     max_vertices: int = 2000
-    seed: int = 0
     include_px: bool = True
     include_covers: bool = True
     include_named: bool = True
@@ -648,14 +644,7 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
 
 def _px_diagonal_subgroup(p: int, r: int, s: int) -> PermGroup:
     """The diagonal translation subgroup (add 1 to every window symbol)."""
-    ps = p**s
-    n = r * ps
-    arr = np.empty(n, dtype=_INT)
-    for i in range(r):
-        for e in range(ps):
-            digits = [(d + 1) % p for d in _px_digits(e, p, s)]
-            arr[i * ps + e] = _px_vertex(i, digits, p, s)
-    return PermGroup([Permutation(arr)], n)
+    return PermGroup([_px_translation(p, r, s, range(r))], r * p**s)
 
 
 def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
@@ -675,16 +664,11 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
                     break
                 if elem.order() != 2 or normalizes(elem, h):
                     continue
-                if not h.chain().contains(elem * elem):
+                val, connected = _coset_graph_shape(big, h, elem)
+                if val not in target_valencies or not connected:
                     continue
-                try:
-                    bundle = coset_graph(big, h, elem)
-                except (PreconditionError, RuntimeError):
-                    continue
+                bundle = coset_graph(big, h, elem)
                 g = bundle.graph
-                val = g.valency()
-                if val not in target_valencies or not g.is_connected():
-                    continue
                 fp = (g.n, val, g.girth(), g.is_bipartite())
                 if fp in seen_fingerprints:
                     continue
@@ -703,6 +687,16 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
             if hits >= 4:
                 break
     return out
+
+
+def _coset_graph_shape(g: PermGroup, h: PermGroup, elem: Permutation) -> tuple[int, bool]:
+    """Valency and connectivity of the coset graph of (G, H, H elem H),
+    without building it: the valency is the number of cosets H*elem*y for y
+    in H, and the graph is connected exactly when <H, elem> = G."""
+    h_chain = h.chain()
+    valency = len({coset_key(h_chain, elem * y) for y in h.elements()})
+    gens = [x.images for x in h.generators] + [elem.images]
+    return valency, StabilizerChain(gens, g.degree).order == g.order()
 
 
 def _small_subgroups(g: PermGroup, max_count: int) -> list[PermGroup]:

@@ -14,14 +14,12 @@ import numpy as np
 
 from . import _kernels
 from .group import (
-    DEFAULT_BOUND,
     PermGroup,
     PreconditionError,
     StabilizerChain,
     coset_action,
     coset_key,
     is_subgroup,
-    normalizer,
     normalizes,
     partition_index,
 )
@@ -64,15 +62,6 @@ class Graph:
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
         self._hash = None
-
-    @classmethod
-    def from_adjacency(cls, adj) -> "Graph":
-        edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
-        g = cls(len(adj), edges)
-        for u, nbrs in enumerate(adj):
-            if sorted(set(nbrs)) != list(g.neighbors(u)):
-                raise ValueError("adjacency lists are not symmetric")
-        return g
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -342,9 +331,11 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
     """Build the coset graph of (G, H, H elem H) with its G-action.
 
     Preconditions checked: H <= G, elem in G, elem^2 in H, elem outside
-    N_G(H), index within ``COSET_INDEX_BOUND`` and |G| within
-    ``DEFAULT_BOUND`` (the normalizer scan enumerates G). Connectivity is
-    verified to coincide with <H, elem> = G and recorded, not assumed.
+    N_G(H) and index within ``COSET_INDEX_BOUND``. The cosets that H fixes
+    by right multiplication are the cosets of N_G(H), and the base coset's
+    neighbours are the H-orbit of H elem, so neither G nor H is enumerated.
+    Connectivity is verified to coincide with <H, elem> = G and recorded,
+    not assumed.
     """
     if not is_subgroup(h, g):
         raise PreconditionError("H is not a subgroup of G")
@@ -357,23 +348,30 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
     index = g.order() // h.order()
     if index > COSET_INDEX_BOUND:
         raise PreconditionError(f"index {index} exceeds bound {COSET_INDEX_BOUND}")
-    if g.order() > DEFAULT_BOUND:
-        raise PreconditionError(
-            f"group order {g.order()} exceeds bound {DEFAULT_BOUND} "
-            "for normalizer scan"
-        )
 
     reps, coset_index, action = coset_action(g, h)
     if len(reps) != index:
         raise RuntimeError("coset enumeration mismatch (internal error)")
     acting_group = PermGroup(action, index)
 
-    # neighbours of the base coset: cosets H*elem*h for h in H
+    # right multiplication by each generator of H, on coset indices
     h_chain = h.chain()
-    base_nbrs = {
-        coset_index[coset_key(h_chain, elem * hh)] for hh in h.elements()
-    }
-    base_nbrs.discard(0)
+    h_action = [
+        [coset_index[coset_key(h_chain, rep * s)] for rep in reps]
+        for s in h.generators
+    ]
+    fixed = sum(all(a[i] == i for a in h_action) for i in range(index))
+
+    # neighbours of the base coset: the cosets H*elem*y for y in H
+    start = coset_index[coset_key(h_chain, elem)]
+    base_nbrs = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for a in h_action:
+            if a[u] not in base_nbrs:
+                base_nbrs.add(a[u])
+                stack.append(a[u])
 
     # close the base star under the action
     edges = set()
@@ -402,14 +400,12 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
             "connectivity disagrees with <H, elem> = G (internal error)"
         )
 
-    norm = normalizer(g, h).order()
-
     return CosetGraphBundle(
         graph=graph,
         acting_group=acting_group,
         coset_reps=tuple(reps),
         subgroup_order=h.order(),
-        normalizer_order=norm,
+        normalizer_order=h.order() * fixed,
         generates=generates,
         group=g,
         subgroup=h,

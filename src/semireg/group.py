@@ -9,8 +9,8 @@ partitions with kernels, bounded normal-subgroup enumeration,
 quasiprimitivity classification, a prime-power-degree semiregular element
 finder and coprime lifting of semiregular elements through quotients.
 
-Heavy operations (normal subgroups, normalizers, full enumeration) take an
-explicit element-count bound and fail loudly when it is exceeded; group orders
+Heavy operations (normal subgroups, full enumeration) take an explicit
+element-count bound and fail loudly when it is exceeded; group orders
 are exact Python integers throughout.
 """
 
@@ -557,9 +557,6 @@ class ActionBundle:
             f"kernel_order={self.kernel.order()})"
         )
 
-    def class_of(self, point: int) -> int:
-        return int(self._class_index[point])
-
     def image_of(self, p: Permutation) -> Permutation:
         """Apply the action homomorphism to an element of the source."""
         n = self._source_degree
@@ -818,30 +815,6 @@ def transitivity_class(g: PermGroup, bound: int = DEFAULT_BOUND) -> str:
     return "neither"
 
 
-def normalizer(g: PermGroup, h: PermGroup, bound: int = DEFAULT_BOUND) -> PermGroup:
-    """N_G(H) by elementwise scan with conjugation membership tests."""
-    if not is_subgroup(h, g):
-        raise PreconditionError("H is not a subgroup of G")
-    order = g.order()
-    if order > bound:
-        raise BoundExceededError(f"order {order} exceeds bound {bound}")
-    h_chain = h.chain()
-    h_gens = [p.images for p in h.generators]
-    found: list[np.ndarray] = []
-    chain = StabilizerChain([], g.degree)
-    for arr in g.chain().iter_elements():
-        if is_identity_images(arr):
-            continue
-        inv = inverse_images(arr)
-        if all(
-            h_chain.contains_array(_compose(_compose(inv, x), arr))
-            for x in h_gens
-        ) and chain.extend(arr):
-            found.append(arr)
-    gens = [Permutation._wrap(a.copy()) for a in found]
-    return PermGroup(gens or [Permutation.identity(g.degree)], g.degree)
-
-
 # -- semiregular element machinery ----------------------------------------
 
 
@@ -864,10 +837,11 @@ def semiregular_of_prime_power_degree(
 ) -> Permutation:
     """A semiregular element of order p in a transitive group of degree p^k.
 
-    Builds a Sylow p-subgroup (adjoining p-parts of random elements while the
-    subgroup stays a p-group, with a deterministic enumeration fallback), then
-    powers a nontrivial central element down to order p. Centrality in a
-    transitive group forces equal cycle lengths.
+    Builds a Sylow p-subgroup P (adjoining p-parts of random elements while
+    the subgroup stays a p-group, with a deterministic enumeration fallback),
+    reaches a nontrivial element of Z(P) by taking commutators with P's
+    generators, then powers it down to order p. Centrality in a transitive
+    group forces equal cycle lengths.
     """
     n = g.degree
     if not g.is_transitive():
@@ -925,22 +899,18 @@ def semiregular_of_prime_power_degree(
         if (sylow_chain.order if sylow_chain else 1) < target:
             raise RuntimeError("Sylow construction failed (internal error)")
 
-    if sylow_chain.order > bound:
-        raise BoundExceededError(
-            f"Sylow subgroup order {sylow_chain.order} exceeds bound {bound}"
-        )
-    central = None
-    for arr in sylow_chain.iter_elements():
-        if is_identity_images(arr):
-            continue
-        if all(
-            np.array_equal(_compose(arr, s), _compose(s, arr))
-            for s in sylow_gens
-        ):
-            central = Permutation._wrap(arr.copy())
-            break
-    if central is None:
-        raise RuntimeError("p-group with trivial center (internal error)")
+    # [x, s] lies one step further down the lower central series than x,
+    # and P is nilpotent, so the descent stops at a nontrivial central x
+    gens = [Permutation._wrap(arr) for arr in sylow_gens]
+    central = gens[0]
+    moved = True
+    while moved:
+        moved = False
+        for s in gens:
+            comm = central.inverse() * s.inverse() * central * s
+            if not comm.is_identity():
+                central, moved = comm, True
+                break
     o = central.order()
     result = central ** (o // p)
     if not result.is_semiregular() or result.order() != p:
@@ -970,10 +940,9 @@ def lift_semiregular(
         raise PreconditionError(f"r={r} is not coprime to |kernel|={k_order}")
 
     g = bundle.preimage(image_element)
-    o = g.order()
-    for j in range(1, o):
-        if o // math.gcd(o, j) != r:
-            continue
+    step = g.order() // r
+    for t in range(1, r):
+        j = step * t
         x = g ** j
         if x.is_semiregular():
             if bundle.image_of(x) != image_element ** j:

@@ -129,9 +129,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._wrap(inverse_images(self._images))
 
-    def __invert__(self) -> "Permutation":
-        return self.inverse()
-
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
             return self.inverse() ** (-k)

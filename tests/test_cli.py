@@ -66,6 +66,24 @@ def test_construct_lemma33(tmp_path):
     assert manifest["n"] == 6 and manifest["valency"] == 5
 
 
+def test_construct_above_the_element_bound(tmp_path):
+    # |PSL(2,61)| = 113460 and |S10| = 3628800 exceed the element bound;
+    # coset_graph never enumerates G, so both build
+    code = main(["construct", "--family", "lemma33", "--params", "p=61,s=1", "--out", str(tmp_path)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "psl2-coset-p61-s1.json").read_text())
+    assert (manifest["n"], manifest["valency"]) == (1860, 61)
+    assert manifest["normalizer_order"] == 1830
+    (tmp_path / "s10.gens").write_text("n=10\n(1,2)\n(1,2,3,4,5,6,7,8,9,10)\n")
+    (tmp_path / "s9.gens").write_text("n=10\n(1,2)\n(1,2,3,4,5,6,7,8,9)\n")
+    coset = ["construct", "--family", "coset", "--group", str(tmp_path / "s10.gens")]
+    coset += ["--subgroup", str(tmp_path / "s9.gens"), "--element", "(9,10)"]
+    assert main(coset + ["--id", "k10", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "k10.json").read_text())
+    assert (manifest["n"], manifest["valency"]) == (10, 9)
+    assert manifest["normalizer_order"] == 362880 and manifest["generates"]
+
+
 def test_construct_k12m11(tmp_path):
     assert main(["construct", "--family", "k12m11", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "k12-m11.json").read_text())
@@ -209,6 +227,7 @@ def test_exit_codes(tmp_path, capsys, c6_files):
         ('{"primes": 5}', 2),
         ('{"primes": ["2"]}', 2),
         ('{"max_vertices": "many"}', 2),
+        ('{"seed": 7}', 2),
     ]:
         config.write_text(text)
         assert main(corpus) == code, text
@@ -237,8 +256,8 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     for vertex in ("999", "-1"):
         assert main(["dense", "--graph", str(graph_path), "--seed-set", vertex]) == 4
         assert f"vertex {vertex} out of range" in capsys.readouterr().err
-    # precondition error: |PSL(2,61)| exceeds the normalizer-scan bound
-    code = main(["construct", "--family", "lemma33", "--params", "p=61,s=1", "--out", out])
+    # precondition error: p=67 exceeds PSL2_MAX_PRIME
+    code = main(["construct", "--family", "lemma33", "--params", "p=67,s=1", "--out", out])
     assert code == 4
     # inconclusive: sampling cannot conclude on C6 rotations with tiny bound
     rot_only = tmp_path / "rot.gens"

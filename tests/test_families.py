@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from semireg.perm import Permutation
-from semireg.group import PermGroup, PreconditionError, normalizer, is_subgroup
-from semireg.graphs import complete_graph, has_triangle, is_arc_transitive
+from semireg.group import PermGroup, PreconditionError, is_subgroup, normalizes
+from semireg.graphs import complete_graph, coset_graph, has_triangle, is_arc_transitive
 from semireg.families import (
     CorpusConfig,
+    _coset_graph_shape,
+    _small_subgroups,
     corpus_generate,
     k12_m11,
     m11_degree11,
@@ -40,6 +42,38 @@ def test_psl2_coset_normalizer_order_matches_sympy(p, s):
         1 for x in g.generate() if all(h.contains(y ^ x) for y in h.generators)
     )
     assert bundle.normalizer_order == count
+
+
+LEMMA33_CASES = [
+    (p, s)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29)
+    for s in range(1, (p - 1) // 2 + 1)
+    if (p - 1) // 2 % s == 0
+]
+
+
+@pytest.mark.parametrize("p, s", LEMMA33_CASES)
+def test_psl2_coset_normalizer_is_the_borel(p, s):
+    # H = U:C_s has U as its normal Sylow p-subgroup, so N_G(H) lies in
+    # N_G(U), the Borel subgroup of order p(p-1)/2, which normalizes H
+    assert psl2_coset_instance(p, s).normalizer_order == p * (p - 1) // 2
+
+
+@pytest.mark.parametrize("big", [psl2_action(5), pgl2_action(5)], ids=["psl2-5", "pgl2-5"])
+def test_coset_graph_shape_matches_built_graph(big):
+    # every (H, x) pair the corpus coset search tests
+    pairs = 0
+    for h in _small_subgroups(big, max_count=12):
+        for elem in big.elements():
+            if elem.order() != 2 or normalizes(elem, h):
+                continue
+            graph = coset_graph(big, h, elem).graph
+            assert _coset_graph_shape(big, h, elem) == (
+                graph.valency(),
+                graph.is_connected(),
+            )
+            pairs += 1
+    assert pairs > 0
 
 
 def test_psl2_pgl2_orders():

@@ -23,7 +23,7 @@ from semireg.graphs import (
     s_arcs,
     standard_double_cover,
 )
-from semireg.families import psl2_action, psl2_coset_instance
+from semireg.families import psl2_action, psl2_coset_instance, symmetric_group
 
 
 def petersen() -> Graph:
@@ -156,6 +156,18 @@ def test_coset_graph_k4(s4):
     assert is_arc_transitive(bundle.graph, bundle.acting_group)
     assert bundle.graph.valency() == bundle.graph.n - 1
     assert bundle.generates
+    assert bundle.normalizer_order == 6  # H = S3 is its own normalizer in S4
+
+
+def test_coset_graph_beyond_element_bound():
+    # |S10| = 3628800 is far above the element bound, but the index is 10
+    s10 = symmetric_group(10)
+    s9 = s10.point_stabilizer(9)
+    bundle = coset_graph(s10, s9, Permutation.from_cycles(10, [(8, 9)]))
+    assert bundle.graph == complete_graph(10)
+    assert bundle.normalizer_order == 362880
+    assert bundle.generates
+    assert is_arc_transitive(bundle.graph, bundle.acting_group)
 
 
 def test_coset_graph_petersen(a5):
@@ -174,6 +186,7 @@ def test_coset_graph_petersen(a5):
     # order/valency/girth fingerprint identifies the Petersen graph
     assert g.n == 10 and g.valency() == 3 and g.girth() == 5
     assert is_arc_transitive(g, hit.acting_group)
+    assert hit.normalizer_order == 6  # S3 is maximal in A5
 
 
 def test_coset_graph_k6_from_psl25():
@@ -215,13 +228,12 @@ def test_left_mult_automorphism():
     bundle = psl2_coset_instance(7, 1)  # 24 vertices, N_G(H) of order 21
     assert bundle.graph.n == 24
     h = bundle.subgroup
+    assert bundle.normalizer_order == 21
     # an order-3 element of N_G(H) \ H
-    from semireg.group import normalizer
-
-    norm = normalizer(bundle.group, h)
-    assert norm.order() == 21
     x = next(
-        el for el in norm.elements() if el.order() == 3 and not h.chain().contains(el)
+        el
+        for el in bundle.group.elements()
+        if el.order() == 3 and normalizes(el, h) and not h.chain().contains(el)
     )
     lam = left_mult_automorphism(bundle, x)
     assert lam.order() == 3
@@ -242,10 +254,11 @@ def test_left_mult_identity_iff_in_h():
     h = bundle.subgroup
     for el in h.elements():
         assert left_mult_automorphism(bundle, el).is_identity()
-    from semireg.group import normalizer
-
-    norm = normalizer(bundle.group, h)
-    outside = [el for el in norm.elements() if not h.chain().contains(el)]
+    outside = [
+        el
+        for el in bundle.group.elements()
+        if normalizes(el, h) and not h.chain().contains(el)
+    ]
     for el in outside[:5]:
         assert not left_mult_automorphism(bundle, el).is_identity()
 

@@ -17,7 +17,6 @@ from semireg.group import (
     is_prime,
     lift_semiregular,
     minimal_normal_subgroups,
-    normalizer,
     semiregular_of_prime_power_degree,
     transitivity_class,
 )
@@ -212,26 +211,6 @@ def test_coset_key_matches_sympy_membership(make_group):
                 assert same == sym_h.contains(sym(x) * ~sym(y))
 
 
-def test_normalizer_examples(s4):
-    c4 = PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)])])
-    norm = normalizer(s4, c4)
-    assert norm.order() == 8
-    # normal subgroup: N_G(H) = G
-    klein = minimal_normal_subgroups(s4)[0]
-    assert normalizer(s4, klein).order() == 24
-    psl7 = psl2_action(7)
-    c7 = PermGroup([Permutation.from_cycles(8, [tuple(range(7))])], 8)
-    assert psl7.contains(c7.generators[0])
-    assert normalizer(psl7, c7).order() == 21
-
-
-def test_normalizer_requires_subgroup(s4):
-    h = PermGroup([Permutation.from_cycles(4, [(0, 1, 2)])])
-    bad = PermGroup([Permutation.from_cycles(5, [(0, 1)])], 5)
-    with pytest.raises(PreconditionError):
-        normalizer(h, bad)
-
-
 def test_semiregular_prime_power_degree_examples():
     c4 = PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)])])
     w = semiregular_of_prime_power_degree(c4)
@@ -251,6 +230,19 @@ def test_semiregular_prime_power_degree_examples():
     c3c3 = PermGroup([Permutation(images1), Permutation(images2)])
     w = semiregular_of_prime_power_degree(c3c3)
     assert w.order() == 3 and w.is_semiregular() and c3c3.contains(w)
+
+
+def test_semiregular_prime_power_degree_sylow_of_s32():
+    # the iterated wreath product C2 wr C2 wr C2 wr C2 wr C2, order 2^31:
+    # generator k swaps the halves of the block 0 .. 2^(k+1) - 1
+    gens = [
+        Permutation.from_cycles(32, [(i, i + 2**k) for i in range(2**k)])
+        for k in range(5)
+    ]
+    p2 = PermGroup(gens)
+    assert p2.order() == 2**31
+    w = semiregular_of_prime_power_degree(p2)
+    assert w.order() == 2 and w.is_semiregular() and p2.contains(w)
 
 
 def test_semiregular_prime_power_degree_rejects_bad_inputs(s4, c6_regular):

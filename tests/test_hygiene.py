@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semireg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "semireg"
 
 # ``__init__.py`` imports only to re-export the public API
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -73,3 +74,67 @@ def test_unreferenced_private_definitions_are_found():
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def _named(tree) -> list[str]:
+    """Every name a tree reads or imports, and every attribute it takes."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name.split(".")[-1])
+    return out
+
+
+def unreferenced_public(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """Public module-level functions and classes of ``package``, and public
+    methods of its classes, whose name appears nowhere in ``package`` or
+    ``others`` outside their own definition, as ``module: name`` or
+    ``module: Class.name``. Dunder methods are exempt."""
+    counts: dict[str, int] = {}
+    for source in [*package.values(), *others.values()]:
+        for name in _named(ast.parse(source)):
+            counts[name] = counts.get(name, 0) + 1
+    out = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (m, f"{node.name}.{m.name}")
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            for d, label in defs:
+                if d.name.startswith("_"):
+                    continue
+                inside = _named(d).count(d.name)
+                if counts.get(d.name, 0) - inside == 0:
+                    out.append(f"{module}: {label}")
+    return out
+
+
+def test_unreferenced_public_definitions_are_found():
+    package = {
+        "a": "def used():\n    pass\n\ndef recursive():\n    recursive()\n\n"
+        "class Box:\n    def size(self):\n        return 0\n\n"
+        "    def dead(self):\n        return self.size()\n\n"
+        "    def __len__(self):\n        return 0\n\ndef _private():\n    pass\n",
+    }
+    others = {"t": "from a import used, Box\nused()\n"}
+    assert unreferenced_public(package, others) == ["a: recursive", "a: Box.dead"]
+
+
+def test_no_unreferenced_public_definitions():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = {
+        str(p.relative_to(ROOT)): p.read_text()
+        for folder in ("tests", "perfbench")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert unreferenced_public(package, others) == []
