@@ -44,7 +44,7 @@ from .formats import (
     read_graph_auto,
     write_graph6,
 )
-from .group import BoundExceededError, PermGroup, PreconditionError
+from .group import DEFAULT_BOUND, BoundExceededError, PermGroup, PreconditionError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--routes", type=_routes, default=ALL_ROUTES, help="comma-separated route names"
     )
-    p.add_argument("--bound", type=_positive_int, default=100_000)
+    p.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--id", default=None)
     p.set_defaults(func=_cmd_find)
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="corpus-out")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--bound", type=_positive_int, default=100_000)
+    p.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND)
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("report", help="structural diagnostics for an instance")

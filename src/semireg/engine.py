@@ -37,11 +37,11 @@ from .graphs import (
     s_arcs,
 )
 from .group import (
+    DEFAULT_BOUND,
     BoundExceededError,
     PermGroup,
     PreconditionError,
     action_on_partition,
-    is_subgroup,
     lift_semiregular,
     minimal_normal_subgroups,
     partition_index,
@@ -104,7 +104,7 @@ class EngineConfig:
     """
 
     routes: tuple[str, ...] = ALL_ROUTES
-    enum_bound: int = 100_000
+    enum_bound: int = DEFAULT_BOUND
     seed: int = 0
     graph_id: str = "graph"
 
@@ -175,7 +175,7 @@ def local_action(g: Graph, grp: PermGroup, v: int) -> PermGroup:
 
 
 def verify_certificate(
-    g: Graph, grp: PermGroup, cert: Certificate, *, bound: int = 100_000
+    g: Graph, grp: PermGroup, cert: Certificate, *, bound: int = DEFAULT_BOUND
 ) -> tuple[bool, str]:
     """Independently check a certificate against the graph and group.
 
@@ -325,28 +325,35 @@ def _route_prime_power(g, grp, config, trace) -> Certificate | None:
     return _certificate(config.graph_id, el, ROUTE_PRIME_POWER, trace)
 
 
-def _candidate_normal_subgroups(grp, trace) -> list[PermGroup]:
+def _normal_quotients(grp, trace) -> list[tuple[PermGroup, list[list[int]]]]:
+    """Each minimal normal subgroup with at least three orbits, paired with
+    its orbit partition; none, with a trace line, when |G| > NORMAL_BOUND."""
     if grp.order() > NORMAL_BOUND:
         trace.append(
             f"normal-subgroup scan skipped: order {grp.order()} exceeds "
             f"bound {NORMAL_BOUND}"
         )
         return []
-    return minimal_normal_subgroups(grp, NORMAL_BOUND)
+    pairs = []
+    for nsub in minimal_normal_subgroups(grp, NORMAL_BOUND):
+        partition = nsub.orbit_partition()
+        if len(partition) >= 3:
+            pairs.append((nsub, partition))
+    return pairs
+
+
+def _is_2_group(grp: PermGroup) -> bool:
+    order = grp.order()
+    return order & (order - 1) == 0
 
 
 def _route_quotient_lift(g, grp, config, trace, depth, max_depth) -> Certificate | None:
     if depth >= max_depth:
         trace.append("quotient-lift: recursion depth cap reached")
         return None
-    for nsub in _candidate_normal_subgroups(grp, trace):
-        partition = nsub.orbit_partition()
-        if len(partition) < 3 or len(partition) >= g.n:
-            continue
+    for nsub, partition in _normal_quotients(grp, trace):
         bundle = action_on_partition(grp, partition)
         qgraph = quotient_graph(g, partition)
-        if qgraph.n != len(partition):
-            continue
         # the recursion is internal to this route: the quotient search uses
         # every route, whatever the top-level restriction was
         sub_config = replace(config, routes=ALL_ROUTES)
@@ -378,11 +385,8 @@ def _route_quotient_lift(g, grp, config, trace, depth, max_depth) -> Certificate
 
 
 def _route_buddy_swap(g, grp, config, trace) -> Certificate | None:
-    for nsub in _candidate_normal_subgroups(grp, trace):
-        if len(prime_factors(nsub.order())) != 1 or 2 not in prime_factors(nsub.order()):
-            continue
-        partition = nsub.orbit_partition()
-        if len(partition) < 3:
+    for nsub, partition in _normal_quotients(grp, trace):
+        if not _is_2_group(nsub):
             continue
         try:
             bs = c4_buddy_structure(g, partition)
@@ -526,8 +530,13 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
 
     Each check names its hypothesis; when the hypothesis cannot be
     established within bounds (a group order above ``NORMAL_BOUND``) the
-    check is marked inapplicable rather than failed. The arc-stabilizer
-    check samples ``ARC_SAMPLES`` s-arcs per s, drawn under ``seed``.
+    check is marked inapplicable rather than failed. Checks (b) to (f) take
+    their normal subgroups from the list quotient-lift and buddy-swap use,
+    the minimal normal subgroups with at least three orbits; (d) also tries
+    the transitive and two-orbit ones. Checks (c) and (e) take M to be the
+    minimal normal 2-subgroup P itself, the only choice group theory
+    leaves. The arc-stabilizer check samples ``ARC_SAMPLES`` s-arcs per s,
+    drawn under ``seed``.
     """
     check_automorphisms(g, grp)
     records: list[CheckRecord] = []
@@ -561,10 +570,7 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
             )
         )
 
-    mins: list[PermGroup] = []
-    if grp.order() <= NORMAL_BOUND:
-        mins = minimal_normal_subgroups(grp, NORMAL_BOUND)
-    else:
+    if grp.order() > NORMAL_BOUND:
         note = f"group order {grp.order()} exceeds bound {NORMAL_BOUND}"
         for name in (
             "kernel-fixing-classes-is-2-group",
@@ -575,16 +581,14 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
         ):
             records.append(_record(name, False, None, note))
         return ProofReport(records=tuple(records))
+    quotients = _normal_quotients(grp, trace=[])
 
     # (b) when the quotient has odd prime valency and local class-orbits have
     # size 2, the kernel's vertex stabilizer is a 2-group
     rec_b = _record(
         "kernel-fixing-classes-is-2-group", False, None, "no qualifying normal subgroup"
     )
-    for nsub in mins:
-        partition = nsub.orbit_partition()
-        if len(partition) < 3 or len(partition) >= g.n:
-            continue
+    for nsub, partition in quotients:
         qgraph = quotient_graph(g, partition)
         d = qgraph.valency()
         if d is None or d < 3 or len(prime_factors(d)) != 1 or d % 2 == 0:
@@ -601,62 +605,53 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
             continue
         bundle = action_on_partition(grp, partition)
         kv = bundle.kernel.point_stabilizer(v)
-        factored = kv.order_factored()
-        is_2_group = set(factored) <= {2}
         rec_b = _record(
             "kernel-fixing-classes-is-2-group",
             True,
-            is_2_group,
+            _is_2_group(kv),
             f"quotient valency {d}, |K_v| = {kv.order()}",
         )
         break
     records.append(rec_b)
 
     # (c) counting bound for a minimal normal M central in a normal 2-subgroup
+    # P. For a minimal normal 2-subgroup P, M = P: two distinct minimal normal
+    # subgroups meet trivially, so the only one inside P is P, and P is
+    # elementary abelian, so it is central in itself.
     rec_c = _record(
         "conjugate-cover-counting-bound", False, None, "no central-in-2-subgroup minimal normal"
     )
-    for p_sub in mins:
-        if set(prime_factors(p_sub.order())) != {2}:
+    for p_sub, partition in quotients:
+        if not _is_2_group(p_sub):
             continue
-        partition = p_sub.orbit_partition()
-        if len(partition) < 3:
-            continue
-        for m_sub in mins:
-            if not _centralizes(m_sub, p_sub) or not is_subgroup(m_sub, p_sub):
-                continue
-            if any(
-                not el.is_identity() and el.is_semiregular()
-                for el in m_sub.elements(NORMAL_BOUND)
-            ):
-                rec_c = _record(
-                    "conjugate-cover-counting-bound",
-                    False,
-                    None,
-                    "M contains a semiregular element; bound not required",
-                )
-                continue
-            m_v = m_sub.point_stabilizer(0).order()
-            ok = m_sub.order() <= m_v * len(partition)
+        if any(
+            not el.is_identity() and el.is_semiregular()
+            for el in p_sub.elements(NORMAL_BOUND)
+        ):
             rec_c = _record(
                 "conjugate-cover-counting-bound",
-                True,
-                ok,
-                f"|M| = {m_sub.order()}, |M_v| = {m_v}, classes = {len(partition)}",
+                False,
+                None,
+                "M contains a semiregular element; bound not required",
             )
-            break
-        if rec_c.applicable:
-            break
+            continue
+        m_v = p_sub.point_stabilizer(0).order()
+        rec_c = _record(
+            "conjugate-cover-counting-bound",
+            True,
+            p_sub.order() <= m_v * len(partition),
+            f"|M| = {p_sub.order()}, |M_v| = {m_v}, classes = {len(partition)}",
+        )
+        break
     records.append(rec_c)
 
-    # (d) arc stabilizer index bound over sampled s-arcs; candidates are the
-    # minimal normal subgroups plus the kernels of the actions on their
-    # orbit partitions (those kernels are the natural M on fiber-type graphs)
-    candidates = list(mins)
-    for nsub in mins:
-        partition = nsub.orbit_partition()
-        if 3 <= len(partition) < g.n:
-            candidates.append(action_on_partition(grp, partition).kernel)
+    # (d) arc stabilizer index bound over sampled s-arcs; candidates are all
+    # minimal normal subgroups, transitive ones too, plus the kernels of the
+    # actions on the orbit partitions of those with at least three orbits
+    # (those kernels are the natural M on fiber-type graphs)
+    candidates = minimal_normal_subgroups(grp, NORMAL_BOUND) + [
+        action_on_partition(grp, partition).kernel for _, partition in quotients
+    ]
     rec_d = _record(
         "arc-stabilizer-index-bound", False, None, "no normal subgroup with local orbits of size <= 2"
     )
@@ -683,51 +678,35 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
         break
     records.append(rec_d)
 
-    # (e) subgroups fixing two classes pointwise fix adjacent classes pointwise
+    # (e) subgroups fixing two classes pointwise fix adjacent classes
+    # pointwise, for M = P as in (c)
     rec_e = _record(
         "two-fixed-classes-propagation", False, None, "no buddy structure available"
     )
-    for p_sub in mins:
-        if set(prime_factors(p_sub.order())) != {2}:
-            continue
-        partition = p_sub.orbit_partition()
-        if len(partition) < 3:
+    for p_sub, partition in quotients:
+        if not _is_2_group(p_sub):
             continue
         try:
             c4_buddy_structure(g, partition)
         except PreconditionError:
             continue
-        m_sub = next(
-            (m for m in mins if is_subgroup(m, p_sub) and _centralizes(m, p_sub)),
-            None,
-        )
-        if m_sub is None:
-            continue
-        rec_e = _check_claim(g, m_sub, partition)
+        rec_e = _check_claim(g, p_sub, partition)
         break
     records.append(rec_e)
 
     # (f) no intra-class edges for normal-subgroup orbit partitions
     rec_f = _record("no-intra-class-edges", False, None, "no normal subgroup with >= 3 orbits")
-    for nsub in mins:
-        partition = nsub.orbit_partition()
-        if len(partition) < 3 or len(partition) >= g.n:
-            continue
-        ok = not has_intra_class_edges(g, partition)
+    if quotients:
+        nsub, partition = quotients[0]
         rec_f = _record(
             "no-intra-class-edges",
             True,
-            ok,
+            not has_intra_class_edges(g, partition),
             f"orbit partition of normal subgroup of order {nsub.order()}",
         )
-        break
     records.append(rec_f)
 
     return ProofReport(records=tuple(records))
-
-
-def _centralizes(a: PermGroup, b: PermGroup) -> bool:
-    return all(x * y == y * x for x in a.generators for y in b.generators)
 
 
 def _check_claim(g: Graph, m_sub: PermGroup, partition) -> CheckRecord:

@@ -736,12 +736,14 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
     nontrivial elements, and like every nontrivial group it has an element
     of prime order. So the normal closures of the classes of prime-order
     elements (a class generates its closure) include every minimal normal
-    subgroup, and no other class needs a closure. The closures are
-    deduplicated, then filtered to the minimal ones under containment; each
-    closure is one ``extend_all`` with a single verification. The result is
-    stored on ``g``, so later calls on the same group return it without
-    recomputing; every call raises ``BoundExceededError`` when |G| >
-    ``bound``.
+    subgroup, and no other class needs a closure. Each closure is one
+    ``extend_all`` with a single verification. One pass over the closures,
+    in order of size, keeps each one that contains none kept before it:
+    that drops the closures that are not minimal and the repeats of a kept
+    one, so each result has the generators of its first class in that
+    order. The result is stored on ``g``, so later calls on the same group
+    return it without recomputing; every call raises ``BoundExceededError``
+    when |G| > ``bound``.
     """
     order = g.order()
     if order > bound:
@@ -756,38 +758,27 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
         sel = chain.extend_all(elements[cls])
         closures.append((chain.order, sel, chain, int(cls[0])))
     closures.sort(key=lambda t: t[0])
-    distinct = []
-    for order, sel, chain, first in closures:
-        dup = False
-        for order2, sel2, chain2, _ in distinct:
-            if order2 == order and all(chain2.contains_array(a) for a in sel):
-                dup = True
-                break
-        if not dup:
-            distinct.append((order, sel, chain, first))
     minimal = []
-    for order, sel, chain, first in distinct:
-        is_min = True
-        for order2, sel2, chain2, _ in distinct:
-            if order2 < order and all(chain.contains_array(a) for a in sel2):
-                is_min = False
-                break
-        if is_min:
-            if len(prime_factors(order)) > 1:
-                # ``first`` is its first element of prime order. One of
-                # prime-power order is elementary abelian, so that is its
-                # first nontrivial element; this one is not, and an element
-                # of composite order may come before it.
-                first = next(
-                    (
-                        i
-                        for i in range(first)
-                        if not is_identity_images(elements[i])
-                        and chain.contains_array(elements[i])
-                    ),
-                    first,
-                )
-            minimal.append((order, first, sel))
+    for order, sel, chain, first in closures:
+        # a smaller minimal normal subgroup inside this closure, or an
+        # earlier copy of it, sorts before it and has been kept
+        if any(all(chain.contains_array(a) for a in kept) for _, _, kept in minimal):
+            continue
+        if len(prime_factors(order)) > 1:
+            # ``first`` is its first element of prime order. One of
+            # prime-power order is elementary abelian, so that is its first
+            # nontrivial element; this one is not, and an element of
+            # composite order may come before it.
+            first = next(
+                (
+                    i
+                    for i in range(first)
+                    if not is_identity_images(elements[i])
+                    and chain.contains_array(elements[i])
+                ),
+                first,
+            )
+        minimal.append((order, first, sel))
     minimal.sort(key=lambda t: t[:2])
     result = [
         PermGroup([Permutation._wrap(a.copy()) for a in sel], n) for _, _, sel in minimal
@@ -796,7 +787,7 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
     return result
 
 
-def transitivity_class(g: PermGroup, bound: int = DEFAULT_BOUND) -> str:
+def transitivity_class(g: PermGroup) -> str:
     """One of intransitive / quasiprimitive / biquasiprimitive / neither.
 
     Quasiprimitive: every nontrivial normal subgroup is transitive.
@@ -806,7 +797,7 @@ def transitivity_class(g: PermGroup, bound: int = DEFAULT_BOUND) -> str:
     """
     if not g.is_transitive():
         return "intransitive"
-    mins = minimal_normal_subgroups(g, bound)
+    mins = minimal_normal_subgroups(g)
     orbit_counts = [len(n.orbit_partition()) for n in mins]
     if all(c == 1 for c in orbit_counts):
         return "quasiprimitive"
@@ -852,13 +843,11 @@ def semiregular_of_prime_power_degree(
     target = _p_part(g.order(), p)
 
     sylow_gens: list[np.ndarray] = []
-    sylow_chain: StabilizerChain | None = None
+    sylow_chain = StabilizerChain([], n)
 
     def try_adjoin(arr: np.ndarray) -> None:
         nonlocal sylow_chain
-        if is_identity_images(arr):
-            return
-        if sylow_chain is not None and sylow_chain.contains_array(arr):
+        if sylow_chain.contains_array(arr):
             return
         cand = StabilizerChain(sylow_gens + [arr], n)
         if _is_p_power(cand.order, p):
@@ -869,7 +858,7 @@ def semiregular_of_prime_power_degree(
     chain = g.chain()
     attempts = 0
     max_attempts = 200
-    while (sylow_chain.order if sylow_chain else 1) < target and attempts < max_attempts:
+    while sylow_chain.order < target and attempts < max_attempts:
         attempts += 1
         arr = chain.random_element(rng)
         perm = Permutation._wrap(arr)
@@ -878,7 +867,7 @@ def semiregular_of_prime_power_degree(
         if a == 1:
             continue
         try_adjoin((perm ** (o // a)).images)
-    if (sylow_chain.order if sylow_chain else 1) < target:
+    if sylow_chain.order < target:
         # deterministic fallback: greedy over all p-elements
         order = g.order()
         if order > bound:
@@ -886,17 +875,17 @@ def semiregular_of_prime_power_degree(
                 f"order {order} exceeds bound {bound} for Sylow fallback"
             )
         progress = True
-        while (sylow_chain.order if sylow_chain else 1) < target and progress:
+        while sylow_chain.order < target and progress:
             progress = False
-            before = sylow_chain.order if sylow_chain else 1
+            before = sylow_chain.order
             for el in g.elements(bound):
                 o = el.order()
                 if o > 1 and _is_p_power(o, p):
                     try_adjoin(el.images)
                     if sylow_chain.order == target:
                         break
-            progress = (sylow_chain.order if sylow_chain else 1) > before
-        if (sylow_chain.order if sylow_chain else 1) < target:
+            progress = sylow_chain.order > before
+        if sylow_chain.order < target:
             raise RuntimeError("Sylow construction failed (internal error)")
 
     # [x, s] lies one step further down the lower central series than x,
@@ -923,9 +912,11 @@ def lift_semiregular(
 ) -> Permutation:
     """Lift a semiregular image element of prime order r coprime to the kernel.
 
-    Takes a preimage g and scans its powers of order r for semiregularity on
-    the source points; the coprimality hypothesis guarantees a hit (if x^i
-    fixes a point it fixes that point's class, forcing r | i).
+    Takes a preimage g. Its power g^r lies in the kernel, whose order is
+    coprime to r, so |g| = r * m with m coprime to r, and x = g^m has order r
+    and maps to a generator of the image element's cyclic group. That x is
+    semiregular by the coprime lifting lemma (if x^i fixes a point it fixes
+    that point's class, forcing r | i), so it is the one power computed.
     """
     if not is_prime(r):
         raise PreconditionError(f"r={r} is not prime")
@@ -940,16 +931,14 @@ def lift_semiregular(
         raise PreconditionError(f"r={r} is not coprime to |kernel|={k_order}")
 
     g = bundle.preimage(image_element)
-    step = g.order() // r
-    for t in range(1, r):
-        j = step * t
-        x = g ** j
-        if x.is_semiregular():
-            if bundle.image_of(x) != image_element ** j:
-                raise RuntimeError("lift image inconsistent (internal error)")
-            if not source.contains(x):
-                raise RuntimeError("lift left the source group (internal error)")
-            return x
-    raise RuntimeError(
-        "no semiregular power found; contradicts the coprime lifting lemma"
-    )
+    m = g.order() // r
+    x = g ** m
+    if not x.is_semiregular():
+        raise RuntimeError(
+            "g^m is not semiregular; contradicts the coprime lifting lemma"
+        )
+    if bundle.image_of(x) != image_element ** m:
+        raise RuntimeError("lift image inconsistent (internal error)")
+    if not source.contains(x):
+        raise RuntimeError("lift left the source group (internal error)")
+    return x

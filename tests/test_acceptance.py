@@ -32,6 +32,7 @@ from semireg.graphs import (
     standard_double_cover,
 )
 from semireg.engine import (
+    NORMAL_BOUND,
     EngineConfig,
     arc_stabilizer_bound_check,
     buddy_swap_automorphism,
@@ -387,9 +388,9 @@ def test_criterion_08_buddy_machinery(corpus):
     verified fixed-point-free involution with equal neighbourhoods."""
     hits = 0
     for inst in corpus:
-        if inst.group.order() > 20_000:
+        if inst.group.order() > NORMAL_BOUND:
             continue
-        for nsub in minimal_normal_subgroups(inst.group, 20_000):
+        for nsub in minimal_normal_subgroups(inst.group, NORMAL_BOUND):
             factored = prime_factors(nsub.order())
             if set(factored) != {2}:
                 continue

@@ -304,6 +304,23 @@ def test_proof_report_px241():
     assert by_name["no-intra-class-edges"].passed
 
 
+def test_proof_report_counting_bound_and_propagation_on_px():
+    def records(p, r, s):
+        g, _ = praeger_xu(p, r, s)
+        report = proof_invariant_report(g, praeger_xu_group(p, r, s))
+        return {rec.name: (rec.applicable, rec.passed, rec.detail) for rec in report.records}
+
+    px231 = records(2, 3, 1)
+    assert px231["conjugate-cover-counting-bound"] == (
+        True, True, "|M| = 4, |M_v| = 2, classes = 3"
+    )
+    px272 = records(2, 7, 2)
+    assert px272["conjugate-cover-counting-bound"] == (
+        False, None, "M contains a semiregular element; bound not required"
+    )
+    assert px272["two-fixed-classes-propagation"] == (True, True, "7 class triples checked")
+
+
 def test_proof_report_k12_m11():
     k12, m11 = k12_m11()
     report = proof_invariant_report(k12, m11)

@@ -410,6 +410,59 @@ def test_minimal_normal_subgroups_match_sympy(make_group):
         assert m.order() == sym_g.normal_closure(first).order() == sym_m.order()
 
 
+def _c2xs3_regular():
+    """C2 x S3 acting on its own 12 elements by right multiplication."""
+    small = PermGroup(
+        [
+            Permutation.from_cycles(5, [(0, 1)]),
+            Permutation.from_cycles(5, [(2, 3, 4)]),
+            Permutation.from_cycles(5, [(2, 3)]),
+        ]
+    )
+    elements = list(small.elements())
+    index = {el: i for i, el in enumerate(elements)}
+    return PermGroup(
+        [Permutation([index[el * s] for el in elements]) for s in small.generators], 12
+    )
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [
+        lambda: praeger_xu_group(2, 3, 1),
+        lambda: praeger_xu_group(2, 7, 2),
+        _c2xs3_regular,
+        lambda: PermGroup(
+            [
+                Permutation.from_cycles(10, [(0, 1, 2, 3, 4)]),
+                Permutation.from_cycles(10, [(0, 1, 2)]),
+                Permutation.from_cycles(10, [(5, 6, 7, 8, 9)]),
+                Permutation.from_cycles(10, [(5, 6, 7)]),
+            ]
+        ),
+    ],
+    ids=["px-2-3-1", "px-2-7-2", "c2xs3-regular", "a5xa5"],
+)
+def test_minimal_normal_subgroups_meet_trivially_and_2_groups_are_elementary(make_group):
+    """The facts the proof report's M = P rests on: distinct minimal normal
+    subgroups M, N meet trivially, so |<M, N>| = |M| |N|, and one of 2-power
+    order is elementary abelian."""
+    from sympy.combinatorics import PermutationGroup
+
+    mins = [
+        _sympy_group(x.images for x in m.generators)
+        for m in minimal_normal_subgroups(make_group())
+    ]
+    assert len(mins) >= 2
+    for i, m in enumerate(mins):
+        for n in mins[i + 1 :]:
+            joined = PermutationGroup(list(m.generators) + list(n.generators))
+            assert joined.order() == m.order() * n.order()
+        if m.order() & (m.order() - 1) == 0:
+            assert m.is_abelian
+            assert all(x.order() == 2 for x in m.generators)
+
+
 def test_minimal_normal_subgroups_stored_per_group(monkeypatch):
     g = pgl2_action(5)
     first = minimal_normal_subgroups(g)

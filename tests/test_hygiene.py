@@ -130,11 +130,106 @@ def test_unreferenced_public_definitions_are_found():
     assert unreferenced_public(package, others) == ["a: recursive", "a: Box.dead"]
 
 
-def test_no_unreferenced_public_definitions():
+def _package_and_others() -> tuple[dict[str, str], dict[str, str]]:
+    """The package's sources by file name, and the sources of the tests and
+    the benchmark by path."""
     package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     others = {
         str(p.relative_to(ROOT)): p.read_text()
         for folder in ("tests", "perfbench")
         for p in sorted((ROOT / folder).glob("*.py"))
     }
-    assert unreferenced_public(package, others) == []
+    return package, others
+
+
+def test_no_unreferenced_public_definitions():
+    assert unreferenced_public(*_package_and_others()) == []
+
+
+def _calls(sources) -> dict[str, list[tuple[int, set[str], bool, bool]]]:
+    """Every call by callee name: (positional count, keywords, whether it
+    unpacks ``*args``, whether it unpacks ``**kwargs``)."""
+    out: dict[str, list] = {}
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if not isinstance(n, ast.Call):
+                continue
+            if isinstance(n.func, ast.Name):
+                name = n.func.id
+            elif isinstance(n.func, ast.Attribute):
+                name = n.func.attr
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in n.args)
+            positional = sum(1 for a in n.args if not isinstance(a, ast.Starred))
+            keywords = {k.arg for k in n.keywords if k.arg is not None}
+            double = any(k.arg is None for k in n.keywords)
+            out.setdefault(name, []).append((positional, keywords, starred, double))
+    return out
+
+
+def unoverridden_defaults(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """Parameter defaults of the functions and methods of ``package`` that
+    no call in ``package`` or ``others`` overrides, by keyword or by
+    position, as ``module: function(parameter)``. Calls match definitions
+    by name, and a call of a class by name is a call of its ``__init__``."""
+    calls = _calls([*package.values(), *others.values()])
+    out = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        methods = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for m in cls.body:
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        methods[m] = cls.name
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node.name]
+            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            if node in methods and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list
+            ):
+                params = params[1:]
+                if node.name == "__init__":
+                    names.append(methods[node])
+            # (position, name); keyword-only parameters have no position
+            defaulted = list(enumerate(params))[len(params) - len(node.args.defaults):]
+            defaulted += [
+                (None, a.arg)
+                for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if d is not None
+            ]
+            sites = [c for name in names for c in calls.get(name, [])]
+            for index, arg in defaulted:
+                if not any(
+                    arg in keywords
+                    or double
+                    or index is not None and (starred or count > index)
+                    for count, keywords, starred, double in sites
+                ):
+                    out.append(f"{module}: {node.name}({arg})")
+    return out
+
+
+def test_unoverridden_defaults_are_found():
+    package = {
+        "a": "def f(x, y=1, *, z=2, w=3):\n    pass\n\n"
+        "def g(a, b=0):\n    pass\n\n"
+        "class Box:\n    def __init__(self, size=0, tag=''):\n        pass\n\n"
+        "    def put(self, item, slot=0):\n        pass\n",
+    }
+    others = {
+        "t": "f(1, z=5)\ng(*args)\nBox(4)\nBox(**options)\nBox().put('x')\n",
+    }
+    assert unoverridden_defaults(package, others) == [
+        "a: f(y)",
+        "a: f(w)",
+        "a: put(slot)",
+    ]
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    assert unoverridden_defaults(*_package_and_others()) == []
