@@ -26,6 +26,7 @@ from .engine import (
 )
 from .families import (
     CorpusConfig,
+    CorpusInstance,
     corpus_generate,
     k12_m11,
     praeger_xu,
@@ -155,16 +156,10 @@ def _cmd_construct(args) -> int:
 
     (outdir / f"{name}.g6").write_bytes(write_graph6(graph) + b"\n")
     (outdir / f"{name}.gens").write_text(format_generators(group))
-    manifest = {
-        "id": name,
-        "family": args.family,
-        "params": params,
-        "n": graph.n,
-        "valency": graph.valency(),
-        "group_order": str(group.order()),
-        "seed": args.seed,
-        **extra,
-    }
+    instance = CorpusInstance(
+        id=name, family=args.family, params=params, graph=graph, group=group
+    )
+    manifest = {**instance.manifest_row(args.seed), **extra}
     (outdir / f"{name}.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
@@ -383,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="generate the corpus and certify it")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", default="corpus-out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND)
     p.set_defaults(func=_cmd_corpus)

@@ -168,7 +168,7 @@ def local_action(g: Graph, grp: PermGroup, v: int) -> PermGroup:
         for i, w in enumerate(nbrs):
             img[i] = index[int(gen(int(w)))]
         gens.append(Permutation(img))
-    return PermGroup(gens or [Permutation.identity(max(len(nbrs), 1))], max(len(nbrs), 1))
+    return PermGroup(gens, max(len(nbrs), 1))
 
 
 # -- certificates -------------------------------------------------------------
@@ -419,7 +419,7 @@ def c4_buddy_structure(g: Graph, partition) -> BuddyStructure:
     neighbour-pairs match up into disjoint 4-cycles.
     """
     classes, class_index = partition_index(partition, g.n)
-    if any(class_index[u] == class_index[w] for u, w in g.edges()):
+    if has_intra_class_edges(g, partition):
         raise PreconditionError("partition has edges inside a class")
 
     nbrs_by_class: list[dict] = [dict() for _ in range(g.n)]
@@ -436,12 +436,7 @@ def c4_buddy_structure(g: Graph, partition) -> BuddyStructure:
 
     # group vertices of each class by their 2-neighbour set in the other class
     buddy_map: list[dict] = [dict() for _ in range(g.n)]
-    class_adj = set()
-    for v in range(g.n):
-        cv = int(class_index[v])
-        for c in nbrs_by_class[v]:
-            class_adj.add((min(cv, c), max(cv, c)))
-    for ca, cb in sorted(class_adj):
+    for ca, cb in quotient_graph(g, partition).edges():
         for side, other in ((ca, cb), (cb, ca)):
             groups: dict = {}
             for v in classes[side]:
@@ -510,16 +505,19 @@ def arc_stabilizer_bound_check(
     """For sampled s-arcs, check |M_{v0}| / |M_alpha| <= 2^s.
 
     Returns (s, violations, passed) triples. M_alpha is the pointwise
-    stabilizer of the arc's vertices, computed from a chain based there.
+    stabilizer of the arc's vertices. In a chain of M based at the arc
+    (v0, ..., vs), level i holds the orbit of vi under the stabilizer of
+    v0..v(i-1), so the index |M_{v0}| / |M_alpha| is exactly the product of
+    the orbit sizes of levels 1..s.
     """
     out = []
     for s in s_values:
         violations = 0
         arcs = s_arcs(g, s, sample=samples, seed=seed + s)
         for arc in arcs:
-            m_v0 = m_sub.pointwise_stabilizer([arc[0]]).order()
-            m_arc = m_sub.pointwise_stabilizer(list(arc)).order()
-            if m_v0 // m_arc > 2**s:
+            levels = m_sub.chain_with_base(arc).levels
+            index = math.prod(len(lv.transversal) for lv in levels[1 : s + 1])
+            if index > 2**s:
                 violations += 1
         out.append((s, violations, violations == 0))
     return out
@@ -710,13 +708,9 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
 
 
 def _check_claim(g: Graph, m_sub: PermGroup, partition) -> CheckRecord:
-    classes, class_index = partition_index(partition, g.n)
-    adjacency: dict[int, set] = {c: set() for c in range(len(classes))}
-    for u, w in g.edges():
-        cu, cw = int(class_index[u]), int(class_index[w])
-        if cu != cw:
-            adjacency[cu].add(cw)
-            adjacency[cw].add(cu)
+    classes, _ = partition_index(partition, g.n)
+    qgraph = quotient_graph(g, partition)
+    adjacency = [set(qgraph.neighbors(c).tolist()) for c in range(qgraph.n)]
     checked = 0
     for ca in range(len(classes)):
         for cb in range(ca + 1, len(classes)):

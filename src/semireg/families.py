@@ -545,9 +545,7 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
                     params=dict(base.params),
                     graph=cover,
                     group=group,
-                    known_semiregular=lift_to_double_cover(base.known_semiregular)
-                    if base.known_semiregular
-                    else None,
+                    known_semiregular=lift_to_double_cover(base.known_semiregular),
                 )
             )
 
@@ -669,12 +667,13 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
                     continue
                 bundle = coset_graph(big, h, elem)
                 g = bundle.graph
-                fp = (g.n, val, g.girth(), g.is_bipartite())
+                girth = g.girth()
+                fp = (g.n, val, girth, g.is_bipartite())
                 if fp in seen_fingerprints:
                     continue
                 seen_fingerprints.add(fp)
                 inst = CorpusInstance(
-                    id=f"coset-{name}-n{g.n}-v{val}-g{g.girth()}",
+                    id=f"coset-{name}-n{g.n}-v{val}-g{girth}",
                     family="coset-search",
                     params={"seed_group": name, "subgroup_order": h.order()},
                     graph=g,
@@ -701,18 +700,18 @@ def _coset_graph_shape(g: PermGroup, h: PermGroup, elem: Permutation) -> tuple[i
 
 def _small_subgroups(g: PermGroup, max_count: int) -> list[PermGroup]:
     """A deterministic pool of small subgroups: cyclic ones from element
-    scan plus a few two-generator extensions."""
+    scan (at most two per order; a cyclic group's order is its generator's)
+    plus a few two-generator extensions."""
     pool = []
     seen_orders = {}
     for el in g.elements():
         if el.is_identity():
             continue
-        sub = PermGroup([el], g.degree)
-        key = sub.order()
+        key = el.order()
         if seen_orders.get(key, 0) >= 2:
             continue
         seen_orders[key] = seen_orders.get(key, 0) + 1
-        pool.append(sub)
+        pool.append(PermGroup([el], g.degree))
         if len(pool) >= max_count:
             break
     extended = []

@@ -97,7 +97,7 @@ def parse_generators(text: str) -> PermGroup:
         perms.append(_parse_cycles_token(line, degree, line_no))
     if degree is None:
         raise ParseError("missing 'n=<degree>' header")
-    return PermGroup(perms or [Permutation.identity(degree)], degree)
+    return PermGroup(perms, degree)
 
 
 def format_generators(group: PermGroup) -> str:

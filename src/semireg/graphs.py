@@ -356,26 +356,20 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
 
     # right multiplication by each generator of H, on coset indices
     h_chain = h.chain()
-    h_action = [
-        [coset_index[coset_key(h_chain, rep * s)] for rep in reps]
-        for s in h.generators
-    ]
-    fixed = sum(all(a[i] == i for a in h_action) for i in range(index))
+    h_action = np.array(
+        [[coset_index[coset_key(h_chain, r * s)] for r in reps] for s in h.generators],
+        dtype=_INT,
+    )
+    fixed = int(np.sum(np.all(h_action == np.arange(index), axis=0)))
 
-    # neighbours of the base coset: the cosets H*elem*y for y in H
+    # neighbours of the base coset: the cosets H*elem*y for y in H, the
+    # H-orbit of H*elem
     start = coset_index[coset_key(h_chain, elem)]
-    base_nbrs = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for a in h_action:
-            if a[u] not in base_nbrs:
-                base_nbrs.add(a[u])
-                stack.append(a[u])
+    base_nbrs = np.flatnonzero(_kernels.orbit_mask(h_action, start))
 
     # close the base star under the action
     edges = set()
-    queue = [(0, w) for w in sorted(base_nbrs)]
+    queue = [(0, int(w)) for w in base_nbrs]
     seen = set(queue)
     while queue:
         u, w = queue.pop()

@@ -131,7 +131,7 @@ class StabilizerChain:
             arr = np.asarray(arr, dtype=_INT)
             if arr.size != self.degree:
                 raise ValueError("degree mismatch")
-            residue, _ = self._sift(arr)
+            residue = self._sift(arr)
             if is_identity_images(residue):
                 continue
             depth = self._add_strong(residue)
@@ -184,47 +184,64 @@ class StabilizerChain:
                     lv.transversal[q] = (new_rep, inverse_images(new_rep))
                     queue.append(q)
 
-    def _sift(self, arr: np.ndarray, start: int = 0):
-        """Reduce arr by transversal reps; return (residue, stop level)."""
+    def _sift(self, arr: np.ndarray, start: int = 0) -> np.ndarray:
+        """Reduce arr by the transversal reps of levels ``start`` onward and
+        return the residue, the identity exactly when arr sifts through."""
         g = arr
-        for i in range(start, len(self.levels)):
-            lv = self.levels[i]
+        for lv in self.levels[start:]:
             p = int(g[lv.point])
             if p == lv.point:
                 continue
             pair = lv.transversal.get(p)
             if pair is None:
-                return g, i
+                return g
             g = _compose(g, pair[1])
-        return g, len(self.levels)
+        return g
 
     def _random_boost(self, gens: list[np.ndarray]) -> None:
-        """Seeded random walk; sifting residues pre-populates strong gens."""
+        """Seeded random walk; sifting residues pre-populates strong gens.
+
+        Each residue of depth d joins the generators of levels 0..d. Before
+        the next sift every level from d on is current again: ``fresh`` is
+        the depth of the previous residue (at first the level count), the
+        levels from it on are current already, and levels d up to it are
+        rebuilt. The shallower levels wait for ``_schreier_sims``.
+        """
         if not gens:
             return
         rng = np.random.default_rng(_RANDOM_SEED)
         w = np.arange(self.degree, dtype=_INT)
+        fresh = len(self.levels)
         for _ in range(_RANDOM_ROUNDS):
             g = gens[int(rng.integers(len(gens)))]
             if rng.integers(2):
                 g = inverse_images(g)
             w = _compose(w, g)
-            residue, j = self._sift(w)
+            residue = self._sift(w)
             if not is_identity_images(residue):
                 depth = self._add_strong(residue)
-                for lv_index in range(depth, len(self.levels)):
+                for lv_index in range(depth, max(fresh, depth + 1)):
                     self._rebuild_level(lv_index)
+                fresh = depth
 
     def _schreier_sims(self, start: int) -> None:
         """Deterministic verification of levels ``start`` down to 0, given
         that the deeper levels are complete: every Schreier generator must
-        sift."""
+        sift.
+
+        A Schreier generator of level i that does not sift leaves a residue
+        fixing base[:i+1]; it becomes a strong generator of depth d > i (d
+        may be a new last level), and verification restarts at level d.
+        Levels deeper than d do not gain it, so they keep their generators
+        and transversals and stay verified; levels d down to 0 are rebuilt
+        as the loop reaches them.
+        """
         i = start
         while i >= 0:
             self._rebuild_level(i)
             lv = self.levels[i]
             gens = self.stabilizer_generators(i)
-            dirty = None
+            restart = None
             for p in sorted(lv.transversal):
                 rep = lv.transversal[p][0]
                 for g in gens:
@@ -233,19 +250,13 @@ class StabilizerChain:
                     schreier = _compose(_compose(rep, g), tail_inv)
                     if is_identity_images(schreier):
                         continue
-                    residue, j = self._sift(schreier, i + 1)
+                    residue = self._sift(schreier, i + 1)
                     if not is_identity_images(residue):
-                        depth = self._add_strong(residue)
-                        for lv_index in range(depth, len(self.levels)):
-                            self._rebuild_level(lv_index)
-                        dirty = len(self.levels) - 1
+                        restart = self._add_strong(residue)
                         break
-                if dirty is not None:
+                if restart is not None:
                     break
-            if dirty is None:
-                i -= 1
-            else:
-                i = dirty
+            i = i - 1 if restart is None else restart
 
     # -- queries ----------------------------------------------------------
 
@@ -253,8 +264,7 @@ class StabilizerChain:
         arr = np.asarray(arr, dtype=_INT)
         if arr.size != self.degree:
             raise ValueError("degree mismatch")
-        residue, _ = self._sift(arr)
-        return is_identity_images(residue)
+        return is_identity_images(self._sift(arr))
 
     def contains(self, p: Permutation) -> bool:
         return self.contains_array(p.images)
@@ -410,9 +420,7 @@ class PermGroup:
     def point_stabilizer(self, v: int) -> "PermGroup":
         if not 0 <= v < self._degree:
             raise ValueError(f"point {v} out of range")
-        chain = self.chain_with_base([v])
-        gens = [Permutation._wrap(a.copy()) for a in chain.stabilizer_generators(1)]
-        return PermGroup(gens, self._degree)
+        return self.pointwise_stabilizer([v])
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         pts = [int(v) for v in points]
@@ -471,26 +479,27 @@ def coset_action(
 
     Returns the coset reps in BFS order (rep 0 is the identity), the map
     from ``coset_key`` to coset index, and the action of each generator of
-    G on coset indices by right multiplication.
+    G on coset indices by right multiplication. The BFS visits the reps in
+    index order and keys every product rep * s once, so the coset index it
+    finds for that product is also the image of the rep's coset under s.
     """
     h_chain = h.chain()
+    gens = g.generators
     reps = [Permutation.identity(g.degree)]
     index = {coset_key(h_chain, reps[0]): 0}
+    images: list[list[int]] = [[] for _ in gens]
     head = 0
     while head < len(reps):
         r = reps[head]
         head += 1
-        for s in g.generators:
+        for s, row in zip(gens, images):
             cand = r * s
             key = coset_key(h_chain, cand)
             if key not in index:
                 index[key] = len(reps)
                 reps.append(cand)
-    action = [
-        Permutation([index[coset_key(h_chain, r * s)] for r in reps])
-        for s in g.generators
-    ]
-    return reps, index, action
+            row.append(index[key])
+    return reps, index, [Permutation(row) for row in images]
 
 
 def normalizes(x: Permutation, h: PermGroup) -> bool:
@@ -612,9 +621,7 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
             )
         image_arrays.append(img)
 
-    image_group = PermGroup(
-        [Permutation(a) for a in image_arrays] or [Permutation.identity(m)], m
-    )
+    image_group = PermGroup([Permutation(a) for a in image_arrays], m)
     image_base = image_group.chain().base
 
     combined_gens = [
@@ -629,7 +636,7 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
         Permutation._wrap(arr[:n].copy())
         for arr in combined.stabilizer_generators(prefix_len)
     ]
-    kernel = PermGroup(kernel_gens or [Permutation.identity(n)], n)
+    kernel = PermGroup(kernel_gens, n)
 
     if combined.order != g.order():
         raise RuntimeError("combined chain order mismatch (internal error)")
@@ -817,12 +824,6 @@ def _p_part(n: int, p: int) -> int:
     return out
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def semiregular_of_prime_power_degree(
     g: PermGroup, *, bound: int = DEFAULT_BOUND, seed: int = 0
 ) -> Permutation:
@@ -838,7 +839,7 @@ def semiregular_of_prime_power_degree(
     if not g.is_transitive():
         raise PreconditionError("group is not transitive")
     p = min(prime_factors(n))
-    if not _is_p_power(n, p):
+    if _p_part(n, p) != n:
         raise PreconditionError(f"degree {n} is not a prime power")
     target = _p_part(g.order(), p)
 
@@ -850,7 +851,7 @@ def semiregular_of_prime_power_degree(
         if sylow_chain.contains_array(arr):
             return
         cand = StabilizerChain(sylow_gens + [arr], n)
-        if _is_p_power(cand.order, p):
+        if _p_part(cand.order, p) == cand.order:
             sylow_gens.append(arr)
             sylow_chain = cand
 
@@ -876,11 +877,10 @@ def semiregular_of_prime_power_degree(
             )
         progress = True
         while sylow_chain.order < target and progress:
-            progress = False
             before = sylow_chain.order
             for el in g.elements(bound):
                 o = el.order()
-                if o > 1 and _is_p_power(o, p):
+                if o > 1 and _p_part(o, p) == o:
                     try_adjoin(el.images)
                     if sylow_chain.order == target:
                         break

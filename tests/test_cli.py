@@ -208,6 +208,8 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     ]
     for cmd in negative_seed:
         assert main(cmd + ["--seed", "-1"]) == 2
+    for jobs in ("0", "-2"):
+        assert main(["corpus", "--out", str(tmp_path / "corpus"), "--jobs", jobs]) == 2
     capsys.readouterr()
     out = str(tmp_path / "out")
     assert main(["construct", "--family", "px", "--params", "p=2", "--out", out]) == 2
@@ -305,30 +307,29 @@ def test_report_cli(capsys, c6_files):
     assert "local-action-prime-divisibility" in names
 
 
-def test_corpus_cli_small(tmp_path, capsys):
-    config = {
-        "primes": [2],
-        "include_covers": False,
-        "include_named": False,
-        "include_coset_search": False,
-        "include_quotients": False,
-        "px_grid": {"2": [3, 4, 2]},
-    }
+SMALL_CORPUS_CONFIG = {
+    "primes": [2],
+    "include_covers": False,
+    "include_named": False,
+    "include_coset_search": False,
+    "include_quotients": False,
+    "px_grid": {"2": [3, 4, 2]},
+}
+
+
+def _small_corpus(tmp_path, name: str, jobs: int) -> Path:
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    outdir = tmp_path / "corpus"
+    config_path.write_text(json.dumps(SMALL_CORPUS_CONFIG))
+    outdir = tmp_path / name
     code = main(
-        [
-            "corpus",
-            "--config",
-            str(config_path),
-            "--out",
-            str(outdir),
-            "--jobs",
-            "1",
-        ]
+        ["corpus", "--config", str(config_path), "--out", str(outdir), "--jobs", str(jobs)]
     )
     assert code == 0
+    return outdir
+
+
+def test_corpus_cli_small(tmp_path, capsys):
+    outdir = _small_corpus(tmp_path, "corpus", jobs=1)
     rows = [
         json.loads(line)
         for line in (outdir / "manifest.jsonl").read_text().splitlines()
@@ -339,3 +340,13 @@ def test_corpus_cli_small(tmp_path, capsys):
             (outdir / f"{row['id']}.cert.json").read_text()
         )
         assert cert["verified"] is True
+
+
+def test_corpus_cli_parallel_matches_serial(tmp_path, capsys):
+    serial = _small_corpus(tmp_path, "serial", jobs=1)
+    parallel = _small_corpus(tmp_path, "parallel", jobs=2)
+    names = sorted(f.name for f in serial.iterdir())
+    assert "manifest.jsonl" in names and len(names) >= 4
+    assert sorted(f.name for f in parallel.iterdir()) == names
+    for name in names:
+        assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name

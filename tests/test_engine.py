@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -20,6 +22,7 @@ from semireg.engine import (
     verify_certificate,
 )
 from semireg.families import (
+    corpus_generate,
     k12_m11,
     praeger_xu,
     praeger_xu_group,
@@ -358,3 +361,36 @@ def test_find_is_sound_across_seeds(d6):
         cert = find_semiregular(g, grp, EngineConfig(seed=seed))
         ok, reason = verify_certificate(g, grp, cert)
         assert ok, reason
+
+
+# (method, element images, trace) of every default-corpus certificate at
+# seed 1, for each route setting in turn. Update this hash only with a change
+# that means to alter certificates, and say so in CHANGES.md.
+GOLDEN_ROUTE_SETTINGS = (
+    ("prime-power", "quotient-lift", "buddy-swap"),
+    ("buddy-swap",),
+    ALL_ROUTES,
+)
+GOLDEN_CERTIFICATES_SHA256 = (
+    "c7c06022769412edf48612c988a39ef359c25f6724743736e5d5c52b12de6fca"
+)
+
+
+def test_golden_certificates_on_corpus():
+    corpus = corpus_generate()
+    assert len(corpus) == 86
+    digest = hashlib.sha256()
+    for routes in GOLDEN_ROUTE_SETTINGS:
+        for inst in corpus:
+            config = EngineConfig(routes=routes, seed=1, graph_id=inst.id)
+            try:
+                cert = find_semiregular(inst.graph, inst.group, config)
+                row = [
+                    cert.method,
+                    None if cert.element is None else cert.element.images.tolist(),
+                    list(cert.trace),
+                ]
+            except InconclusiveError:
+                row = ["inconclusive", None, []]
+            digest.update((json.dumps([list(routes), inst.id, row]) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256

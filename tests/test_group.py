@@ -20,7 +20,13 @@ from semireg.group import (
     semiregular_of_prime_power_degree,
     transitivity_class,
 )
-from semireg.families import m11_degree11, pgl2_action, praeger_xu_group, psl2_action
+from semireg.families import (
+    m11_degree11,
+    pgl2_action,
+    praeger_xu_group,
+    psl2_action,
+    symmetric_group,
+)
 
 from oracles import (
     closure_t,
@@ -243,6 +249,23 @@ def test_semiregular_prime_power_degree_sylow_of_s32():
     assert p2.order() == 2**31
     w = semiregular_of_prime_power_degree(p2)
     assert w.order() == 2 and w.is_semiregular() and p2.contains(w)
+
+
+def test_semiregular_prime_power_degree_enumeration_fallback(monkeypatch):
+    # at seed 1 the random Sylow 2-subgroup of S8 stays short of |S8|_2 = 128
+    # within its attempts, so the greedy scan over all elements completes it
+    calls = []
+    elements = PermGroup.elements
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return elements(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "elements", counted)
+    s8 = symmetric_group(8)
+    w = semiregular_of_prime_power_degree(s8, seed=1)
+    assert calls == [s8]
+    assert w.order() == 2 and w.is_semiregular() and s8.contains(w)
 
 
 def test_semiregular_prime_power_degree_rejects_bad_inputs(s4, c6_regular):
