@@ -9,7 +9,8 @@ or, after full enumeration, the definitive answer that none exists. Routes:
    of prime-order powers;
 2. prime-power: on prime-power degree, the Sylow-center construction;
 3. quotient-lift: recurse on the quotient by a normal subgroup with at
-   least three orbits, then lift coprime-order elements through the kernel;
+   least three orbits (at most half the vertices, so the recursion ends),
+   then lift coprime-order elements through the kernel;
 4. buddy-swap: on quotients by a normal 2-subgroup whose inter-class
    structure is a disjoint union of 4-cycles with unique antipodes, the
    involution swapping every vertex with its antipode.
@@ -24,6 +25,7 @@ cannot be established within bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -99,8 +101,8 @@ class EngineConfig:
     check re-enumerates); ``seed`` fixes the random draws of direct-search
     and prime-power; ``graph_id`` labels the certificate. The normal-subgroup
     bound and the sample count are the constants ``NORMAL_BOUND`` and
-    ``SAMPLE_COUNT``; quotient-lift recurses to depth log2 of the vertex
-    count.
+    ``SAMPLE_COUNT``. Quotient-lift needs no depth bound, because each
+    quotient it recurses on has at most half the vertices.
     """
 
     routes: tuple[str, ...] = ALL_ROUTES
@@ -181,18 +183,16 @@ def verify_certificate(
 
     For element certificates: automorphism, nontrivial, semiregular,
     membership (sift), and order/cycle-length consistency. For
-    exhausted-none: re-enumerate the group (within bound) and confirm no
-    nontrivial semiregular element exists.
+    exhausted-none: re-enumerate the group and confirm no nontrivial
+    semiregular element exists; raises ``BoundExceededError`` when the group
+    order is above ``bound``, since that says nothing about the certificate.
     """
     if cert.method == EXHAUSTED_NONE:
         if cert.element is not None:
             return False, "exhausted-none certificate carries an element"
-        order = grp.order()
-        if order > bound:
-            return False, f"cannot re-enumerate: order {order} exceeds bound {bound}"
-        for el in grp.elements(bound):
-            if not el.is_identity() and el.is_semiregular():
-                return False, f"group contains semiregular element {el.cycle_string()}"
+        _, el = _first_semiregular(grp, bound)
+        if el is not None:
+            return False, f"group contains semiregular element {el.cycle_string()}"
         return True, ""
     el = cert.element
     if el is None:
@@ -227,6 +227,18 @@ def _certificate(graph_id, element, method, trace) -> Certificate:
     )
 
 
+def _first_semiregular(grp: PermGroup, bound: int) -> tuple[int, Permutation | None]:
+    """Scan grp's elements up to its first nontrivial semiregular one: the
+    number scanned and that element, or None after the whole group. Raises
+    ``BoundExceededError`` when |grp| > bound."""
+    count = 0
+    for el in grp.elements(bound):
+        count += 1
+        if not el.is_identity() and el.is_semiregular():
+            return count, el
+    return count, None
+
+
 def _element_prime_order_powers(el: Permutation):
     """Prime-order powers of an element, one per prime dividing its order."""
     o = el.order()
@@ -249,8 +261,7 @@ def find_semiregular(
     check_automorphisms(g, grp)
     if not grp.is_transitive():
         raise PreconditionError("group is not vertex-transitive")
-    max_depth = max(1, int(math.log2(max(g.n, 2))))
-    cert = _search(g, grp, config, trace=[], depth=0, max_depth=max_depth)
+    cert = _search(g, grp, config, trace=[])
     if cert is None:
         raise InconclusiveError(
             "all routes exhausted their bounds without an answer"
@@ -261,18 +272,11 @@ def find_semiregular(
     return cert
 
 
-def _search(g, grp, config, trace, depth, max_depth) -> Certificate | None:
+def _search(g, grp, config, trace) -> Certificate | None:
     for route in config.routes:
-        if route == ROUTE_DIRECT:
-            cert = _route_direct(g, grp, config, trace)
-        elif route == ROUTE_PRIME_POWER:
-            cert = _route_prime_power(g, grp, config, trace)
-        elif route == ROUTE_QUOTIENT_LIFT:
-            cert = _route_quotient_lift(g, grp, config, trace, depth, max_depth)
-        elif route == ROUTE_BUDDY_SWAP:
-            cert = _route_buddy_swap(g, grp, config, trace)
-        else:
+        if route not in _ROUTES:
             raise ValueError(f"unknown route {route!r}")
+        cert = _ROUTES[route](g, grp, config, trace)
         if cert is not None:
             return cert
     return None
@@ -281,12 +285,10 @@ def _search(g, grp, config, trace, depth, max_depth) -> Certificate | None:
 def _route_direct(g, grp, config, trace) -> Certificate | None:
     order = grp.order()
     if order <= config.enum_bound:
-        count = 0
-        for el in grp.elements(config.enum_bound):
-            count += 1
-            if not el.is_identity() and el.is_semiregular():
-                trace.append(f"direct-search: exhaustive hit after {count} elements")
-                return _certificate(config.graph_id, el, ROUTE_DIRECT, trace)
+        count, el = _first_semiregular(grp, config.enum_bound)
+        if el is not None:
+            trace.append(f"direct-search: exhaustive hit after {count} elements")
+            return _certificate(config.graph_id, el, ROUTE_DIRECT, trace)
         trace.append(
             f"direct-search: exhausted all {count} elements, none semiregular"
         )
@@ -347,10 +349,10 @@ def _is_2_group(grp: PermGroup) -> bool:
     return order & (order - 1) == 0
 
 
-def _route_quotient_lift(g, grp, config, trace, depth, max_depth) -> Certificate | None:
-    if depth >= max_depth:
-        trace.append("quotient-lift: recursion depth cap reached")
-        return None
+def _route_quotient_lift(g, grp, config, trace) -> Certificate | None:
+    # The recursion ends without a depth bound: the orbits of a nontrivial
+    # normal subgroup of a transitive group all have one size >= 2, so each
+    # quotient has at most half the vertices of the graph above it.
     for nsub, partition in _normal_quotients(grp, trace):
         bundle = action_on_partition(grp, partition)
         qgraph = quotient_graph(g, partition)
@@ -361,9 +363,7 @@ def _route_quotient_lift(g, grp, config, trace, depth, max_depth) -> Certificate
             f"quotient-lift: normal subgroup of order {nsub.order()} with "
             f"{len(partition)} orbits; recursing on {qgraph.n} classes"
         )
-        sub_cert = _search(
-            qgraph, bundle.image_group, sub_config, trace, depth + 1, max_depth
-        )
+        sub_cert = _search(qgraph, bundle.image_group, sub_config, trace)
         if sub_cert is None or sub_cert.element is None:
             trace.append("quotient-lift: recursion found nothing liftable")
             continue
@@ -405,6 +405,14 @@ def _route_buddy_swap(g, grp, config, trace) -> Certificate | None:
         trace.append("buddy-swap: unique-buddy involution")
         return _certificate(config.graph_id, swap, ROUTE_BUDDY_SWAP, trace)
     return None
+
+
+_ROUTES = {
+    ROUTE_DIRECT: _route_direct,
+    ROUTE_PRIME_POWER: _route_prime_power,
+    ROUTE_QUOTIENT_LIFT: _route_quotient_lift,
+    ROUTE_BUDDY_SWAP: _route_buddy_swap,
+}
 
 
 # -- buddy machinery -----------------------------------------------------------
@@ -523,6 +531,15 @@ def arc_stabilizer_bound_check(
     return out
 
 
+def _neighbour_orbit_sizes(g: Graph, sub: PermGroup, v: int) -> set[int] | None:
+    """Orbit sizes on N(v) of sub's stabilizer of v, which fixes v and so
+    maps N(v) to itself; None when that stabilizer is trivial."""
+    stab = sub.point_stabilizer(v)
+    if stab.is_trivial():
+        return None
+    return {len(stab.orbit(int(w))) for w in g.neighbors(v)}
+
+
 def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofReport:
     """Run the structural checks behind the pipeline on one instance.
 
@@ -591,18 +608,9 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
         d = qgraph.valency()
         if d is None or d < 3 or len(prime_factors(d)) != 1 or d % 2 == 0:
             continue
-        v = 0
-        stab_n = nsub.point_stabilizer(v)
-        if stab_n.is_trivial():
+        if _neighbour_orbit_sizes(g, nsub, 0) != {2}:
             continue
-        nbr_orbit_sizes = {
-            len(stab_n.orbit(int(w)) & set(int(x) for x in g.neighbors(v)))
-            for w in g.neighbors(v)
-        }
-        if nbr_orbit_sizes != {2}:
-            continue
-        bundle = action_on_partition(grp, partition)
-        kv = bundle.kernel.point_stabilizer(v)
+        kv = action_on_partition(grp, partition).kernel.point_stabilizer(0)
         rec_b = _record(
             "kernel-fixing-classes-is-2-group",
             True,
@@ -622,10 +630,7 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
     for p_sub, partition in quotients:
         if not _is_2_group(p_sub):
             continue
-        if any(
-            not el.is_identity() and el.is_semiregular()
-            for el in p_sub.elements(NORMAL_BOUND)
-        ):
+        if _first_semiregular(p_sub, NORMAL_BOUND)[1] is not None:
             rec_c = _record(
                 "conjugate-cover-counting-bound",
                 False,
@@ -646,22 +651,15 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
     # (d) arc stabilizer index bound over sampled s-arcs; candidates are all
     # minimal normal subgroups, transitive ones too, plus the kernels of the
     # actions on the orbit partitions of those with at least three orbits
-    # (those kernels are the natural M on fiber-type graphs)
-    candidates = minimal_normal_subgroups(grp, NORMAL_BOUND) + [
-        action_on_partition(grp, partition).kernel for _, partition in quotients
-    ]
+    # (those kernels are the natural M on fiber-type graphs), each kernel
+    # built only when the loop reaches it
+    kernels = (action_on_partition(grp, partition).kernel for _, partition in quotients)
     rec_d = _record(
         "arc-stabilizer-index-bound", False, None, "no normal subgroup with local orbits of size <= 2"
     )
-    for m_sub in candidates:
-        stab_m = m_sub.point_stabilizer(0)
-        if stab_m.is_trivial():
-            continue
-        sizes = {
-            len(stab_m.orbit(int(w)) & set(int(x) for x in g.neighbors(0)))
-            for w in g.neighbors(0)
-        }
-        if not sizes <= {1, 2}:
+    for m_sub in itertools.chain(minimal_normal_subgroups(grp, NORMAL_BOUND), kernels):
+        sizes = _neighbour_orbit_sizes(g, m_sub, 0)
+        if sizes is None or not sizes <= {1, 2}:
             continue
         results = arc_stabilizer_bound_check(
             g, m_sub, s_values=(1, 2, 3), samples=ARC_SAMPLES, seed=seed

@@ -157,15 +157,17 @@ class Graph:
                             best = cand
         return best
 
+    def arc_sources(self) -> np.ndarray:
+        """The source vertex of each arc, in the CSR order of ``indices``."""
+        return np.repeat(np.arange(self.n, dtype=_INT), np.diff(self.indptr))
+
     def is_automorphism(self, p: Permutation) -> bool:
         if p.degree != self.n:
             return False
-        arr = p.images
-        for v in range(self.n):
-            image_nbrs = np.sort(arr[self.neighbors(v)])
-            if not np.array_equal(image_nbrs, self.neighbors(int(arr[v]))):
-                return False
-        return True
+        # arc (u, w) has key u * n + w; CSR order already sorts the keys
+        sources, arr = self.arc_sources(), p.images
+        images = np.sort(arr[sources] * self.n + arr[self.indices])
+        return np.array_equal(images, sources * self.n + self.indices)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -451,9 +453,8 @@ def is_arc_transitive(g: Graph, grp: PermGroup) -> bool:
         return False
     if g.indices.size == 0:
         return False
-    heads = np.repeat(np.arange(g.n, dtype=_INT), np.diff(g.indptr))
     size = _kernels.arc_orbit_size(
-        g.indptr, g.indices, heads, grp.gen_arrays(), 0
+        g.indptr, g.indices, g.arc_sources(), grp.gen_arrays(), 0
     )
     return int(size) == int(g.indices.size)
 
@@ -461,14 +462,14 @@ def is_arc_transitive(g: Graph, grp: PermGroup) -> bool:
 def _arc_extension_counts(g: Graph, s: int) -> list[np.ndarray]:
     """counts[t][e] = number of ways to extend directed edge e by t steps."""
     ne = g.indices.size
-    heads = np.repeat(np.arange(g.n, dtype=_INT), np.diff(g.indptr))
+    sources = g.arc_sources()
     counts = [np.ones(ne, dtype=np.float64)]
     # float64 is exact here: desk-scale extension counts stay far below 2^53
     for _ in range(s - 1):
         prev = counts[-1]
         nxt = np.zeros(ne, dtype=np.float64)
         for e in range(ne):
-            u = int(heads[e])
+            u = int(sources[e])
             v = int(g.indices[e])
             total = 0.0
             for f in range(int(g.indptr[v]), int(g.indptr[v + 1])):
@@ -491,7 +492,7 @@ def s_arcs(g: Graph, s: int, sample: int = 100, seed: int = 0) -> list[tuple[int
     ne = g.indices.size
     if ne == 0:
         return []
-    heads = np.repeat(np.arange(g.n, dtype=_INT), np.diff(g.indptr))
+    sources = g.arc_sources()
     counts = _arc_extension_counts(g, s)
     total = counts[s - 1].sum()
     out: list[tuple[int, ...]] = []
@@ -507,14 +508,14 @@ def s_arcs(g: Graph, s: int, sample: int = 100, seed: int = 0) -> list[tuple[int
                     extend(path + [int(w)])
 
         for e in range(ne):
-            extend([int(heads[e]), int(g.indices[e])])
+            extend([int(sources[e]), int(g.indices[e])])
         return out
 
     rng = np.random.default_rng(seed)
     weights = counts[s - 1] / total
     for _ in range(sample):
         e = int(rng.choice(ne, p=weights))
-        path = [int(heads[e]), int(g.indices[e])]
+        path = [int(sources[e]), int(g.indices[e])]
         for t in range(s - 1):
             remaining = s - 1 - t
             u, v = path[-2], path[-1]

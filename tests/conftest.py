@@ -5,8 +5,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from semireg.families import corpus_generate
 from semireg.perm import Permutation
 from semireg.group import PermGroup
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """The default corpus, built once for the whole test session."""
+    return corpus_generate()
 
 
 @pytest.fixture(scope="session")

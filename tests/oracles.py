@@ -160,6 +160,11 @@ def transitivity_class_t(gens: list[tuple], n: int) -> str:
     return "neither"
 
 
+def is_automorphism_t(edges: set[frozenset], a: tuple) -> bool:
+    """True iff the image under a of every edge is an edge."""
+    return {frozenset(a[v] for v in e) for e in edges} == edges
+
+
 def random_permutation_t(rng, n: int) -> tuple:
     images = list(range(n))
     rng.shuffle(images)

@@ -9,7 +9,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from semireg import _kernels
 from semireg.perm import Permutation
@@ -41,7 +40,6 @@ from semireg.engine import (
     verify_certificate,
 )
 from semireg.families import (
-    corpus_generate,
     k12_m11,
     praeger_xu,
     praeger_xu_group,
@@ -58,11 +56,6 @@ from semireg.formats import (
 )
 
 from oracles import closure_t, is_semiregular_t
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return corpus_generate()
 
 
 def _random_graph(rng, n, p):

@@ -179,6 +179,39 @@ def test_verify_tampered_certificate(tmp_path, capsys, c6_files):
     assert "automorphism" in capsys.readouterr().err
 
 
+def test_verify_exhausted_none_above_the_bound_is_inconclusive(tmp_path, capsys):
+    # |S9| = 362,880 is above the enumeration bound: verify cannot decide the
+    # claim, so it must say inconclusive (exit 5), not invalid (exit 1)
+    from semireg.engine import EXHAUSTED_NONE, Certificate
+    from semireg.families import symmetric_group
+    from semireg.formats import certificate_to_document, document_to_json
+    from semireg.graphs import complete_graph
+
+    k9, s9 = complete_graph(9), symmetric_group(9)
+    graph_path = tmp_path / "k9.g6"
+    graph_path.write_bytes(write_graph6(k9) + b"\n")
+    group_path = tmp_path / "s9.gens"
+    group_path.write_text(format_generators(s9))
+    cert = Certificate("k9", None, 0, 0, EXHAUSTED_NONE, ())
+    cert_path = tmp_path / "none.json"
+    cert_path.write_text(
+        document_to_json(certificate_to_document(cert, k9, s9, verified=False))
+    )
+    code = main(
+        [
+            "verify",
+            "--graph",
+            str(graph_path),
+            "--group",
+            str(group_path),
+            "--certificate",
+            str(cert_path),
+        ]
+    )
+    assert code == 5
+    assert "exceeds bound" in capsys.readouterr().err
+
+
 def test_find_exhausted_none_exit_zero(tmp_path, capsys):
     from semireg.families import k12_m11
 

@@ -8,6 +8,7 @@ import pytest
 from semireg.perm import Permutation
 from semireg.group import PermGroup, PreconditionError
 from semireg.graphs import complete_graph, cycle_graph
+from semireg import engine
 from semireg.engine import (
     ALL_ROUTES,
     Certificate,
@@ -22,7 +23,6 @@ from semireg.engine import (
     verify_certificate,
 )
 from semireg.families import (
-    corpus_generate,
     k12_m11,
     praeger_xu,
     praeger_xu_group,
@@ -376,8 +376,7 @@ GOLDEN_CERTIFICATES_SHA256 = (
 )
 
 
-def test_golden_certificates_on_corpus():
-    corpus = corpus_generate()
+def test_golden_certificates_on_corpus(corpus):
     assert len(corpus) == 86
     digest = hashlib.sha256()
     for routes in GOLDEN_ROUTE_SETTINGS:
@@ -394,3 +393,30 @@ def test_golden_certificates_on_corpus():
                 row = ["inconclusive", None, []]
             digest.update((json.dumps([list(routes), inst.id, row]) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256
+
+
+# every default-corpus proof report at seed 0, in corpus order. Update this
+# hash only with a change that means to alter reports, and say so in
+# CHANGES.md.
+GOLDEN_REPORTS_SHA256 = (
+    "fc9123c147ce59182a20a3d19074c606cde290dfde1313cc6b1ac59d1725bb84"
+)
+
+
+def test_golden_reports_on_corpus(corpus):
+    assert len(corpus) == 86
+    digest = hashlib.sha256()
+    for inst in corpus:
+        report = proof_invariant_report(inst.graph, inst.group, seed=0)
+        digest.update(json.dumps([inst.id, report.as_dict()], sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_REPORTS_SHA256
+
+
+def test_normal_quotients_have_at_most_half_the_vertices(corpus):
+    # why quotient-lift needs no depth bound: it recurses only on these
+    # quotients, and each has at least three classes of one size >= 2
+    for inst in corpus:
+        for _, partition in engine._normal_quotients(inst.group, []):
+            sizes = {len(c) for c in partition}
+            assert len(partition) >= 3, inst.id
+            assert len(sizes) == 1 and sizes.pop() >= 2, inst.id

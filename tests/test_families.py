@@ -255,8 +255,7 @@ def test_paley_13():
     assert is_arc_transitive(g, grp)
 
 
-def test_corpus_default_size_and_validity():
-    corpus = corpus_generate()
+def test_corpus_default_size_and_validity(corpus):
     assert len(corpus) >= 50
     ids = [inst.id for inst in corpus]
     assert len(ids) == len(set(ids))
@@ -281,8 +280,7 @@ def test_corpus_px_grid_p2():
     assert all(is_arc_transitive(inst.graph, inst.group) for inst in corpus)
 
 
-def test_corpus_double_covers():
-    corpus = corpus_generate()
+def test_corpus_double_covers(corpus):
     # even-r bases are bipartite, so only odd-r covers appear (connected)
     cover_ids = {i.id for i in corpus if i.family == "double-cover"}
     assert "cover-px-p3-r3-s1" in cover_ids
@@ -293,8 +291,7 @@ def test_corpus_double_covers():
     assert cover.graph.is_bipartite() and cover.graph.is_connected()
 
 
-def test_corpus_known_witnesses_are_semiregular():
-    corpus = corpus_generate()
+def test_corpus_known_witnesses_are_semiregular(corpus):
     for inst in corpus:
         if inst.known_semiregular is not None:
             w = inst.known_semiregular
@@ -303,8 +300,7 @@ def test_corpus_known_witnesses_are_semiregular():
             assert inst.group.contains(w)
 
 
-def test_corpus_manifest_rows():
-    corpus = corpus_generate()
+def test_corpus_manifest_rows(corpus):
     row = corpus[0].manifest_row(seed=3)
     assert set(row) == {"id", "family", "params", "n", "valency", "group_order", "seed"}
     assert row["group_order"].isdigit()

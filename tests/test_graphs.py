@@ -25,6 +25,8 @@ from semireg.graphs import (
 )
 from semireg.families import psl2_action, psl2_coset_instance, symmetric_group
 
+from oracles import is_automorphism_t
+
 
 def petersen() -> Graph:
     # Kneser graph K(5,2): 2-subsets of {0..4}, adjacent when disjoint
@@ -305,3 +307,26 @@ def test_s_arcs_sampling_uniform_and_valid():
     # deterministic under seed
     assert arcs == s_arcs(g, 3, sample=50, seed=7)
     assert arcs != s_arcs(g, 3, sample=50, seed=8)
+
+
+def test_is_automorphism_matches_edge_set_oracle(corpus):
+    rng = random.Random(0)
+    path4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    cases = [
+        (path4, Permutation([3, 2, 1, 0])),
+        (path4, Permutation([3, 1, 2, 0])),  # keeps degrees, not edges
+        (path4, Permutation([1, 0, 2, 3])),  # moves a degree-2 vertex to an end
+        (cycle_graph(6), Permutation.from_cycles(6, [(0, 2)])),
+        (Graph(3, []), Permutation([2, 0, 1])),
+    ]
+    for inst in corpus:
+        n = inst.graph.n
+        cases += [(inst.graph, gen) for gen in inst.group.generators]
+        cases.append((inst.graph, Permutation(rng.sample(range(n), n))))
+    verdicts = set()
+    for g, p in cases:
+        edges = {frozenset(e) for e in g.edges()}
+        expected = is_automorphism_t(edges, tuple(p.images.tolist()))
+        assert g.is_automorphism(p) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
