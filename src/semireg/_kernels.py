@@ -1,8 +1,9 @@
 """Hot inner loops over permutation image arrays and CSR adjacency.
 
-Each kernel has one implementation: plain Python loops over numpy arrays.
-There is no compiled path and no backend switch; callers use the public
-names below directly.
+Each kernel has one implementation, on numpy arrays: Python loops for the
+walks whose next step depends on the last one, array operations where a
+whole frontier moves at once (``arc_orbit_size``). There is no compiled
+path and no backend switch; callers use the public names below directly.
 """
 
 from __future__ import annotations
@@ -141,36 +142,23 @@ def arc_orbit_size(indptr, indices, heads, gens, e0):
     """Size of the orbit of directed edge ``e0`` under the generator rows.
 
     Directed edges are indexed by their position in ``indices``; ``heads[e]``
-    is the tail vertex of edge ``e``.
+    is the tail vertex of edge ``e``. Raises ``ValueError`` when a row does
+    not map every arc to an arc.
     """
-    k = gens.shape[0]
-    ne = indices.shape[0]
-    visited = np.zeros(ne, dtype=np.uint8)
-    stack = np.empty(ne, dtype=np.int64)
-    visited[e0] = 1
-    stack[0] = e0
-    top = 1
-    size = 1
-    while top > 0:
-        top -= 1
-        e = stack[top]
-        u = heads[e]
-        w = indices[e]
-        for i in range(k):
-            u2 = gens[i, u]
-            w2 = gens[i, w]
-            lo = indptr[u2]
-            hi = indptr[u2 + 1]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if indices[mid] < w2:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            e2 = lo
-            if not visited[e2]:
-                visited[e2] = 1
-                stack[top] = e2
-                top += 1
-                size += 1
-    return size
+    n = indptr.shape[0] - 1
+    # arc (u, w) has key u * n + w; CSR order already sorts the keys, so one
+    # searchsorted finds the arc each generator maps each arc to (clamped: a
+    # key above the last arc's lands past the end, and the check rejects it)
+    keys = heads * n + indices
+    images = gens[:, heads] * n + gens[:, indices]
+    moves = np.minimum(np.searchsorted(keys, images), keys.shape[0] - 1)
+    if not np.array_equal(keys[moves], images):
+        raise ValueError("a generator row does not map arcs to arcs")
+    seen = np.zeros(keys.shape[0], dtype=bool)
+    seen[e0] = True
+    frontier = np.array([e0])
+    while frontier.size:
+        reached = moves[:, frontier].ravel()
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return int(np.count_nonzero(seen))

@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -82,6 +81,20 @@ def _parse_params(text: str) -> dict:
     return out
 
 
+# the --params keys each construct family takes
+_FAMILY_PARAMS = {"px": ("p", "r", "s"), "coset": (), "lemma33": ("p", "s"), "k12m11": ()}
+
+
+def _check_params(params: dict, family: str) -> None:
+    unknown = [k for k in params if k not in _FAMILY_PARAMS[family]]
+    if unknown:
+        takes = ", ".join(_FAMILY_PARAMS[family]) or "none"
+        raise UsageError(
+            f"--family {family} does not take --params key(s) {', '.join(unknown)}; "
+            f"it takes {takes}"
+        )
+
+
 def _require(params: dict, family: str, *keys: str) -> None:
     missing = [k for k in keys if k not in params]
     if missing:
@@ -114,6 +127,7 @@ def _nonnegative_int(text: str) -> int:
 
 def _cmd_construct(args) -> int:
     params = _parse_params(args.params or "")
+    _check_params(params, args.family)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     extra: dict = {}
@@ -299,6 +313,9 @@ def _cmd_corpus(args) -> int:
     instances = corpus_generate(cfg)
     payloads = [(inst, args.seed, args.bound) for inst in instances]
     if args.jobs > 1:
+        # imported here: only a parallel run pays for the pool's import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_corpus_worker, payloads))
     else:
@@ -330,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named family instance")
-    p.add_argument("--family", required=True, choices=["px", "coset", "lemma33", "k12m11"])
+    p.add_argument("--family", required=True, choices=list(_FAMILY_PARAMS))
     p.add_argument("--params", default="", help="comma-separated key=value")
     p.add_argument("--group", help="group generator file (family=coset)")
     p.add_argument("--subgroup", help="subgroup generator file (family=coset)")

@@ -21,6 +21,7 @@ from .graphs import (
     Graph,
     complete_graph,
     coset_graph,
+    coset_graph_connected,
     double_cover_swap,
     is_arc_transitive,
     lift_to_double_cover,
@@ -30,12 +31,12 @@ from .graphs import (
 from .group import (
     PermGroup,
     PreconditionError,
-    StabilizerChain,
-    action_on_partition,
     coset_action,
     coset_key,
+    induced_group,
     is_prime,
     normalizes,
+    partition_index,
     prime_factors,
 )
 from .perm import Permutation
@@ -623,17 +624,15 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
             if s < 2:
                 continue
             p, r = base.params["p"], base.params["r"]
-            diag = _px_diagonal_subgroup(p, r, s)
-            partition = diag.orbit_partition()
-            bundle = action_on_partition(base.group, partition)
-            qgraph = quotient_graph(base.graph, partition)
+            partition = _px_diagonal_subgroup(p, r, s).orbit_partition()
+            _, class_index = partition_index(partition, base.graph.n)
             add(
                 CorpusInstance(
                     id=f"quotient-{base.id}",
                     family="px-quotient",
                     params=dict(base.params),
-                    graph=qgraph,
-                    group=bundle.image_group,
+                    graph=quotient_graph(base.graph, partition),
+                    group=induced_group(base.group, class_index),
                 )
             )
 
@@ -662,8 +661,11 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
                     break
                 if elem.order() != 2 or normalizes(elem, h):
                     continue
-                val, connected = _coset_graph_shape(big, h, elem)
-                if val not in target_valencies or not connected:
+                # the valency is cheap; the connectivity test builds a chain
+                val = _coset_valency(h, elem)
+                if val not in target_valencies:
+                    continue
+                if not coset_graph_connected(big, h, elem):
                     continue
                 bundle = coset_graph(big, h, elem)
                 g = bundle.graph
@@ -688,14 +690,11 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
     return out
 
 
-def _coset_graph_shape(g: PermGroup, h: PermGroup, elem: Permutation) -> tuple[int, bool]:
-    """Valency and connectivity of the coset graph of (G, H, H elem H),
-    without building it: the valency is the number of cosets H*elem*y for y
-    in H, and the graph is connected exactly when <H, elem> = G."""
+def _coset_valency(h: PermGroup, elem: Permutation) -> int:
+    """Valency of the coset graph of (G, H, H elem H), without building it:
+    the number of cosets H*elem*y for y in H."""
     h_chain = h.chain()
-    valency = len({coset_key(h_chain, elem * y) for y in h.elements()})
-    gens = [x.images for x in h.generators] + [elem.images]
-    return valency, StabilizerChain(gens, g.degree).order == g.order()
+    return len({coset_key(h_chain, elem * y) for y in h.elements()})
 
 
 def _small_subgroups(g: PermGroup, max_count: int) -> list[PermGroup]:

@@ -329,6 +329,15 @@ class CosetGraphBundle:
         return index
 
 
+def coset_graph_connected(g: PermGroup, h: PermGroup, elem: Permutation) -> bool:
+    """True iff <H, elem> = G, which is when the coset graph of
+    (G, H, H elem H) is connected."""
+    generated = StabilizerChain(
+        [x.images for x in list(h.generators) + [elem]], g.degree
+    )
+    return generated.order == g.order()
+
+
 def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBundle:
     """Build the coset graph of (G, H, H elem H) with its G-action.
 
@@ -387,10 +396,7 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
     if graph.valency() != expected_valency:
         raise RuntimeError("coset graph is not regular (internal error)")
 
-    generated = StabilizerChain(
-        [x.images for x in list(h.generators) + [elem]], g.degree
-    )
-    generates = generated.order == g.order()
+    generates = coset_graph_connected(g, h, elem)
     if generates != graph.is_connected():
         raise RuntimeError(
             "connectivity disagrees with <H, elem> = G (internal error)"

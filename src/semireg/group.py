@@ -530,16 +530,30 @@ def partition_index(partition, n: int) -> tuple[list[tuple[int, ...]], np.ndarra
     return classes, index
 
 
-def _image_on_classes(arr: np.ndarray, classes, index: np.ndarray):
+def _image_on_classes(arr: np.ndarray, index: np.ndarray, m: int):
     """Class images under the point map ``arr``, or None when ``arr`` does
-    not map classes onto classes."""
-    img = np.empty(len(classes), dtype=_INT)
-    for c, members in enumerate(classes):
-        targets = index[arr[np.asarray(members)]]
-        if not np.all(targets == targets[0]):
-            return None
-        img[c] = targets[0]
-    return img
+    not map classes onto classes; ``index`` maps each point to one of the m
+    (nonempty) classes."""
+    targets = index[arr]
+    img = np.empty(m, dtype=_INT)
+    img[index] = targets
+    return img if np.array_equal(img[index], targets) else None
+
+
+def induced_group(g: PermGroup, class_index: np.ndarray) -> PermGroup:
+    """The group ``g`` induces on the classes of a g-invariant partition,
+    generated by the class images of g's generators; ``class_index`` is the
+    point-to-class array of ``partition_index``."""
+    m = int(class_index.max()) + 1
+    images = []
+    for gen in g.generators:
+        img = _image_on_classes(gen.images, class_index, m)
+        if img is None:
+            raise PreconditionError(
+                f"partition is not invariant under generator {gen!r}"
+            )
+        images.append(Permutation._wrap(img))
+    return PermGroup(images, m)
 
 
 @dataclass(frozen=True, repr=False)
@@ -571,7 +585,7 @@ class ActionBundle:
         n = self._source_degree
         if p.degree != n:
             raise ValueError("degree mismatch")
-        img = _image_on_classes(p.images, self.class_labels, self._class_index)
+        img = _image_on_classes(p.images, self._class_index, len(self.class_labels))
         if img is None:
             raise PreconditionError("element does not preserve the partition")
         return Permutation(img)
@@ -610,26 +624,17 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
     """
     n = g.degree
     classes, index = partition_index(partition, n)
-    m = len(classes)
-
-    image_arrays = []
-    for gen in g.generators:
-        img = _image_on_classes(gen.images, classes, index)
-        if img is None:
-            raise PreconditionError(
-                f"partition is not invariant under generator {gen!r}"
-            )
-        image_arrays.append(img)
-
-    image_group = PermGroup([Permutation(a) for a in image_arrays], m)
+    image_group = induced_group(g, index)
     image_base = image_group.chain().base
 
+    # the partition is invariant, so a class goes where its first point goes
+    firsts = np.array([cls[0] for cls in classes], dtype=_INT)
     combined_gens = [
-        np.concatenate([gen.images, img + n])
-        for gen, img in zip(g.generators, image_arrays)
+        np.concatenate([gen.images, index[gen.images[firsts]] + n])
+        for gen in g.generators
     ]
     combined = StabilizerChain(
-        combined_gens, n + m, base_prefix=[n + b for b in image_base]
+        combined_gens, n + len(classes), base_prefix=[n + b for b in image_base]
     )
     prefix_len = len(image_base)
     kernel_gens = [

@@ -165,6 +165,24 @@ def is_automorphism_t(edges: set[frozenset], a: tuple) -> bool:
     return {frozenset(a[v] for v in e) for e in edges} == edges
 
 
+def arc_orbit_size_t(arcs: list[tuple[int, int]], gens: list[tuple], arc: tuple) -> int:
+    """Size of the orbit of ``arc`` under ``gens``, by a set search over
+    (u, w) pairs; raises ValueError when a generator maps an arc off ``arcs``."""
+    arc_set = set(arcs)
+    orbit = {arc}
+    frontier = [arc]
+    while frontier:
+        u, w = frontier.pop()
+        for g in gens:
+            image = (g[u], g[w])
+            if image not in arc_set:
+                raise ValueError(f"{image} is not an arc")
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return len(orbit)
+
+
 def random_permutation_t(rng, n: int) -> tuple:
     images = list(range(n))
     rng.shuffle(images)

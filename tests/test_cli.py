@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -248,6 +250,11 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     assert main(["construct", "--family", "px", "--params", "p=2", "--out", out]) == 2
     assert "needs --params key(s): r" in capsys.readouterr().err
     assert main(["construct", "--family", "px", "--params", "p=x", "--out", out]) == 3
+    # a --params key the family does not take
+    for family, params in [("k12m11", "p=3"), ("px", "p=3,r=3,s=1,q=2")]:
+        capsys.readouterr()
+        assert main(["construct", "--family", family, "--params", params, "--out", out]) == 2
+        assert "does not take --params key(s)" in capsys.readouterr().err
     # corpus --config: not JSON is a parse error, a well-formed file that is
     # not a valid configuration is a usage error
     config = tmp_path / "config.json"
@@ -383,3 +390,15 @@ def test_corpus_cli_parallel_matches_serial(tmp_path, capsys):
     assert sorted(f.name for f in parallel.iterdir()) == names
     for name in names:
         assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only corpus --jobs N with N > 1 imports the pool
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import semireg.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -5,11 +5,24 @@ import numpy as np
 import pytest
 
 from semireg.perm import Permutation
-from semireg.group import PermGroup, PreconditionError, is_subgroup, normalizes
-from semireg.graphs import complete_graph, coset_graph, has_triangle, is_arc_transitive
+from semireg.group import (
+    PermGroup,
+    PreconditionError,
+    action_on_partition,
+    is_subgroup,
+    normalizes,
+)
+from semireg.graphs import (
+    complete_graph,
+    coset_graph,
+    coset_graph_connected,
+    has_triangle,
+    is_arc_transitive,
+)
 from semireg.families import (
     CorpusConfig,
-    _coset_graph_shape,
+    _coset_valency,
+    _px_diagonal_subgroup,
     _small_subgroups,
     corpus_generate,
     k12_m11,
@@ -68,12 +81,54 @@ def test_coset_graph_shape_matches_built_graph(big):
             if elem.order() != 2 or normalizes(elem, h):
                 continue
             graph = coset_graph(big, h, elem).graph
-            assert _coset_graph_shape(big, h, elem) == (
-                graph.valency(),
-                graph.is_connected(),
-            )
+            assert _coset_valency(h, elem) == graph.valency()
+            assert coset_graph_connected(big, h, elem) == graph.is_connected()
             pairs += 1
     assert pairs > 0
+
+
+def test_coset_search_builds_no_chain_for_a_rejected_valency(corpus, monkeypatch):
+    # events in call order: each pair's valency, then every chain that
+    # semireg.graphs builds (the connectivity test and coset_graph)
+    from semireg import families, graphs
+
+    events = []
+    real_chain, real_valency = graphs.StabilizerChain, families._coset_valency
+
+    def chain(*args, **kwargs):
+        events.append("chain")
+        return real_chain(*args, **kwargs)
+
+    def valency(h, elem):
+        events.append(real_valency(h, elem))
+        return events[-1]
+
+    monkeypatch.setattr(graphs, "StabilizerChain", chain)
+    monkeypatch.setattr(families, "_coset_valency", valency)
+    cfg = CorpusConfig()
+    found = families._coset_search_instances(cfg)
+    assert [i.id for i in found] == [i.id for i in corpus if i.family == "coset-search"]
+    targets = {2 * p for p in cfg.primes}
+    last_valency = None
+    for event in events:
+        if event == "chain":
+            assert last_valency in targets
+        else:
+            last_valency = event
+    valencies = [e for e in events if e != "chain"]
+    assert "chain" in events and not set(valencies) <= targets
+
+
+def test_quotient_instances_carry_the_induced_group(corpus):
+    by_id = {inst.id: inst for inst in corpus}
+    quotients = [inst for inst in corpus if inst.family == "px-quotient"]
+    assert len(quotients) == 19
+    for inst in quotients:
+        base = by_id[inst.id.removeprefix("quotient-")]
+        p, r, s = (inst.params[k] for k in ("p", "r", "s"))
+        partition = _px_diagonal_subgroup(p, r, s).orbit_partition()
+        image = action_on_partition(base.group, partition).image_group
+        assert inst.group.generators == image.generators
 
 
 def test_psl2_pgl2_orders():

@@ -1,11 +1,12 @@
 import random
 
 import numpy as np
+import pytest
 
 from semireg import _kernels
-from semireg.graphs import Graph
+from semireg.graphs import Graph, cycle_graph
 
-from oracles import cycle_lengths_t, is_semiregular_t, orbit_t
+from oracles import arc_orbit_size_t, cycle_lengths_t, is_semiregular_t, orbit_t
 
 def random_graph(rng, n, p):
     edges = [
@@ -104,24 +105,45 @@ def test_triangle_kernel():
             assert g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
 
 
-def test_arc_orbit_kernel_matches_brute():
-    from semireg.families import praeger_xu, praeger_xu_group
+def _arc_orbit_cases(corpus, d6, c6_regular):
+    """(graph, generator rows) pairs: every corpus group and its first
+    generator alone, the C6 fixtures, and a 1500-vertex circulant whose
+    rotation and reflection need about 750 search rounds."""
+    for inst in corpus:
+        gens = inst.group.gen_arrays()
+        yield inst.graph, gens
+        yield inst.graph, gens[:1]
+    yield cycle_graph(6), d6.gen_arrays()
+    yield cycle_graph(6), c6_regular.gen_arrays()
+    m = 1500
+    v = np.arange(m, dtype=np.int64)
+    circulant = Graph(m, [(i, (i + d) % m) for i in range(m) for d in (1, 2, 3)])
+    yield circulant, np.stack([(v + 1) % m, (-v) % m])
 
-    g, _ = praeger_xu(2, 4, 1)
-    grp = praeger_xu_group(2, 4, 1)
-    heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    size = _kernels.arc_orbit_size(
-        g.indptr, g.indices, heads, grp.gen_arrays(), 0
-    )
-    gens = [tuple(x.images) for x in grp.generators]
-    orbit = {(int(heads[0]), int(g.indices[0]))}
-    frontier = list(orbit)
-    while frontier:
-        a, b = frontier.pop()
-        for t in gens:
-            nxt = (t[a], t[b])
-            if nxt not in orbit:
-                orbit.add(nxt)
-                frontier.append(nxt)
-    assert int(size) == len(orbit)
 
+def test_arc_orbit_kernel_matches_brute(corpus, d6, c6_regular):
+    smaller = 0
+    for graph, gens in _arc_orbit_cases(corpus, d6, c6_regular):
+        heads = graph.arc_sources()
+        arcs = list(zip(heads.tolist(), graph.indices.tolist()))
+        rows = [tuple(row) for row in gens.tolist()]
+        ne = len(arcs)
+        for e0 in sorted({0, ne // 2, ne - 1}):
+            size = _kernels.arc_orbit_size(graph.indptr, graph.indices, heads, gens, e0)
+            assert size == arc_orbit_size_t(arcs, rows, arcs[e0])
+            smaller += size < ne
+    # the one-generator subgroups and the C6 rotation leave arcs out
+    assert smaller > 0
+
+
+def test_arc_orbit_kernel_rejects_a_non_automorphism(d6):
+    graph = cycle_graph(6)
+    heads = graph.arc_sources()
+    # a transposition of two adjacent vertices maps the arc (1, 2) to (0, 2)
+    swap = np.array([[1, 0, 2, 3, 4, 5]], dtype=np.int64)
+    gens = np.concatenate([d6.gen_arrays(), swap])
+    arcs = list(zip(heads.tolist(), graph.indices.tolist()))
+    with pytest.raises(ValueError):
+        arc_orbit_size_t(arcs, [tuple(r) for r in gens.tolist()], arcs[0])
+    with pytest.raises(ValueError):
+        _kernels.arc_orbit_size(graph.indptr, graph.indices, heads, gens, 0)
