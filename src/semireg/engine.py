@@ -550,8 +550,11 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
     the minimal normal subgroups with at least three orbits; (d) also tries
     the transitive and two-orbit ones. Checks (c) and (e) take M to be the
     minimal normal 2-subgroup P itself, the only choice group theory
-    leaves. The arc-stabilizer check samples ``ARC_SAMPLES`` s-arcs per s,
-    drawn under ``seed``.
+    leaves. Check (e) also needs a twin-free graph (no two vertices with the
+    same neighbourhood): swapping two twins is an automorphism that fixes
+    every other vertex, so with twins the claim can fail for a reason the
+    paper handles elsewhere (the buddy-swap case). The arc-stabilizer check
+    samples ``ARC_SAMPLES`` s-arcs per s, drawn under ``seed``.
     """
     check_automorphisms(g, grp)
     records: list[CheckRecord] = []
@@ -675,7 +678,7 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
     records.append(rec_d)
 
     # (e) subgroups fixing two classes pointwise fix adjacent classes
-    # pointwise, for M = P as in (c)
+    # pointwise, for M = P as in (c), on twin-free graphs
     rec_e = _record(
         "two-fixed-classes-propagation", False, None, "no buddy structure available"
     )
@@ -687,6 +690,16 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
         except PreconditionError:
             continue
         rec_e = _check_claim(g, p_sub, partition)
+        # a claim with nothing to test stays reported as such
+        twins = _twin_classes(g) if rec_e.applicable else []
+        if twins:
+            rec_e = _record(
+                "two-fixed-classes-propagation",
+                False,
+                None,
+                f"graph has twins: vertices {twins[0]} share a neighbourhood "
+                f"({len(twins)} twin classes)",
+            )
         break
     records.append(rec_e)
 
@@ -703,6 +716,15 @@ def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofR
     records.append(rec_f)
 
     return ProofReport(records=tuple(records))
+
+
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """The classes of two or more vertices with the same neighbourhood, in
+    order of their least vertex."""
+    by_neighbourhood: dict[bytes, list[int]] = {}
+    for v in range(g.n):
+        by_neighbourhood.setdefault(g.neighbors(v).tobytes(), []).append(v)
+    return [c for c in by_neighbourhood.values() if len(c) > 1]
 
 
 def _check_claim(g: Graph, m_sub: PermGroup, partition) -> CheckRecord:

@@ -656,15 +656,20 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
         for h in subgroup_pool:
             if big.order() // h.order() > cfg.max_vertices:
                 continue
+            # the coset graph depends on elem only through H*elem*H, the
+            # union of the cosets _double_coset_keys lists
+            seen_double_cosets = set()
             for elem in big.elements():
                 if hits >= 4:
                     break
                 if elem.order() != 2 or normalizes(elem, h):
                     continue
                 # the valency is cheap; the connectivity test builds a chain
-                val = _coset_valency(h, elem)
-                if val not in target_valencies:
+                double_coset = _double_coset_keys(h, elem)
+                val = len(double_coset)
+                if val not in target_valencies or double_coset in seen_double_cosets:
                     continue
+                seen_double_cosets.add(double_coset)
                 if not coset_graph_connected(big, h, elem):
                     continue
                 bundle = coset_graph(big, h, elem)
@@ -690,11 +695,12 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
     return out
 
 
-def _coset_valency(h: PermGroup, elem: Permutation) -> int:
-    """Valency of the coset graph of (G, H, H elem H), without building it:
-    the number of cosets H*elem*y for y in H."""
+def _double_coset_keys(h: PermGroup, elem: Permutation) -> frozenset[bytes]:
+    """The keys of the cosets H*elem*y for y in H, whose union is H*elem*H;
+    their number is the valency of the coset graph of (G, H, H*elem*H),
+    found without building it."""
     h_chain = h.chain()
-    return len({coset_key(h_chain, elem * y) for y in h.elements()})
+    return frozenset(coset_key(h_chain, elem * y) for y in h.elements())
 
 
 def _small_subgroups(g: PermGroup, max_count: int) -> list[PermGroup]:

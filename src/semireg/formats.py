@@ -4,11 +4,26 @@ disjoint-cycle notation, and certificate JSON documents.
 External cycle notation is 1-based (matching the mathematical convention and
 census data); everything internal is 0-based. Conversion happens here and
 only here. Group orders are serialized as decimal strings.
+
+The graph6 and sparse6 codecs work on whole numpy arrays: the graph6 payload
+is the column-ordered upper triangle of the adjacency matrix, six bits a
+byte, and a sparse6 payload is a run of fixed-width records whose running
+vertex is a prefix maximum.
+
+Certificate documents are checked against the committed
+``schema/certificate.schema.json`` by a small validator here, not by the
+``jsonschema`` package. It implements the keywords that schema uses:
+``type``, ``required``, ``properties``, ``additionalProperties``, ``enum``,
+``minimum``, ``pattern`` (matched with ``re.search``) and ``items``, skips the
+annotations ``$schema`` and ``title``, and raises on any other keyword. On
+such schemas it accepts and rejects exactly the documents
+``jsonschema.validate`` does (a test compares the two).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -151,29 +166,38 @@ def _decode_size(data: bytes, pos: int) -> tuple[int, int]:
     return n, pos + 4
 
 
-def _check_payload(data: bytes, start: int) -> None:
-    for i in range(start, len(data)):
-        if not 63 <= data[i] <= 126:
-            raise ParseError(f"byte {i}: value {data[i]} outside graph6 range")
+def _check_payload(data: bytes, start: int) -> np.ndarray:
+    """The payload from ``start`` on as 6-bit values, after checking that
+    every byte is a graph6 character."""
+    raw = np.frombuffer(data, dtype=np.uint8)[start:]
+    bad = np.flatnonzero((raw < 63) | (raw > 126))
+    if bad.size:
+        i = start + int(bad[0])
+        raise ParseError(f"byte {i}: value {data[i]} outside graph6 range")
+    return raw - 63
+
+
+def _payload_bits(values: np.ndarray) -> np.ndarray:
+    """The bits of 6-bit values, most significant first."""
+    return np.unpackbits(values.reshape(-1, 1), axis=1)[:, 2:].ravel()
+
+
+def _column_starts(n: int) -> np.ndarray:
+    """Bit index of (0, j) for each column j of the graph6 upper triangle,
+    which lists (i, j) for i < j column by column."""
+    j = np.arange(n, dtype=_INT)
+    return j * (j - 1) // 2
 
 
 def write_graph6(g: Graph) -> bytes:
     """Canonical graph6 encoding (no optional header, no newline)."""
     n = g.n
-    bits = []
-    for j in range(1, n):
-        nbrs = set(int(x) for x in g.neighbors(j))
-        for i in range(j):
-            bits.append(1 if i in nbrs else 0)
-    out = bytearray(_encode_size(n))
-    for k in range(0, len(bits), 6):
-        chunk = bits[k : k + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return bytes(out)
+    sources = g.arc_sources()
+    upper = sources < g.indices
+    bits = np.zeros(-(-n * (n - 1) // 12) * 6, dtype=np.uint8)
+    bits[_column_starts(n)[g.indices[upper]] + sources[upper]] = 1
+    values = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+    return _encode_size(n) + (values + 63).tobytes()
 
 
 def read_graph6(data: bytes) -> Graph:
@@ -188,24 +212,18 @@ def read_graph6(data: bytes) -> Graph:
     if not data:
         raise ParseError("empty input")
     n, pos = _decode_size(data, 0)
-    _check_payload(data, pos)
+    values = _check_payload(data, pos)
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(data) - pos < need:
+    if values.size < need:
         raise ParseError(
             f"byte {len(data)}: truncated payload, need {need} bytes after header"
         )
-    bits = []
-    for i in range(pos, pos + need):
-        val = data[i] - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(max(n, 1), edges)
+    if n < 2:  # no edges; a size byte below 63 reads as a negative n
+        return Graph(max(n, 1), ())
+    idx = np.flatnonzero(_payload_bits(values[:need])[: n * (n - 1) // 2])
+    starts = _column_starts(n)
+    j = np.searchsorted(starts, idx, side="right") - 1
+    return Graph(n, np.column_stack((idx - starts[j], j)))
 
 
 def write_sparse6(g: Graph) -> bytes:
@@ -255,30 +273,23 @@ def read_sparse6(data: bytes) -> Graph:
     if not data.startswith(b":"):
         raise ParseError("byte 0: sparse6 input must start with ':'")
     n, pos = _decode_size(data, 1)
-    _check_payload(data, pos)
-    bits = []
-    for i in range(pos, len(data)):
-        val = data[i] - 63
-        bits.extend((val >> t) & 1 for t in range(5, -1, -1))
+    bits = _payload_bits(_check_payload(data, pos)).astype(_INT)
     k = max(1, (n - 1).bit_length())
-    edges = []
-    v = 0
-    idx = 0
-    while idx + k < len(bits):
-        b = bits[idx]
-        x = 0
-        for t in range(k):
-            x = (x << 1) | bits[idx + 1 + t]
-        idx += 1 + k
-        if b:
-            v += 1
-        if x >= n or v >= n:
-            break
-        if x > v:
-            v = x
-        else:
-            edges.append((x, v))
-    return Graph(max(n, 1), edges)
+    # records of one bit b and a k-bit vertex x, read while a whole one fits
+    count = max(0, -(-(bits.size - k) // (k + 1)))
+    records = bits[: count * (k + 1)].reshape(count, k + 1)
+    b = records[:, 0]
+    x = records[:, 1:] @ (np.int64(1) << np.arange(k - 1, -1, -1, dtype=_INT))
+    # the current vertex v: a record adds b to it, then moves it up to x if
+    # x is larger (v_t = max(v_{t-1} + b_t, x_t), v_{-1} = 0), so
+    # v_t = B_t + max(0, max_{s <= t}(x_s - B_s)) with B the prefix sums of b
+    cum_b = np.cumsum(b)
+    v = cum_b + np.maximum(np.maximum.accumulate(x - cum_b), 0)
+    w = np.concatenate(([0], v))[:-1] + b  # v_{t-1} + b_t, tested before the move
+    stop = np.flatnonzero((x >= n) | (w >= n))
+    end = int(stop[0]) if stop.size else count
+    edge = x[:end] <= w[:end]
+    return Graph(max(n, 1), np.column_stack((x[:end][edge], w[:end][edge])))
 
 
 def read_graph_auto(data: bytes) -> Graph:
@@ -334,17 +345,104 @@ def document_to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def parse_certificate_document(text: str) -> dict:
-    import jsonschema
+# keywords the validator checks; the two annotations it skips; any other
+# keyword in a schema is an error, so a schema edit cannot slip past unchecked
+_SCHEMA_KEYWORDS = frozenset(
+    {"type", "required", "properties", "additionalProperties", "enum",
+     "minimum", "pattern", "items"}
+)
+_SCHEMA_ANNOTATIONS = frozenset({"$schema", "title"})
 
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON types of parsed JSON values; as in JSON Schema draft 6 and later, a
+# float with an integral value is an integer
+_JSON_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "number": _is_number,
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def _check_schema(schema: dict) -> None:
+    """Raise ValueError if ``schema`` or a subschema uses a keyword the
+    validator does not implement."""
+    unknown = schema.keys() - _SCHEMA_KEYWORDS - _SCHEMA_ANNOTATIONS
+    if unknown:
+        raise ValueError(f"unsupported schema keyword(s): {sorted(unknown)}")
+    if not isinstance(schema.get("additionalProperties", False), bool):
+        raise ValueError("unsupported schema: additionalProperties must be true or false")
+    subschemas = list(schema.get("properties", {}).values())
+    if "items" in schema:
+        subschemas.append(schema["items"])
+    for sub in subschemas:
+        _check_schema(sub)
+
+
+def _schema_error(value, schema: dict, path: str) -> str | None:
+    """The first way ``value`` breaks ``schema``, as a message, or None."""
+    where = f"at {path}: " if path else ""
+    if "type" in schema:
+        types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not any(_JSON_TYPES[t](value) for t in types):
+            return f"{where}{value!r} is not of type {', '.join(map(repr, types))}"
+    if "enum" in schema:
+        # JSON equality: true and 1 differ
+        if not any(
+            value == e and isinstance(value, bool) == isinstance(e, bool)
+            for e in schema["enum"]
+        ):
+            return f"{where}{value!r} is not one of {schema['enum']!r}"
+    if "minimum" in schema and _is_number(value) and value < schema["minimum"]:
+        return f"{where}{value!r} is less than the minimum of {schema['minimum']!r}"
+    if "pattern" in schema and isinstance(value, str):
+        if not re.search(schema["pattern"], value):
+            return f"{where}{value!r} does not match {schema['pattern']!r}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{where}{key!r} is a required property"
+        props = schema.get("properties", {})
+        extra = sorted(k for k in value if k not in props)
+        if extra and schema.get("additionalProperties") is False:
+            return f"{where}additional properties {extra} are not allowed"
+        for key in (k for k in props if k in value):
+            err = _schema_error(value[key], props[key], f"{path}.{key}" if path else key)
+            if err is not None:
+                return err
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            err = _schema_error(item, schema["items"], f"{path}[{i}]")
+            if err is not None:
+                return err
+    return None
+
+
+def validate_document(doc, schema: dict) -> None:
+    """Raise ParseError unless ``doc`` (parsed JSON) satisfies ``schema``.
+
+    Accepts and rejects as ``jsonschema.validate`` does, for schemas that use
+    only the keywords in ``_SCHEMA_KEYWORDS``; any other keyword raises
+    ValueError."""
+    _check_schema(schema)
+    err = _schema_error(doc, schema, "")
+    if err is not None:
+        raise ParseError(f"certificate document: {err}")
+
+
+def parse_certificate_document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    try:
-        jsonschema.validate(doc, certificate_schema())
-    except jsonschema.ValidationError as exc:
-        raise ParseError(f"certificate document: {exc.message}") from None
+    validate_document(doc, certificate_schema())
     return doc
 
 

@@ -37,28 +37,33 @@ class Graph:
     __slots__ = ("n", "indptr", "indices", "_hash")
 
     def __init__(self, n: int, edges):
+        """``edges`` is an (m, 2) array or any iterable of vertex pairs;
+        repeated and reversed pairs collapse to one edge."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        pairs = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            pairs.add((min(u, v), max(u, v)))
-        adj = [[] for _ in range(n)]
-        for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=_INT)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be vertex pairs, got shape {pairs.shape}")
+        u, w = pairs[:, 0], pairs[:, 1]
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n or (u == w).any()):
+            bad = (u == w) | (np.minimum(u, w) < 0) | (np.maximum(u, w) >= n)
+            u0, w0 = (int(x) for x in pairs[np.argmax(bad)])
+            if u0 == w0:
+                raise ValueError(f"loop at vertex {u0}")
+            raise ValueError(f"edge ({u0},{w0}) out of range")
+        # arc (u, w) has key u * n + w, so sorted keys are the CSR order;
+        # repeats are dropped by hand because np.unique imports numpy.ma on
+        # first use, about 13 ms of a CLI process
+        keys = np.sort(np.concatenate((u * n + w, w * n + u)))
+        keep = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        sources, self.indices = np.divmod(keys[keep], n)
         self.n = n
-        self.indptr = np.zeros(n + 1, dtype=_INT)
-        for v in range(n):
-            adj[v].sort()
-            self.indptr[v + 1] = self.indptr[v] + len(adj[v])
-        self.indices = np.array(
-            [w for nbrs in adj for w in nbrs] or [], dtype=_INT
-        )
+        self.indptr = np.searchsorted(sources, np.arange(n + 1, dtype=_INT)).astype(_INT)
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
         self._hash = None

@@ -183,6 +183,42 @@ def arc_orbit_size_t(arcs: list[tuple[int, int]], gens: list[tuple], arc: tuple)
     return len(orbit)
 
 
+def adjacency_t(n: int, edges) -> tuple[list[int], list[int]]:
+    """CSR (indptr, indices) of a simple graph from vertex pairs, by a set of
+    unordered edges and sorted neighbour lists."""
+    pairs = {(min(u, w), max(u, w)) for u, w in edges}
+    nbrs = [[] for _ in range(n)]
+    for u, w in pairs:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    indptr = [0]
+    for row in nbrs:
+        indptr.append(indptr[-1] + len(row))
+    return indptr, [w for row in nbrs for w in sorted(row)]
+
+
+def sparse6_edges_t(n: int, payload: bytes) -> list[tuple[int, int]]:
+    """Edges of a sparse6 payload (the bytes after the size header), decoded
+    record by record as the format describes it."""
+    bits = [(c - 63) >> t & 1 for c in payload for t in range(5, -1, -1)]
+    k = max(1, (n - 1).bit_length())
+    edges = []
+    v = 0
+    i = 0
+    while i + k < len(bits):
+        b = bits[i]
+        x = int("".join(map(str, bits[i + 1 : i + 1 + k])), 2)
+        i += 1 + k
+        v += b
+        if x >= n or v >= n:
+            break
+        if x > v:
+            v = x
+        else:
+            edges.append((x, v))
+    return edges
+
+
 def random_permutation_t(rng, n: int) -> tuple:
     images = list(range(n))
     rng.shuffle(images)

@@ -402,3 +402,26 @@ def test_cli_import_leaves_the_process_pool_out():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_verify_leaves_jsonschema_out(tmp_path, c6_files):
+    # certificates are checked against the schema in-house; jsonschema is a
+    # test dependency only
+    graph_path, group_path = c6_files
+    files = ["--graph", str(graph_path), "--group", str(group_path)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run_main = f"import sys; sys.path.insert(0, {src!r}); from semireg.cli import main; "
+    found = subprocess.run(
+        [sys.executable, "-c", run_main + f"sys.exit(main(['find', *{files!r}]))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert found.returncode == 0, found.stderr
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(found.stdout)
+    code = run_main + (
+        f"code = main(['verify', *{files!r}, '--certificate', {str(cert_path)!r}]); "
+        "print('jsonschema' in sys.modules); sys.exit(code)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["valid", "False"]

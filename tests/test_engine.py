@@ -324,6 +324,25 @@ def test_proof_report_counting_bound_and_propagation_on_px():
     assert px272["two-fixed-classes-propagation"] == (True, True, "7 class triples checked")
 
 
+def test_proof_report_propagation_needs_a_twin_free_graph(corpus):
+    # quotient-px-p2-r5-s2 is C_5[2K1]: each class is a pair of twins, and
+    # swapping one pair fixes every other class, so (e) cannot hold there
+    by_id = {inst.id: inst for inst in corpus}
+
+    def propagation(ident):
+        inst = by_id[ident]
+        report = proof_invariant_report(inst.graph, inst.group)
+        (rec,) = [r for r in report.records if r.name == "two-fixed-classes-propagation"]
+        return rec.applicable, rec.passed, rec.detail
+
+    assert engine._twin_classes(by_id["quotient-px-p2-r5-s2"].graph)[0] == [0, 1]
+    assert propagation("quotient-px-p2-r5-s2") == (
+        False, None, "graph has twins: vertices [0, 1] share a neighbourhood (5 twin classes)"
+    )
+    assert engine._twin_classes(by_id["px-p2-r7-s2"].graph) == []
+    assert propagation("px-p2-r7-s2") == (True, True, "7 class triples checked")
+
+
 def test_proof_report_k12_m11():
     k12, m11 = k12_m11()
     report = proof_invariant_report(k12, m11)
@@ -399,7 +418,7 @@ def test_golden_certificates_on_corpus(corpus):
 # hash only with a change that means to alter reports, and say so in
 # CHANGES.md.
 GOLDEN_REPORTS_SHA256 = (
-    "fc9123c147ce59182a20a3d19074c606cde290dfde1313cc6b1ac59d1725bb84"
+    "aa4f6c0ba4249b4f51a30bb355cf5e315d0e11dbe1e61a78077ddbeabf93e29e"
 )
 
 

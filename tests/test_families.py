@@ -21,7 +21,7 @@ from semireg.graphs import (
 )
 from semireg.families import (
     CorpusConfig,
-    _coset_valency,
+    _double_coset_keys,
     _px_diagonal_subgroup,
     _small_subgroups,
     corpus_generate,
@@ -74,15 +74,19 @@ def test_psl2_coset_normalizer_is_the_borel(p, s):
 
 @pytest.mark.parametrize("big", [psl2_action(5), pgl2_action(5)], ids=["psl2-5", "pgl2-5"])
 def test_coset_graph_shape_matches_built_graph(big):
-    # every (H, x) pair the corpus coset search tests
+    # every (H, x) pair the corpus coset search tests; pairs with one double
+    # coset H*x*H give one graph, which is why the search builds it once
     pairs = 0
     for h in _small_subgroups(big, max_count=12):
+        by_double_coset = {}
         for elem in big.elements():
             if elem.order() != 2 or normalizes(elem, h):
                 continue
             graph = coset_graph(big, h, elem).graph
-            assert _coset_valency(h, elem) == graph.valency()
+            keys = _double_coset_keys(h, elem)
+            assert len(keys) == graph.valency()
             assert coset_graph_connected(big, h, elem) == graph.is_connected()
+            assert by_double_coset.setdefault(keys, graph) == graph
             pairs += 1
     assert pairs > 0
 
@@ -93,21 +97,33 @@ def test_coset_search_builds_no_chain_for_a_rejected_valency(corpus, monkeypatch
     from semireg import families, graphs
 
     events = []
-    real_chain, real_valency = graphs.StabilizerChain, families._coset_valency
+    built = []
+    real_chain, real_keys = graphs.StabilizerChain, families._double_coset_keys
+    real_coset_graph = families.coset_graph
 
     def chain(*args, **kwargs):
         events.append("chain")
         return real_chain(*args, **kwargs)
 
-    def valency(h, elem):
-        events.append(real_valency(h, elem))
-        return events[-1]
+    def double_coset_keys(h, elem):
+        keys = real_keys(h, elem)
+        events.append(len(keys))
+        return keys
+
+    def coset_graph_counted(big, h, elem):
+        built.append((big, h, real_keys(h, elem)))
+        return real_coset_graph(big, h, elem)
 
     monkeypatch.setattr(graphs, "StabilizerChain", chain)
-    monkeypatch.setattr(families, "_coset_valency", valency)
+    monkeypatch.setattr(families, "_double_coset_keys", double_coset_keys)
+    monkeypatch.setattr(families, "coset_graph", coset_graph_counted)
     cfg = CorpusConfig()
     found = families._coset_search_instances(cfg)
     assert [i.id for i in found] == [i.id for i in corpus if i.family == "coset-search"]
+    # one build per double coset: 8 graphs for the 5 instances, where
+    # building each (H, x) pair that passed the valency test took 32
+    assert len(built) == 8
+    assert len({(id(big), id(h), keys) for big, h, keys in built}) == 8
     targets = {2 * p for p in cfg.primes}
     last_valency = None
     for event in events:

@@ -10,6 +10,7 @@ from semireg.graphs import Graph, complete_graph, cycle_graph
 from semireg.engine import Certificate, verify_certificate
 from semireg.formats import (
     ParseError,
+    certificate_schema,
     certificate_to_document,
     document_to_certificate,
     document_to_json,
@@ -20,9 +21,12 @@ from semireg.formats import (
     read_graph6,
     read_graph_auto,
     read_sparse6,
+    validate_document,
     write_graph6,
     write_sparse6,
 )
+
+from oracles import sparse6_edges_t
 
 
 def random_graph(rng, n, p) -> Graph:
@@ -221,3 +225,145 @@ def test_group_order_serialized_as_string(s4):
     )
     assert doc["group_order"] == "24"
     assert isinstance(doc["group_order"], str)
+
+
+def _valid_document() -> dict:
+    c6 = cycle_graph(6)
+    d6 = PermGroup([Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
+    cert = Certificate("c6", Permutation.from_cycles(6, [(0, 2, 4)]), 3, 3,
+                       "direct-search", ("a", "b"))
+    return certificate_to_document(cert, c6, d6, verified=True, seed=4)
+
+
+def _jsonschema_validator(schema):
+    """The validator ``jsonschema.validate(doc, schema)`` would use."""
+    from jsonschema.validators import validator_for
+
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _accepts(doc, schema) -> bool:
+    try:
+        validate_document(doc, schema)
+    except ParseError:
+        return False
+    return True
+
+
+def test_validator_agrees_with_jsonschema():
+    schema = certificate_schema()
+    base = _valid_document()
+    docs = [base, [base], "doc", 3, None]
+    docs += [{k: v for k, v in base.items() if k != key} for key in base]
+    docs.append({**base, "extra": 1})
+    for key, value in [
+        ("n", True), ("n", 1.0), ("n", 6.0), ("n", 6.5), ("n", "6"), ("n", 0),
+        ("element_order", True), ("element_order", 1.0), ("element_order", -1),
+        ("element_order", -1.0), ("element_order", 0), ("cycle_length", -2),
+        ("valency", None), ("valency", -1), ("valency", "2"), ("seed", None),
+        ("seed", 1.0), ("seed", False), ("graph_id", 3), ("tool_version", 1.5),
+        ("verified", 1), ("verified", None), ("method", "wishful-thinking"),
+        ("method", 1), ("method", True), ("group_order", "12\n"),
+        ("group_order", "x"), ("group_order", ""), ("group_order", "12a"),
+        ("group_order", 12), ("trace", [1]), ("trace", ["a", None]),
+        ("trace", "abc"), ("trace", []), ("element", 5), ("element", None),
+    ]:
+        docs.append({**base, key: value})
+    # random values in random fields
+    rng = random.Random(5)
+    pool = [None, True, False, 0, 1, -1, 1.0, -1.0, 0.5, "", "7", "7\n", "x",
+            "prime-power", [], ["s"], [0], {}, {"n": 1}]
+    for _ in range(400):
+        doc = dict(base)
+        for key in rng.sample(sorted(base), rng.randrange(1, 4)):
+            doc[key] = rng.choice(pool)
+        docs.append(doc)
+    verdicts = [_accepts(doc, schema) for doc in docs]
+    reference = _jsonschema_validator(schema)
+    assert verdicts == [reference.is_valid(doc) for doc in docs]
+    assert 10 < sum(verdicts) < len(docs) - 10
+    # JSON equality in enum: true is not 1, but 1.0 is
+    small = {"enum": [1, "a", None]}
+    for value in (True, False, 1, 1.0, 0, "a", None, [1]):
+        assert _accepts(value, small) == _jsonschema_validator(small).is_valid(value)
+    # the cases where a lax reading and a strict one part ways
+    for key, value, ok in [("n", 1.0, True), ("n", True, False),
+                           ("group_order", "12\n", True), ("group_order", "x", False),
+                           ("element_order", -1, False)]:
+        assert _accepts({**base, key: value}, schema) is ok
+
+
+def test_validator_names_where_a_document_fails():
+    doc = {**_valid_document(), "trace": ["a", 7]}
+    with pytest.raises(ParseError, match=r"at trace\[1\]: 7 is not of type 'string'"):
+        validate_document(doc, certificate_schema())
+    with pytest.raises(ParseError, match="'seed' is a required property"):
+        validate_document({k: v for k, v in doc.items() if k != "seed"}, certificate_schema())
+
+
+def test_validator_rejects_an_unsupported_schema_keyword():
+    schema = certificate_schema()
+    doc = _valid_document()
+    with pytest.raises(ValueError, match="unsupported schema keyword"):
+        validate_document(doc, {**schema, "maxProperties": 20})
+    with pytest.raises(ValueError, match="additionalProperties must be true or false"):
+        validate_document(doc, {**schema, "additionalProperties": {"type": "string"}})
+    # also inside a property the document lacks
+    nested = json.loads(json.dumps(schema))
+    nested["properties"]["spare"] = {"type": "string", "maxLength": 3}
+    with pytest.raises(ValueError, match=r"\['maxLength'\]"):
+        validate_document(doc, nested)
+
+
+def _networkx_graph(g):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _edge_set(edges) -> set:
+    return {(min(u, w), max(u, w)) for u, w in edges}
+
+
+@pytest.mark.parametrize("n", [1, 2, 62, 63, 64, 420])
+def test_graph6_and_sparse6_readers_match_networkx(n):
+    # 62/63 straddle the one-byte and four-byte size headers
+    from networkx.readwrite.graph6 import from_graph6_bytes, to_graph6_bytes
+    from networkx.readwrite.sparse6 import from_sparse6_bytes, to_sparse6_bytes
+
+    rng = random.Random(n)
+    # the complete graph on 420 vertices would take networkx seconds
+    for p in (0.0, 0.03, 0.3) + ((1.0,) if n <= 64 else ()):
+        g = random_graph(rng, n, p)
+        h = _networkx_graph(g)
+        for data in (write_graph6(g), to_graph6_bytes(h, header=False).strip()):
+            assert data == write_graph6(g)
+            ref = from_graph6_bytes(data)
+            back = read_graph6(data)
+            assert back.n == ref.number_of_nodes() == n
+            assert _edge_set(back.edges()) == _edge_set(ref.edges())
+        data = to_sparse6_bytes(h, header=False).strip()
+        ref = from_sparse6_bytes(data)
+        back = read_sparse6(data)
+        assert back.n == ref.number_of_nodes() == n
+        assert _edge_set(back.edges()) == _edge_set(ref.edges())
+
+
+def test_sparse6_reader_matches_record_by_record_decoding():
+    # random payloads end in every way: padding, an x >= n stop, a v >= n stop
+    rng = random.Random(9)
+    for _ in range(3000):
+        n = rng.choice([1, 2, 3, 4, 5, 8, 16, 17, 33, 64, 100])
+        payload = bytes(rng.randrange(63, 127) for _ in range(rng.randrange(0, 12)))
+        edges = sparse6_edges_t(n, payload)
+        data = b":" + bytes([n + 63]) + payload
+        if any(u == w for u, w in edges):
+            with pytest.raises(ValueError, match="loop at vertex"):
+                read_sparse6(data)
+            continue
+        assert sorted(read_sparse6(data).edges()) == sorted(_edge_set(edges))

@@ -25,7 +25,7 @@ from semireg.graphs import (
 )
 from semireg.families import psl2_action, psl2_coset_instance, symmetric_group
 
-from oracles import is_automorphism_t
+from oracles import adjacency_t, is_automorphism_t
 
 
 def petersen() -> Graph:
@@ -330,3 +330,35 @@ def test_is_automorphism_matches_edge_set_oracle(corpus):
         assert g.is_automorphism(p) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def test_graph_build_matches_set_oracle():
+    rng = random.Random(11)
+    for n in (1, 2, 7, 40, 300):
+        m = rng.randrange(0, 3 * n)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(m)] if n > 1 else []
+        # repeats and reversed copies collapse to one edge
+        pairs += pairs[: m // 3] + [(w, u) for u, w in pairs[m // 3 : m // 2]]
+        rng.shuffle(pairs)
+        indptr, indices = adjacency_t(n, pairs)
+        for edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                      (pair for pair in pairs), set(pairs)):
+            g = Graph(n, edges)
+            assert g.indptr.tolist() == indptr and g.indices.tolist() == indices
+            assert g.indices.dtype == g.indptr.dtype == np.int64
+
+
+def test_graph_build_names_the_first_bad_edge():
+    with pytest.raises(ValueError, match=r"^edge \(5,6\) out of range$"):
+        Graph(4, [(0, 1), (5, 6), (2, 2)])
+    with pytest.raises(ValueError, match="^loop at vertex 2$"):
+        Graph(4, np.array([(0, 1), (2, 2), (5, 6)]))
+    # a loop is reported as a loop even when out of range
+    with pytest.raises(ValueError, match="^loop at vertex 7$"):
+        Graph(4, iter([(1, 0), (7, 7)]))
+    with pytest.raises(ValueError, match=r"^edge \(-1,2\) out of range$"):
+        Graph(4, [(-1, 2)])
+    with pytest.raises(ValueError, match="vertex pairs"):
+        Graph(4, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Graph(0, [])
