@@ -44,7 +44,13 @@ from .formats import (
     read_graph_auto,
     write_graph6,
 )
-from .group import DEFAULT_BOUND, BoundExceededError, PermGroup, PreconditionError
+from .group import (
+    DEFAULT_BOUND,
+    BoundExceededError,
+    PermGroup,
+    PreconditionError,
+    is_prime,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -283,6 +289,8 @@ def _corpus_config(path: str) -> CorpusConfig:
     for key, value in raw.items():
         if key == "primes":
             ok = isinstance(value, list) and all(type(p) is int for p in value)
+            if ok and not all(is_prime(p) for p in value):
+                raise UsageError(f"--config: 'primes' must hold primes only: {value}")
             value = tuple(value) if ok else value
         elif key == "px_grid":
             ok = isinstance(value, dict) and all(

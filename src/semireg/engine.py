@@ -18,9 +18,9 @@ or, after full enumeration, the definitive answer that none exists. Routes:
 "Inconclusive" (bounds stopped the search) is kept distinct from
 "exhausted-none" (the group was fully enumerated and is elusive).
 
-``proof_invariant_report`` instruments the intermediate structural facts the
-pipeline relies on, marking each check inapplicable when its hypotheses
-cannot be established within bounds.
+``proof_invariant_report`` checks the intermediate structural facts the
+pipeline relies on, one row per entry of ``_CHECKS``; each check's
+hypothesis is stated once, beside that table.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +41,12 @@ from .graphs import (
 )
 from .group import (
     DEFAULT_BOUND,
+    ActionBundle,
     BoundExceededError,
     PermGroup,
     PreconditionError,
     action_on_partition,
+    is_prime,
     lift_semiregular,
     minimal_normal_subgroups,
     partition_index,
@@ -370,7 +373,7 @@ def _route_quotient_lift(g, grp, config, trace) -> Certificate | None:
         # the coprime lifting lemma needs prime order: lift the power of the
         # quotient element whose order is a prime q not dividing |K|
         r = sub_cert.element_order
-        k_order = bundle.kernel.order()
+        k_order = bundle.kernel_order
         q = next((q for q in sorted(prime_factors(r)) if k_order % q), None)
         if q is None:
             trace.append(
@@ -498,10 +501,6 @@ def buddy_swap_automorphism(g: Graph, bs: BuddyStructure) -> Permutation:
 # -- proof diagnostics --------------------------------------------------------
 
 
-def _record(name, applicable, passed, detail) -> CheckRecord:
-    return CheckRecord(name=name, applicable=applicable, passed=passed, detail=detail)
-
-
 def arc_stabilizer_bound_check(
     g: Graph,
     m_sub: PermGroup,
@@ -540,181 +539,176 @@ def _neighbour_orbit_sizes(g: Graph, sub: PermGroup, v: int) -> set[int] | None:
     return {len(stab.orbit(int(w))) for w in g.neighbors(v)}
 
 
-def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofReport:
-    """Run the structural checks behind the pipeline on one instance.
+class _ReportInputs:
+    """What the report checks read, each part built at most once per report:
+    the normal quotients, and the action on each quotient's partition."""
 
-    Each check names its hypothesis; when the hypothesis cannot be
-    established within bounds (a group order above ``NORMAL_BOUND``) the
-    check is marked inapplicable rather than failed. Checks (b) to (f) take
-    their normal subgroups from the list quotient-lift and buddy-swap use,
-    the minimal normal subgroups with at least three orbits; (d) also tries
-    the transitive and two-orbit ones. Checks (c) and (e) take M to be the
-    minimal normal 2-subgroup P itself, the only choice group theory
-    leaves. Check (e) also needs a twin-free graph (no two vertices with the
-    same neighbourhood): swapping two twins is an automorphism that fixes
-    every other vertex, so with twins the claim can fail for a reason the
-    paper handles elsewhere (the buddy-swap case). The arc-stabilizer check
-    samples ``ARC_SAMPLES`` s-arcs per s, drawn under ``seed``.
-    """
-    check_automorphisms(g, grp)
-    records: list[CheckRecord] = []
+    def __init__(self, g: Graph, grp: PermGroup, seed: int):
+        self.g, self.grp, self.seed = g, grp, seed
+        self._bundles: dict[int, ActionBundle] = {}
 
-    # (a) primes dividing a vertex stabilizer also divide the local action
-    orbit_sizes = {len(o) for o in grp.orbit_partition()}
+    @cached_property
+    def quotients(self) -> list[tuple[PermGroup, list[list[int]]]]:
+        """The list quotient-lift and buddy-swap read; raises
+        ``BoundExceededError`` when |G| > ``NORMAL_BOUND``."""
+        if self.grp.order() > NORMAL_BOUND:
+            raise BoundExceededError(
+                f"group order {self.grp.order()} exceeds bound {NORMAL_BOUND}"
+            )
+        return _normal_quotients(self.grp, trace=[])
+
+    def bundle(self, i: int) -> ActionBundle:
+        """The action of G on the partition of the i-th normal quotient."""
+        if i not in self._bundles:
+            self._bundles[i] = action_on_partition(self.grp, self.quotients[i][1])
+        return self._bundles[i]
+
+
+def _local_action_prime_divisibility(r: _ReportInputs):
+    orbit_sizes = {len(o) for o in r.grp.orbit_partition()}
     if len(orbit_sizes) != 1:
-        records.append(
-            _record(
-                "local-action-prime-divisibility",
-                False,
-                None,
-                "orbits of unequal size",
-            )
-        )
-    else:
-        # |G_v| = |G| / orbit size, computed on factored orders
-        orbit_size = orbit_sizes.pop()
-        stab_factors = grp.order_factored() - prime_factors(orbit_size)
-        local = local_action(g, grp, 0)
-        local_order = local.order()
-        bad = [q for q in stab_factors if stab_factors[q] > 0 and local_order % q != 0]
-        records.append(
-            _record(
-                "local-action-prime-divisibility",
-                True,
-                not bad,
-                f"|G_v| primes {sorted(q for q in stab_factors if stab_factors[q] > 0)}, "
-                f"local action order {local_order}"
-                + (f", failing primes {bad}" if bad else ""),
-            )
-        )
-
-    if grp.order() > NORMAL_BOUND:
-        note = f"group order {grp.order()} exceeds bound {NORMAL_BOUND}"
-        for name in (
-            "kernel-fixing-classes-is-2-group",
-            "conjugate-cover-counting-bound",
-            "arc-stabilizer-index-bound",
-            "two-fixed-classes-propagation",
-            "no-intra-class-edges",
-        ):
-            records.append(_record(name, False, None, note))
-        return ProofReport(records=tuple(records))
-    quotients = _normal_quotients(grp, trace=[])
-
-    # (b) when the quotient has odd prime valency and local class-orbits have
-    # size 2, the kernel's vertex stabilizer is a 2-group
-    rec_b = _record(
-        "kernel-fixing-classes-is-2-group", False, None, "no qualifying normal subgroup"
+        return False, None, "orbits of unequal size"
+    # |G_v| = |G| / orbit size, computed on factored orders
+    stab_factors = r.grp.order_factored() - prime_factors(orbit_sizes.pop())
+    local_order = local_action(r.g, r.grp, 0).order()
+    bad = [q for q in stab_factors if local_order % q != 0]
+    return (
+        True,
+        not bad,
+        f"|G_v| primes {sorted(stab_factors)}, local action order {local_order}"
+        + (f", failing primes {bad}" if bad else ""),
     )
-    for nsub, partition in quotients:
-        qgraph = quotient_graph(g, partition)
-        d = qgraph.valency()
-        if d is None or d < 3 or len(prime_factors(d)) != 1 or d % 2 == 0:
-            continue
-        if _neighbour_orbit_sizes(g, nsub, 0) != {2}:
-            continue
-        kv = action_on_partition(grp, partition).kernel.point_stabilizer(0)
-        rec_b = _record(
-            "kernel-fixing-classes-is-2-group",
-            True,
-            _is_2_group(kv),
-            f"quotient valency {d}, |K_v| = {kv.order()}",
-        )
-        break
-    records.append(rec_b)
 
-    # (c) counting bound for a minimal normal M central in a normal 2-subgroup
-    # P. For a minimal normal 2-subgroup P, M = P: two distinct minimal normal
-    # subgroups meet trivially, so the only one inside P is P, and P is
-    # elementary abelian, so it is central in itself.
-    rec_c = _record(
-        "conjugate-cover-counting-bound", False, None, "no central-in-2-subgroup minimal normal"
-    )
-    for p_sub, partition in quotients:
+
+def _kernel_fixing_classes(r: _ReportInputs):
+    for i, (nsub, partition) in enumerate(r.quotients):
+        d = quotient_graph(r.g, partition).valency()
+        if d is None or d % 2 == 0 or not is_prime(d):
+            continue
+        if _neighbour_orbit_sizes(r.g, nsub, 0) != {2}:
+            continue
+        kv = r.bundle(i).kernel.point_stabilizer(0)
+        return True, _is_2_group(kv), f"quotient valency {d}, |K_v| = {kv.order()}"
+    return False, None, "no qualifying normal subgroup"
+
+
+def _conjugate_cover_counting(r: _ReportInputs):
+    result = (False, None, "no central-in-2-subgroup minimal normal")
+    for p_sub, partition in r.quotients:
         if not _is_2_group(p_sub):
             continue
         if _first_semiregular(p_sub, NORMAL_BOUND)[1] is not None:
-            rec_c = _record(
-                "conjugate-cover-counting-bound",
-                False,
-                None,
-                "M contains a semiregular element; bound not required",
-            )
+            result = (False, None, "M contains a semiregular element; bound not required")
             continue
         m_v = p_sub.point_stabilizer(0).order()
-        rec_c = _record(
-            "conjugate-cover-counting-bound",
+        return (
             True,
             p_sub.order() <= m_v * len(partition),
             f"|M| = {p_sub.order()}, |M_v| = {m_v}, classes = {len(partition)}",
         )
-        break
-    records.append(rec_c)
+    return result
 
-    # (d) arc stabilizer index bound over sampled s-arcs; candidates are all
-    # minimal normal subgroups, transitive ones too, plus the kernels of the
-    # actions on the orbit partitions of those with at least three orbits
-    # (those kernels are the natural M on fiber-type graphs), each kernel
-    # built only when the loop reaches it
-    kernels = (action_on_partition(grp, partition).kernel for _, partition in quotients)
-    rec_d = _record(
-        "arc-stabilizer-index-bound", False, None, "no normal subgroup with local orbits of size <= 2"
-    )
-    for m_sub in itertools.chain(minimal_normal_subgroups(grp, NORMAL_BOUND), kernels):
-        sizes = _neighbour_orbit_sizes(g, m_sub, 0)
+
+def _arc_stabilizer_index(r: _ReportInputs):
+    # each kernel is built only when the loop reaches it
+    kernels = (r.bundle(i).kernel for i in range(len(r.quotients)))
+    for m_sub in itertools.chain(minimal_normal_subgroups(r.grp, NORMAL_BOUND), kernels):
+        sizes = _neighbour_orbit_sizes(r.g, m_sub, 0)
         if sizes is None or not sizes <= {1, 2}:
             continue
         results = arc_stabilizer_bound_check(
-            g, m_sub, s_values=(1, 2, 3), samples=ARC_SAMPLES, seed=seed
+            r.g, m_sub, s_values=(1, 2, 3), samples=ARC_SAMPLES, seed=r.seed
         )
-        ok = all(passed for _, _, passed in results)
-        rec_d = _record(
-            "arc-stabilizer-index-bound",
+        return (
             True,
-            ok,
+            all(passed for _, _, passed in results),
             "; ".join(f"s={s}: {v} violations" for s, v, _ in results),
         )
-        break
-    records.append(rec_d)
+    return False, None, "no normal subgroup with local orbits of size <= 2"
 
-    # (e) subgroups fixing two classes pointwise fix adjacent classes
-    # pointwise, for M = P as in (c), on twin-free graphs
-    rec_e = _record(
-        "two-fixed-classes-propagation", False, None, "no buddy structure available"
-    )
-    for p_sub, partition in quotients:
+
+def _two_fixed_classes_propagation(r: _ReportInputs):
+    for p_sub, partition in r.quotients:
         if not _is_2_group(p_sub):
             continue
         try:
-            c4_buddy_structure(g, partition)
+            bs = c4_buddy_structure(r.g, partition)
         except PreconditionError:
             continue
-        rec_e = _check_claim(g, p_sub, partition)
+        result = _check_claim(p_sub, bs)
         # a claim with nothing to test stays reported as such
-        twins = _twin_classes(g) if rec_e.applicable else []
+        twins = _twin_classes(r.g) if result[0] else []
         if twins:
-            rec_e = _record(
-                "two-fixed-classes-propagation",
+            return (
                 False,
                 None,
                 f"graph has twins: vertices {twins[0]} share a neighbourhood "
                 f"({len(twins)} twin classes)",
             )
-        break
-    records.append(rec_e)
+        return result
+    return False, None, "no buddy structure available"
 
-    # (f) no intra-class edges for normal-subgroup orbit partitions
-    rec_f = _record("no-intra-class-edges", False, None, "no normal subgroup with >= 3 orbits")
-    if quotients:
-        nsub, partition = quotients[0]
-        rec_f = _record(
-            "no-intra-class-edges",
-            True,
-            not has_intra_class_edges(g, partition),
-            f"orbit partition of normal subgroup of order {nsub.order()}",
-        )
-    records.append(rec_f)
 
+def _no_intra_class_edges(r: _ReportInputs):
+    if not r.quotients:
+        return False, None, "no normal subgroup with >= 3 orbits"
+    nsub, partition = r.quotients[0]
+    return (
+        True,
+        not has_intra_class_edges(r.g, partition),
+        f"orbit partition of normal subgroup of order {nsub.order()}",
+    )
+
+
+# The report's checks, in report order. Each returns (applicable, passed,
+# detail), and is inapplicable, with a note, when nothing meets its
+# hypothesis. The normal quotients are the minimal normal subgroups N with
+# at least three orbits, with their orbit partitions (the list quotient-lift
+# and buddy-swap read); a check that reads them is inapplicable when
+# |G| > NORMAL_BOUND, as is any check a bound stops. Hypothesis: claim.
+# (a) G has orbits of one size: every prime dividing |G_v| divides the order
+#     of the action of G_v on the neighbours of v.
+# (b) the first normal quotient of odd prime valency on which N_v has orbits
+#     of size 2 on the neighbours of v: K_v is a 2-group, K the kernel of G
+#     on the classes.
+# (c) the first normal quotient whose N is a 2-group with no semiregular
+#     element, and M = N (N is elementary abelian, so central in itself, and
+#     the only minimal normal subgroup inside it): |M| <= |M_v| * classes.
+# (d) the first subgroup M, among all minimal normal subgroups and then the
+#     kernels K of (b), whose M_v has orbits of size at most 2 on the
+#     neighbours of v: |M_{v0}| / |M_alpha| <= 2^s on ``ARC_SAMPLES`` s-arcs
+#     alpha per s = 1, 2, 3, sampled under the report's seed.
+# (e) the first normal quotient whose N is a 2-group and whose classes carry
+#     a C4 buddy structure, on a twin-free graph (swapping two vertices with
+#     one neighbourhood fixes every other vertex, a case the paper settles
+#     by the buddy swap), and M = N as in (c): a subgroup of M fixing two
+#     classes pointwise fixes each class adjacent to both.
+# (f) the first normal quotient: no edge joins two vertices of one class.
+_CHECKS = (
+    ("local-action-prime-divisibility", _local_action_prime_divisibility),
+    ("kernel-fixing-classes-is-2-group", _kernel_fixing_classes),
+    ("conjugate-cover-counting-bound", _conjugate_cover_counting),
+    ("arc-stabilizer-index-bound", _arc_stabilizer_index),
+    ("two-fixed-classes-propagation", _two_fixed_classes_propagation),
+    ("no-intra-class-edges", _no_intra_class_edges),
+)
+
+
+def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofReport:
+    """Run the structural checks of ``_CHECKS`` on one instance, in order.
+
+    A check whose hypothesis cannot be established within bounds is marked
+    inapplicable, with the bound as its note, rather than failed.
+    """
+    check_automorphisms(g, grp)
+    inputs = _ReportInputs(g, grp, seed)
+    records = []
+    for name, check in _CHECKS:
+        try:
+            applicable, passed, detail = check(inputs)
+        except BoundExceededError as exc:
+            applicable, passed, detail = False, None, str(exc)
+        records.append(CheckRecord(name, applicable, passed, detail))
     return ProofReport(records=tuple(records))
 
 
@@ -727,10 +721,11 @@ def _twin_classes(g: Graph) -> list[list[int]]:
     return [c for c in by_neighbourhood.values() if len(c) > 1]
 
 
-def _check_claim(g: Graph, m_sub: PermGroup, partition) -> CheckRecord:
-    classes, _ = partition_index(partition, g.n)
-    qgraph = quotient_graph(g, partition)
-    adjacency = [set(qgraph.neighbors(c).tolist()) for c in range(qgraph.n)]
+def _check_claim(m_sub: PermGroup, bs: BuddyStructure):
+    """Check (e) on the classes of ``bs``, reading class adjacency off its
+    buddy map: the classes adjacent to a vertex's class are its keys."""
+    classes = bs.partition
+    adjacency = [set(bs.buddy_map[cls[0]]) for cls in classes]
     checked = 0
     for ca in range(len(classes)):
         for cb in range(ca + 1, len(classes)):
@@ -741,26 +736,11 @@ def _check_claim(g: Graph, m_sub: PermGroup, partition) -> CheckRecord:
                 checked += 1
                 for gen in x_sub.generators:
                     if any(gen(int(v)) != int(v) for v in classes[cc]):
-                        return _record(
-                            "two-fixed-classes-propagation",
-                            True,
-                            False,
-                            f"X fixing classes {ca},{cb} moves adjacent class {cc}",
-                        )
+                        return True, False, f"X fixing classes {ca},{cb} moves adjacent class {cc}"
             if checked >= 50:
                 break
         if checked >= 50:
             break
     if checked == 0:
-        return _record(
-            "two-fixed-classes-propagation",
-            False,
-            None,
-            "no nontrivial two-class pointwise stabilizers",
-        )
-    return _record(
-        "two-fixed-classes-propagation",
-        True,
-        True,
-        f"{checked} class triples checked",
-    )
+        return False, None, "no nontrivial two-class pointwise stabilizers"
+    return True, True, f"{checked} class triples checked"

@@ -147,23 +147,22 @@ def _encode_size(n: int) -> bytes:
 
 
 def _decode_size(data: bytes, pos: int) -> tuple[int, int]:
+    """The vertex count in the size header at ``pos``, and the position after
+    it: one byte, or 126 then 3 bytes, or 126 126 then 6 bytes."""
     if pos >= len(data):
         raise ParseError(f"byte {pos}: truncated size header")
     if data[pos] != 126:
-        return data[pos] - 63, pos + 1
-    if pos + 1 < len(data) and data[pos + 1] == 126:
-        if pos + 8 > len(data):
-            raise ParseError(f"byte {pos}: truncated 8-byte size header")
-        n = 0
-        for k in range(2, 8):
-            n = (n << 6) | (data[pos + k] - 63)
-        return n, pos + 8
-    if pos + 4 > len(data):
-        raise ParseError(f"byte {pos}: truncated 4-byte size header")
+        skip, width = 0, 1
+    elif data[pos + 1 : pos + 2] == b"~":
+        skip, width = 2, 8
+    else:
+        skip, width = 1, 4
+    if pos + width > len(data):
+        raise ParseError(f"byte {pos}: truncated {width}-byte size header")
     n = 0
-    for k in range(1, 4):
-        n = (n << 6) | (data[pos + k] - 63)
-    return n, pos + 4
+    for c in _check_payload(data[: pos + width], pos)[skip:]:
+        n = (n << 6) | int(c)
+    return n, pos + width
 
 
 def _check_payload(data: bytes, start: int) -> np.ndarray:
@@ -218,7 +217,7 @@ def read_graph6(data: bytes) -> Graph:
         raise ParseError(
             f"byte {len(data)}: truncated payload, need {need} bytes after header"
         )
-    if n < 2:  # no edges; a size byte below 63 reads as a negative n
+    if n < 2:  # no edges
         return Graph(max(n, 1), ())
     idx = np.flatnonzero(_payload_bits(values[:need])[: n * (n - 1) // 2])
     starts = _column_starts(n)
@@ -289,7 +288,11 @@ def read_sparse6(data: bytes) -> Graph:
     stop = np.flatnonzero((x >= n) | (w >= n))
     end = int(stop[0]) if stop.size else count
     edge = x[:end] <= w[:end]
-    return Graph(max(n, 1), np.column_stack((x[:end][edge], w[:end][edge])))
+    x, w = x[:end][edge], w[:end][edge]
+    loops = np.flatnonzero(x == w)
+    if loops.size:
+        raise ParseError(f"loop at vertex {int(x[loops[0]])}")
+    return Graph(max(n, 1), np.column_stack((x, w)))
 
 
 def read_graph_auto(data: bytes) -> Graph:

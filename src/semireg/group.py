@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -561,12 +562,12 @@ class ActionBundle:
     """Induced action of a group on an invariant partition, with kernel.
 
     ``image_group`` acts on class indices (faithfully, by construction);
-    ``kernel`` is the subgroup of the source fixing every class setwise, and
-    |source| = |image| * |kernel| is verified at build time.
+    ``kernel`` is the subgroup of the source fixing every class setwise,
+    built the first time it is read. ``kernel_order`` is |source| / |image|,
+    read off the two chains the bundle is built from.
     """
 
     image_group: PermGroup
-    kernel: PermGroup
     class_labels: tuple[tuple[int, ...], ...]
     _class_index: np.ndarray = field(compare=False)
     _combined: StabilizerChain = field(compare=False)
@@ -577,8 +578,24 @@ class ActionBundle:
         return (
             f"ActionBundle(classes={len(self.class_labels)}, "
             f"image_order={self.image_group.order()}, "
-            f"kernel_order={self.kernel.order()})"
+            f"kernel_order={self.kernel_order})"
         )
+
+    @cached_property
+    def kernel(self) -> PermGroup:
+        # the strong generators of the combined chain that fix the image
+        # base prefix are exactly the kernel
+        n = self._source_degree
+        gens = [
+            Permutation._wrap(arr[:n].copy())
+            for arr in self._combined.stabilizer_generators(self._prefix_len)
+        ]
+        return PermGroup(gens, n)
+
+    @property
+    def kernel_order(self) -> int:
+        # the combined action is faithful, so its chain has the source's order
+        return self._combined.order // self.image_group.order()
 
     def image_of(self, p: Permutation) -> Permutation:
         """Apply the action homomorphism to an element of the source."""
@@ -616,11 +633,11 @@ class ActionBundle:
 
 
 def action_on_partition(g: PermGroup, partition) -> ActionBundle:
-    """Action of ``g`` on a g-invariant partition, with kernel generators.
+    """Action of ``g`` on a g-invariant partition.
 
-    The kernel is extracted from a stabilizer chain of the combined action on
-    points + classes whose base starts with a base of the induced image: the
-    strong generators fixing that prefix are exactly the kernel.
+    Builds two chains: the induced image's, and one of the combined action
+    on points + classes whose base starts with the image's base, from which
+    the kernel is read when it is first asked for.
     """
     n = g.degree
     classes, index = partition_index(partition, n)
@@ -636,25 +653,12 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
     combined = StabilizerChain(
         combined_gens, n + len(classes), base_prefix=[n + b for b in image_base]
     )
-    prefix_len = len(image_base)
-    kernel_gens = [
-        Permutation._wrap(arr[:n].copy())
-        for arr in combined.stabilizer_generators(prefix_len)
-    ]
-    kernel = PermGroup(kernel_gens, n)
-
-    if combined.order != g.order():
-        raise RuntimeError("combined chain order mismatch (internal error)")
-    if image_group.order() * kernel.order() != g.order():
-        raise RuntimeError("|G| != |image| * |kernel| (internal error)")
-
     return ActionBundle(
         image_group=image_group,
-        kernel=kernel,
         class_labels=tuple(classes),
         _class_index=index,
         _combined=combined,
-        _prefix_len=prefix_len,
+        _prefix_len=len(image_base),
         _source_degree=n,
     )
 
@@ -931,7 +935,7 @@ def lift_semiregular(
         raise PreconditionError("image element is not semiregular")
     if not bundle.image_group.contains(image_element):
         raise PreconditionError("image element is not in the image group")
-    k_order = bundle.kernel.order()
+    k_order = bundle.kernel_order
     if math.gcd(r, k_order) != 1:
         raise PreconditionError(f"r={r} is not coprime to |kernel|={k_order}")
 

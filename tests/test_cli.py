@@ -270,6 +270,10 @@ def test_exit_codes(tmp_path, capsys, c6_files):
         ('{"primes": ["2"]}', 2),
         ('{"max_vertices": "many"}', 2),
         ('{"seed": 7}', 2),
+        ('{"primes": [0]}', 2),
+        ('{"primes": [-1]}', 2),
+        ('{"primes": [1]}', 2),
+        ('{"primes": [3, 4]}', 2),
     ]:
         config.write_text(text)
         assert main(corpus) == code, text
@@ -284,6 +288,16 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     assert main(["find", "--graph", str(graph_path), "--group", str(binary)]) == 3
     verify = ["verify", "--graph", str(graph_path), "--group", str(group_path)]
     assert main(verify + ["--certificate", str(binary)]) == 3
+    # a sparse6 loop (networkx's triangle with a loop at vertex 1) and a
+    # size byte below 63
+    c3 = tmp_path / "c3.gens"
+    c3.write_text("n=3\n(1,2,3)\n")
+    loop = tmp_path / "loop.s6"
+    loop.write_bytes(b":B``\n")
+    assert main(["find", "--graph", str(loop), "--group", str(c3)]) == 3
+    short = tmp_path / "short.g6"
+    short.write_bytes(b">?\n")
+    assert main(["triangle", "--graph", str(short)]) == 3
     # precondition error: group degree mismatch
     small = tmp_path / "small.gens"
     small.write_text("n=3\n(1,2,3)\n")

@@ -294,6 +294,43 @@ def test_arc_stabilizer_bound_on_px():
     assert all(passed for _, _, passed in results)
 
 
+def _sympy_arc_violations(g, m_sub, s, samples, seed):
+    """Violations of |M_{v0}| / |M_alpha| <= 2^s on the s-arcs the check
+    samples, with the stabilizers taken by sympy."""
+    from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
+
+    from semireg.graphs import s_arcs
+
+    sym = PermutationGroup([SymPerm([int(x) for x in a.images]) for a in m_sub.generators])
+    violations = 0
+    for arc in s_arcs(g, s, sample=samples, seed=seed + s):
+        stab = sym.stabilizer(arc[0])
+        m_v0 = stab.order()
+        for v in arc[1:]:
+            stab = stab.stabilizer(v)
+        violations += m_v0 // stab.order() > 2**s
+    return violations
+
+
+@pytest.mark.parametrize("instance", ["k5-s5", "px-2-5-1"])
+def test_arc_stabilizer_index_matches_sympy(instance):
+    from semireg.families import symmetric_group
+
+    if instance == "k5-s5":
+        # M_{v0} = S4 moves v1 over 4 points, so every 1-arc has index 4 > 2
+        g, m_sub = complete_graph(5), symmetric_group(5)
+    else:
+        g, m_sub = praeger_xu(2, 5, 1)[0], px_fiber_translations(2, 5, 1)
+    results = arc_stabilizer_bound_check(g, m_sub, s_values=(1, 2, 3), samples=30, seed=4)
+    expected = [_sympy_arc_violations(g, m_sub, s, 30, 4) for s in (1, 2, 3)]
+    assert [v for _, v, _ in results] == expected
+    if instance == "k5-s5":
+        assert expected[0] == 20  # all 5 * 4 arcs, each a violation
+        assert not any(passed for _, _, passed in results)
+    else:
+        assert expected == [0, 0, 0]
+
+
 def test_proof_report_px241():
     g, _ = praeger_xu(2, 4, 1)
     grp = praeger_xu_group(2, 4, 1)

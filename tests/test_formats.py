@@ -139,28 +139,45 @@ def test_graph6_truncation_errors():
         read_graph6(bytes([30, 40]))
     with pytest.raises(ParseError):
         read_graph6(b"")
+    # a size byte outside 63..126 once read as a negative vertex count
+    for data in (b">?", b":>", b"~?>??", b":~~???>???"):
+        with pytest.raises(ParseError, match="outside graph6 range"):
+            read_graph_auto(data)
 
 
 def test_parser_fuzzing_no_crashes():
-    # structured errors only, no unhandled exceptions, 10^4 trials
+    # structured errors only, no unhandled exceptions: 10^4 random blobs,
+    # then 5,000 near-valid ones (a size byte, 58..62 included, then graph6
+    # characters), on which loops and bad size bytes are common. A graph
+    # reader may raise ParseError alone, since the CLI shows any other
+    # ValueError as a traceback. The near-valid size byte stays below 126:
+    # a long size header can ask for a graph of billions of vertices.
     rng = random.Random(123)
-    crashes = 0
-    for _ in range(10_000):
-        blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 30)))
+    crashes = []
+
+    def read_all(blob):
         for reader in (read_graph6, read_sparse6, read_graph_auto):
             try:
                 reader(blob)
-            except (ParseError, ValueError):
+            except ParseError:
                 pass
-            except Exception:
-                crashes += 1
+            except Exception as exc:
+                crashes.append((blob, reader.__name__, exc))
+
+    for _ in range(10_000):
+        blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 30)))
+        read_all(blob)
         try:
             parse_generators(blob.decode("latin1"))
         except (ParseError, ValueError):
             pass
-        except Exception:
-            crashes += 1
-    assert crashes == 0
+        except Exception as exc:
+            crashes.append((blob, "parse_generators", exc))
+    near = random.Random(77)
+    for _ in range(5000):
+        blob = near.choice([b"", b":"]) + bytes([near.randrange(58, 126)])
+        read_all(blob + bytes(near.randrange(58, 127) for _ in range(near.randrange(0, 12))))
+    assert crashes == []
 
 
 def test_certificate_document_round_trip(d6):
@@ -361,9 +378,12 @@ def test_sparse6_reader_matches_record_by_record_decoding():
         n = rng.choice([1, 2, 3, 4, 5, 8, 16, 17, 33, 64, 100])
         payload = bytes(rng.randrange(63, 127) for _ in range(rng.randrange(0, 12)))
         edges = sparse6_edges_t(n, payload)
-        data = b":" + bytes([n + 63]) + payload
-        if any(u == w for u, w in edges):
-            with pytest.raises(ValueError, match="loop at vertex"):
+        # one size byte up to n = 62, else 126 and three 6-bit digits
+        size = [n + 63] if n <= 62 else [126, 63, (n >> 6) + 63, (n & 63) + 63]
+        data = b":" + bytes(size) + payload
+        loops = [u for u, w in edges if u == w]
+        if loops:
+            with pytest.raises(ParseError, match=f"loop at vertex {loops[0]}$"):
                 read_sparse6(data)
             continue
         assert sorted(read_sparse6(data).edges()) == sorted(_edge_set(edges))

@@ -127,6 +127,41 @@ def test_action_on_partition_c6(c6_regular):
     assert bundle.kernel.order() == 2
 
 
+def test_action_on_partition_builds_two_chains_and_the_kernel_on_demand(monkeypatch):
+    built = []
+    real_init = StabilizerChain.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counted)
+    d6 = PermGroup(
+        [Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)]), Permutation.from_cycles(6, [(1, 5), (2, 4)])]
+    )
+    bundle = action_on_partition(d6, [[0, 3], [1, 4], [2, 5]])
+    # the image's chain and the combined one; |K| needs no third
+    assert len(built) == 2
+    assert bundle.kernel_order == 2
+    assert len(built) == 2
+    kernel = bundle.kernel
+    assert bundle.kernel is kernel
+    assert kernel.order() == 2 and len(built) == 3
+
+
+def test_kernel_and_image_orders_multiply_to_the_group_order(corpus):
+    from semireg.engine import _normal_quotients
+
+    count = 0
+    for inst in corpus:
+        for _, partition in _normal_quotients(inst.group, []):
+            bundle = action_on_partition(inst.group, partition)
+            assert bundle.kernel.order() * bundle.image_group.order() == inst.group.order()
+            assert bundle.kernel_order == bundle.kernel.order(), inst.id
+            count += 1
+    assert count > 50
+
+
 def test_action_on_partition_rejects_bad_partition(s4):
     with pytest.raises(PreconditionError):
         action_on_partition(s4, [[0, 1], [2, 3]])  # not invariant under the 4-cycle
