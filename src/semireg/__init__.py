@@ -37,7 +37,6 @@ from .graphs import (
     left_mult_automorphism,
     local_graph,
     quotient_graph,
-    s_arcs,
     standard_double_cover,
 )
 from .engine import (

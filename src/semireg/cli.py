@@ -44,6 +44,13 @@ from .formats import (
     read_graph_auto,
     write_graph6,
 )
+from .graphs import (
+    coset_graph,
+    density_closure,
+    has_triangle,
+    quotient_graph,
+    standard_double_cover,
+)
 from .group import (
     DEFAULT_BOUND,
     BoundExceededError,
@@ -160,8 +167,6 @@ def _cmd_construct(args) -> int:
             raise PreconditionError(
                 "--family coset needs --group, --subgroup and --element"
             )
-        from .graphs import coset_graph
-
         big = _load_group(args.group)
         sub = _load_group(args.subgroup)
         elem = parse_permutation(args.element, big.degree)
@@ -188,8 +193,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    from .graphs import quotient_graph
-
     graph = _load_graph(args.graph)
     nsub = _load_group(args.partition_from_group)
     if nsub.degree != graph.n:
@@ -200,16 +203,12 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    from .graphs import standard_double_cover
-
     graph = _load_graph(args.graph)
     sys.stdout.buffer.write(write_graph6(standard_double_cover(graph)) + b"\n")
     return EXIT_OK
 
 
 def _cmd_dense(args) -> int:
-    from .graphs import density_closure
-
     graph = _load_graph(args.graph)
     try:
         seed_set = [int(tok) for tok in args.seed_set.replace(",", " ").split()]
@@ -222,8 +221,6 @@ def _cmd_dense(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    from .graphs import has_triangle
-
     graph = _load_graph(args.graph)
     witness = has_triangle(graph)
     if witness is None:
@@ -340,7 +337,7 @@ def _cmd_corpus(args) -> int:
 def _cmd_report(args) -> int:
     graph = _load_graph(args.graph)
     group = _load_group(args.group)
-    report = proof_invariant_report(graph, group, seed=args.seed)
+    report = proof_invariant_report(graph, group)
     sys.stdout.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -408,10 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND)
     p.set_defaults(func=_cmd_corpus)
 
-    p = sub.add_parser("report", help="structural diagnostics for an instance")
+    p = sub.add_parser("report", help="the proof's structural checks on an instance")
     p.add_argument("--graph", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -26,7 +26,6 @@ hypothesis is stated once, beside that table.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -37,7 +36,6 @@ from .graphs import (
     check_automorphisms,
     has_intra_class_edges,
     quotient_graph,
-    s_arcs,
 )
 from .group import (
     DEFAULT_BOUND,
@@ -69,8 +67,6 @@ ALL_ROUTES = (ROUTE_DIRECT, ROUTE_PRIME_POWER, ROUTE_QUOTIENT_LIFT, ROUTE_BUDDY_
 NORMAL_BOUND = 20_000
 # random elements direct-search draws when the group is too large to enumerate
 SAMPLE_COUNT = 3000
-# s-arcs sampled per s by the arc-stabilizer check of proof_invariant_report
-ARC_SAMPLES = 50
 
 
 class InconclusiveError(RuntimeError):
@@ -501,31 +497,44 @@ def buddy_swap_automorphism(g: Graph, bs: BuddyStructure) -> Permutation:
 # -- proof diagnostics --------------------------------------------------------
 
 
-def arc_stabilizer_bound_check(
-    g: Graph,
-    m_sub: PermGroup,
-    *,
-    s_values=(1, 2, 3, 4),
-    samples: int = 100,
-    seed: int = 0,
-) -> list[tuple[int, int, bool]]:
-    """For sampled s-arcs, check |M_{v0}| / |M_alpha| <= 2^s.
+def _arc_orbits(g: Graph, m_sub: PermGroup, s: int) -> list[list[int]]:
+    """The orbits of M_0 = ``m_sub.point_stabilizer(0)`` on the s-arcs
+    (0, v1, ..., vs) of g, each arc given by its place in lexicographic order.
 
-    Returns (s, violations, passed) triples. M_alpha is the pointwise
-    stabilizer of the arc's vertices. In a chain of M based at the arc
-    (v0, ..., vs), level i holds the orbit of vi under the stabilizer of
-    v0..v(i-1), so the index |M_{v0}| / |M_alpha| is exactly the product of
-    the orbit sizes of levels 1..s.
+    An s-arc is a walk whose consecutive vertices are adjacent and that
+    never steps straight back. M_0 fixes 0, so it permutes these arcs.
+    """
+    arcs = [(0,)]
+    for _ in range(s):
+        arcs = [
+            a + (int(w),)
+            for a in arcs
+            for w in g.neighbors(a[-1])
+            if len(a) < 2 or w != a[-2]
+        ]
+    if not arcs:
+        return []
+    index = {a: i for i, a in enumerate(arcs)}
+    images = m_sub.point_stabilizer(0).gen_arrays()[:, arcs]
+    rows = [[index[tuple(arc)] for arc in img] for img in images.tolist()]
+    return PermGroup(rows, len(arcs)).orbit_partition()
+
+
+def arc_stabilizer_bound_check(
+    g: Graph, m_sub: PermGroup, *, s_values=(1, 2, 3, 4)
+) -> list[tuple[int, int, bool]]:
+    """For every s-arc alpha from vertex 0, check |M_{v0} : M_alpha| <= 2^s.
+
+    Returns (s, violations, passed) triples, counting the arcs from vertex 0
+    that break the bound. M_alpha, the pointwise stabilizer of the arc's
+    vertices, is the stabilizer of alpha in M_{v0}, so the index is the size
+    of alpha's orbit under M_{v0}. When M is normal in a vertex-transitive
+    group G, each s-arc of g is the G-image of an arc from vertex 0 with the
+    same index, so these arcs settle the bound for every s-arc.
     """
     out = []
     for s in s_values:
-        violations = 0
-        arcs = s_arcs(g, s, sample=samples, seed=seed + s)
-        for arc in arcs:
-            levels = m_sub.chain_with_base(arc).levels
-            index = math.prod(len(lv.transversal) for lv in levels[1 : s + 1])
-            if index > 2**s:
-                violations += 1
+        violations = sum(len(o) for o in _arc_orbits(g, m_sub, s) if len(o) > 2**s)
         out.append((s, violations, violations == 0))
     return out
 
@@ -543,8 +552,8 @@ class _ReportInputs:
     """What the report checks read, each part built at most once per report:
     the normal quotients, and the action on each quotient's partition."""
 
-    def __init__(self, g: Graph, grp: PermGroup, seed: int):
-        self.g, self.grp, self.seed = g, grp, seed
+    def __init__(self, g: Graph, grp: PermGroup):
+        self.g, self.grp = g, grp
         self._bundles: dict[int, ActionBundle] = {}
 
     @cached_property
@@ -610,15 +619,20 @@ def _conjugate_cover_counting(r: _ReportInputs):
 
 
 def _arc_stabilizer_index(r: _ReportInputs):
+    if not r.grp.is_transitive():
+        return (
+            False,
+            None,
+            "G is not vertex-transitive: the s-arcs from vertex 0 need not "
+            "stand for all s-arcs",
+        )
     # each kernel is built only when the loop reaches it
     kernels = (r.bundle(i).kernel for i in range(len(r.quotients)))
     for m_sub in itertools.chain(minimal_normal_subgroups(r.grp, NORMAL_BOUND), kernels):
         sizes = _neighbour_orbit_sizes(r.g, m_sub, 0)
         if sizes is None or not sizes <= {1, 2}:
             continue
-        results = arc_stabilizer_bound_check(
-            r.g, m_sub, s_values=(1, 2, 3), samples=ARC_SAMPLES, seed=r.seed
-        )
+        results = arc_stabilizer_bound_check(r.g, m_sub, s_values=(1, 2, 3))
         return (
             True,
             all(passed for _, _, passed in results),
@@ -674,10 +688,11 @@ def _no_intra_class_edges(r: _ReportInputs):
 # (c) the first normal quotient whose N is a 2-group with no semiregular
 #     element, and M = N (N is elementary abelian, so central in itself, and
 #     the only minimal normal subgroup inside it): |M| <= |M_v| * classes.
-# (d) the first subgroup M, among all minimal normal subgroups and then the
-#     kernels K of (b), whose M_v has orbits of size at most 2 on the
-#     neighbours of v: |M_{v0}| / |M_alpha| <= 2^s on ``ARC_SAMPLES`` s-arcs
-#     alpha per s = 1, 2, 3, sampled under the report's seed.
+# (d) G vertex-transitive, and the first subgroup M, among all minimal
+#     normal subgroups and then the kernels K of (b), whose M_v has orbits of
+#     size at most 2 on the neighbours of v: |M_{v0} : M_alpha| <= 2^s for
+#     every s-arc alpha, s = 1, 2, 3. M is normal in G, so the s-arcs from
+#     vertex 0 stand for all of them, and the index is an orbit size of M_0.
 # (e) the first normal quotient whose N is a 2-group and whose classes carry
 #     a C4 buddy structure, on a twin-free graph (swapping two vertices with
 #     one neighbourhood fixes every other vertex, a case the paper settles
@@ -694,14 +709,14 @@ _CHECKS = (
 )
 
 
-def proof_invariant_report(g: Graph, grp: PermGroup, *, seed: int = 0) -> ProofReport:
+def proof_invariant_report(g: Graph, grp: PermGroup) -> ProofReport:
     """Run the structural checks of ``_CHECKS`` on one instance, in order.
 
     A check whose hypothesis cannot be established within bounds is marked
     inapplicable, with the bound as its note, rather than failed.
     """
     check_automorphisms(g, grp)
-    inputs = _ReportInputs(g, grp, seed)
+    inputs = _ReportInputs(g, grp)
     records = []
     for name, check in _CHECKS:
         try:

@@ -130,25 +130,28 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 # -- graph6 / sparse6 ---------------------------------------------------------
 
 
+# largest vertex count read or written, the largest the 4-byte size header
+# holds; the 8-byte header can claim 2^36 - 1 vertices in a few bytes, and a
+# sparse6 reader builds the graph before the payload says how many it uses
+MAX_VERTICES = 258047
+
+
 def _encode_size(n: int) -> bytes:
     if n < 0:
         raise ValueError("negative size")
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
+    if n <= MAX_VERTICES:
         return bytes(
             [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
         )
-    if n <= 68719476735:
-        return bytes([126, 126]) + bytes(
-            [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)]
-        )
-    raise ValueError("graph too large for graph6/sparse6")
+    raise ValueError(f"{n} vertices is above the graph6/sparse6 limit {MAX_VERTICES}")
 
 
 def _decode_size(data: bytes, pos: int) -> tuple[int, int]:
     """The vertex count in the size header at ``pos``, and the position after
-    it: one byte, or 126 then 3 bytes, or 126 126 then 6 bytes."""
+    it: one byte, or 126 then 3 bytes, or 126 126 then 6 bytes. The count
+    must lie in 1..``MAX_VERTICES``."""
     if pos >= len(data):
         raise ParseError(f"byte {pos}: truncated size header")
     if data[pos] != 126:
@@ -162,6 +165,10 @@ def _decode_size(data: bytes, pos: int) -> tuple[int, int]:
     n = 0
     for c in _check_payload(data[: pos + width], pos)[skip:]:
         n = (n << 6) | int(c)
+    if not 1 <= n <= MAX_VERTICES:
+        raise ParseError(
+            f"byte {pos}: size header gives {n} vertices, outside 1..{MAX_VERTICES}"
+        )
     return n, pos + width
 
 
@@ -217,8 +224,8 @@ def read_graph6(data: bytes) -> Graph:
         raise ParseError(
             f"byte {len(data)}: truncated payload, need {need} bytes after header"
         )
-    if n < 2:  # no edges
-        return Graph(max(n, 1), ())
+    if n == 1:  # no edges
+        return Graph(1, ())
     idx = np.flatnonzero(_payload_bits(values[:need])[: n * (n - 1) // 2])
     starts = _column_starts(n)
     j = np.searchsorted(starts, idx, side="right") - 1
@@ -292,7 +299,7 @@ def read_sparse6(data: bytes) -> Graph:
     loops = np.flatnonzero(x == w)
     if loops.size:
         raise ParseError(f"loop at vertex {int(x[loops[0]])}")
-    return Graph(max(n, 1), np.column_stack((x, w)))
+    return Graph(n, np.column_stack((x, w)))
 
 
 def read_graph_auto(data: bytes) -> Graph:

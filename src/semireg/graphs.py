@@ -2,8 +2,9 @@
 
 Graphs are immutable CSR adjacency structures. The constructions here are
 coset graphs with their right-multiplication actions, quotients by vertex
-partitions, standard double covers, local graphs, triangle search, density
-closure and s-arc sampling.
+partitions, standard double covers, local graphs, triangle search and
+density closure; the arc checks test that a group acts by automorphisms and
+transitively on arcs.
 """
 
 from __future__ import annotations
@@ -444,7 +445,7 @@ def left_mult_automorphism(bundle: CosetGraphBundle, x: Permutation) -> Permutat
     return perm
 
 
-# -- arc machinery ----------------------------------------------------------
+# -- arc checks ------------------------------------------------------------
 
 
 def check_automorphisms(g: Graph, grp: PermGroup) -> None:
@@ -468,86 +469,3 @@ def is_arc_transitive(g: Graph, grp: PermGroup) -> bool:
         g.indptr, g.indices, g.arc_sources(), grp.gen_arrays(), 0
     )
     return int(size) == int(g.indices.size)
-
-
-def _arc_extension_counts(g: Graph, s: int) -> list[np.ndarray]:
-    """counts[t][e] = number of ways to extend directed edge e by t steps."""
-    ne = g.indices.size
-    sources = g.arc_sources()
-    counts = [np.ones(ne, dtype=np.float64)]
-    # float64 is exact here: desk-scale extension counts stay far below 2^53
-    for _ in range(s - 1):
-        prev = counts[-1]
-        nxt = np.zeros(ne, dtype=np.float64)
-        for e in range(ne):
-            u = int(sources[e])
-            v = int(g.indices[e])
-            total = 0.0
-            for f in range(int(g.indptr[v]), int(g.indptr[v + 1])):
-                if int(g.indices[f]) != u:
-                    total += prev[f]
-            nxt[e] = total
-        counts.append(nxt)
-    return counts
-
-
-def s_arcs(g: Graph, s: int, sample: int = 100, seed: int = 0) -> list[tuple[int, ...]]:
-    """s-arcs of g: exhaustive if at most ``sample`` exist, else uniform draws.
-
-    An s-arc is a walk (v_0,...,v_s) with consecutive vertices adjacent and
-    no immediate backtracking. Sampling is exactly uniform via extension
-    counts, deterministic under ``seed``.
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    ne = g.indices.size
-    if ne == 0:
-        return []
-    sources = g.arc_sources()
-    counts = _arc_extension_counts(g, s)
-    total = counts[s - 1].sum()
-    out: list[tuple[int, ...]] = []
-    if total <= sample:
-        # exhaustive DFS in lexicographic vertex order
-        def extend(path: list[int]) -> None:
-            if len(path) == s + 1:
-                out.append(tuple(path))
-                return
-            u, v = path[-2], path[-1]
-            for w in g.neighbors(v):
-                if int(w) != u:
-                    extend(path + [int(w)])
-
-        for e in range(ne):
-            extend([int(sources[e]), int(g.indices[e])])
-        return out
-
-    rng = np.random.default_rng(seed)
-    weights = counts[s - 1] / total
-    for _ in range(sample):
-        e = int(rng.choice(ne, p=weights))
-        path = [int(sources[e]), int(g.indices[e])]
-        for t in range(s - 1):
-            remaining = s - 1 - t
-            u, v = path[-2], path[-1]
-            options = []
-            w_opts = []
-            for f in range(int(g.indptr[v]), int(g.indptr[v + 1])):
-                if int(g.indices[f]) != u:
-                    options.append(f)
-                    w_opts.append(counts[remaining - 1][f])
-            w_opts = np.array(w_opts)
-            f = options[int(rng.choice(len(options), p=w_opts / w_opts.sum()))]
-            path.append(int(g.indices[f]))
-        out.append(tuple(path))
-    return out
-
-
-def is_s_arc(g: Graph, seq) -> bool:
-    seq = [int(v) for v in seq]
-    if len(seq) < 2:
-        return False
-    for a, b in zip(seq, seq[1:]):
-        if not g.has_edge(a, b):
-            return False
-    return all(seq[i - 1] != seq[i + 1] for i in range(1, len(seq) - 1))

@@ -183,6 +183,21 @@ def arc_orbit_size_t(arcs: list[tuple[int, int]], gens: list[tuple], arc: tuple)
     return len(orbit)
 
 
+def s_arcs_t(edges: set[frozenset], n: int, s: int, starts=None) -> list[tuple]:
+    """Every s-arc (v0, ..., vs) with v0 in ``starts`` (default: every
+    vertex), by filtering all vertex sequences: consecutive vertices
+    adjacent, and v(i+1) != v(i-1)."""
+    out = []
+    for v0 in range(n) if starts is None else starts:
+        for rest in itertools.product(range(n), repeat=s):
+            arc = (v0,) + rest
+            if all(frozenset(e) in edges for e in zip(arc, rest)) and all(
+                arc[i - 1] != arc[i + 1] for i in range(1, s)
+            ):
+                out.append(arc)
+    return out
+
+
 def adjacency_t(n: int, edges) -> tuple[list[int], list[int]]:
     """CSR (indptr, indices) of a simple graph from vertex pairs, by a set of
     unordered edges and sorted neighbour lists."""

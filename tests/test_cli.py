@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -238,11 +239,12 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     negative_seed = [
         find,
         ["corpus", "--out", str(tmp_path / "corpus")],
-        ["report"] + find[1:],
         ["construct", "--family", "px", "--params", "p=3,r=3", "--out", str(tmp_path)],
     ]
     for cmd in negative_seed:
         assert main(cmd + ["--seed", "-1"]) == 2
+    # the report draws nothing at random, so it takes no seed
+    assert main(["report"] + find[1:] + ["--seed", "0"]) == 2
     for jobs in ("0", "-2"):
         assert main(["corpus", "--out", str(tmp_path / "corpus"), "--jobs", jobs]) == 2
     capsys.readouterr()
@@ -332,6 +334,39 @@ def test_exit_codes(tmp_path, capsys, c6_files):
         ]
     )
     assert code == 5
+
+
+@pytest.mark.parametrize(
+    "header", [b":~~~~~~~~", b":~~??~~~~", b"~~??@???", b"?", b":?"]
+)
+def test_size_headers_outside_the_bound_exit_3(tmp_path, capsys, c6_files, header):
+    # a sparse6 header claiming 2^36 - 1 or 2^24 - 1 vertices once ended in a
+    # MemoryError or a 16,777,215-vertex graph, and n = 0 read as one vertex
+    _, group_path = c6_files
+    graph_path = tmp_path / "header.g6"
+    graph_path.write_bytes(header + b"\n")
+    for command in ("find", "report"):
+        capsys.readouterr()
+        assert main([command, "--graph", str(graph_path), "--group", str(group_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1, err
+
+
+def test_every_option_is_read_by_its_command():
+    # a knob its command stops reading would otherwise be accepted silently
+    import inspect
+
+    from semireg.cli import build_parser
+
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if action.dest != "help" and f"args.{action.dest}" not in source:
+                unread.append(f"{name} {action.option_strings[0]}")
+    assert unread == []
 
 
 def test_cli_determinism(tmp_path, capsys, c6_files):

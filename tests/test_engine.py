@@ -7,7 +7,7 @@ import pytest
 
 from semireg.perm import Permutation
 from semireg.group import PermGroup, PreconditionError
-from semireg.graphs import complete_graph, cycle_graph
+from semireg.graphs import Graph, complete_graph, cycle_graph
 from semireg import engine
 from semireg.engine import (
     ALL_ROUTES,
@@ -28,6 +28,8 @@ from semireg.families import (
     praeger_xu_group,
     px_fiber_translations,
 )
+
+from oracles import s_arcs_t
 
 
 def petersen_instance():
@@ -290,45 +292,90 @@ def test_buddy_symmetry_property():
 def test_arc_stabilizer_bound_on_px():
     g, _ = praeger_xu(2, 5, 1)
     fibers = px_fiber_translations(2, 5, 1)
-    results = arc_stabilizer_bound_check(g, fibers, s_values=(1, 2, 3, 4), samples=60)
+    results = arc_stabilizer_bound_check(g, fibers, s_values=(1, 2, 3, 4))
     assert all(passed for _, _, passed in results)
+    # an isolated vertex 0 starts no arcs, so nothing breaks the bound
+    empty, s3 = Graph(3, ()), PermGroup(
+        [Permutation.from_cycles(3, [(0, 1)]), Permutation.from_cycles(3, [(1, 2)])]
+    )
+    assert arc_stabilizer_bound_check(empty, s3, s_values=(1,)) == [(1, 0, True)]
 
 
-def _sympy_arc_violations(g, m_sub, s, samples, seed):
-    """Violations of |M_{v0}| / |M_alpha| <= 2^s on the s-arcs the check
-    samples, with the stabilizers taken by sympy."""
+def _edge_set(g):
+    return {frozenset(e) for e in g.edges()}
+
+
+def _sympy_arc_indices(g, m_sub, s, starts=None):
+    """|M_{v0} : M_alpha| for each s-arc alpha of ``s_arcs_t``, with
+    the stabilizers taken by sympy."""
     from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 
-    from semireg.graphs import s_arcs
-
     sym = PermutationGroup([SymPerm([int(x) for x in a.images]) for a in m_sub.generators])
-    violations = 0
-    for arc in s_arcs(g, s, sample=samples, seed=seed + s):
-        stab = sym.stabilizer(arc[0])
-        m_v0 = stab.order()
-        for v in arc[1:]:
-            stab = stab.stabilizer(v)
-        violations += m_v0 // stab.order() > 2**s
-    return violations
+    stabilizers = {(): sym}
+
+    def stabilizer(prefix):
+        # the pointwise stabilizer of prefix, one point at a time
+        if prefix not in stabilizers:
+            stabilizers[prefix] = stabilizer(prefix[:-1]).stabilizer(prefix[-1])
+        return stabilizers[prefix]
+
+    return [
+        stabilizer(arc[:1]).order() // stabilizer(arc).order()
+        for arc in s_arcs_t(_edge_set(g), g.n, s, starts)
+    ]
+
+
+def _arc_instance(name):
+    from semireg.families import symmetric_group
+
+    if name == "k5-s5":
+        return complete_graph(5), symmetric_group(5)
+    if name == "px-2-5-1":
+        return praeger_xu(2, 5, 1)[0], px_fiber_translations(2, 5, 1)
+    return praeger_xu(2, 5, 1)[0], praeger_xu_group(2, 5, 1)
 
 
 @pytest.mark.parametrize("instance", ["k5-s5", "px-2-5-1"])
 def test_arc_stabilizer_index_matches_sympy(instance):
-    from semireg.families import symmetric_group
-
-    if instance == "k5-s5":
-        # M_{v0} = S4 moves v1 over 4 points, so every 1-arc has index 4 > 2
-        g, m_sub = complete_graph(5), symmetric_group(5)
-    else:
-        g, m_sub = praeger_xu(2, 5, 1)[0], px_fiber_translations(2, 5, 1)
-    results = arc_stabilizer_bound_check(g, m_sub, s_values=(1, 2, 3), samples=30, seed=4)
-    expected = [_sympy_arc_violations(g, m_sub, s, 30, 4) for s in (1, 2, 3)]
+    g, m_sub = _arc_instance(instance)
+    results = arc_stabilizer_bound_check(g, m_sub, s_values=(1, 2, 3))
+    expected = [
+        sum(index > 2**s for index in _sympy_arc_indices(g, m_sub, s, starts=[0]))
+        for s in (1, 2, 3)
+    ]
     assert [v for _, v, _ in results] == expected
     if instance == "k5-s5":
-        assert expected[0] == 20  # all 5 * 4 arcs, each a violation
+        # M_{v0} = S4 on the other 4 vertices: a 1-arc has index |S4 : S3| = 4,
+        # a 2-arc |S4 : S2| = 12 and a 3-arc 12 or 24, each above 2^s
+        assert expected == [4, 12, 36]
         assert not any(passed for _, _, passed in results)
     else:
         assert expected == [0, 0, 0]
+
+
+@pytest.mark.parametrize("instance", ["k5-s5", "px-2-5-1", "px-2-5-1-group"])
+def test_arcs_from_vertex_0_give_every_arc_index(instance):
+    # M is normal in a vertex-transitive group (S5, or the Praeger-Xu group
+    # of C(2,5,1)), so the indices over every s-arc of the graph are the
+    # orbit sizes of M_0 on the s-arcs from vertex 0
+    g, m_sub = _arc_instance(instance)
+    for s in (1, 2, 3):
+        orbits = engine._arc_orbits(g, m_sub, s)
+        assert sum(map(len, orbits)) == len(s_arcs_t(_edge_set(g), g.n, s, starts=[0]))
+        assert set(map(len, orbits)) == set(_sympy_arc_indices(g, m_sub, s))
+
+
+def test_arc_stabilizer_index_needs_a_vertex_transitive_group():
+    # rotation by 2 on C6 has the two orbits {0, 2, 4} and {1, 3, 5}
+    rot2 = PermGroup([Permutation.from_cycles(6, [(0, 2, 4), (1, 3, 5)])])
+    report = proof_invariant_report(cycle_graph(6), rot2)
+    (rec,) = [r for r in report.records if r.name == "arc-stabilizer-index-bound"]
+    assert (rec.applicable, rec.passed, rec.detail) == (
+        False,
+        None,
+        "G is not vertex-transitive: the s-arcs from vertex 0 need not stand "
+        "for all s-arcs",
+    )
 
 
 def test_proof_report_px241():
@@ -451,7 +498,7 @@ def test_golden_certificates_on_corpus(corpus):
     assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256
 
 
-# every default-corpus proof report at seed 0, in corpus order. Update this
+# every default-corpus proof report, in corpus order. Update this
 # hash only with a change that means to alter reports, and say so in
 # CHANGES.md.
 GOLDEN_REPORTS_SHA256 = (
@@ -463,7 +510,7 @@ def test_golden_reports_on_corpus(corpus):
     assert len(corpus) == 86
     digest = hashlib.sha256()
     for inst in corpus:
-        report = proof_invariant_report(inst.graph, inst.group, seed=0)
+        report = proof_invariant_report(inst.graph, inst.group)
         digest.update(json.dumps([inst.id, report.as_dict()], sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_REPORTS_SHA256
 

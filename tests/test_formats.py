@@ -10,6 +10,8 @@ from semireg.graphs import Graph, complete_graph, cycle_graph
 from semireg.engine import Certificate, verify_certificate
 from semireg.formats import (
     ParseError,
+    _decode_size,
+    _encode_size,
     certificate_schema,
     certificate_to_document,
     document_to_certificate,
@@ -145,13 +147,28 @@ def test_graph6_truncation_errors():
             read_graph_auto(data)
 
 
+def test_size_header_bounds():
+    # the 8-byte form could claim up to 2^36 - 1 vertices, which the sparse6
+    # reader allocated before reading the payload; n = 0 read as one vertex
+    for data in (b":~~~~~~~~", b":~~??~~~~", b"~~??@???", b"~~??????", b"?", b":?"):
+        with pytest.raises(ParseError, match=r"outside 1\.\.258047"):
+            read_graph_auto(data)
+    # the largest count the 4-byte form holds, in either header form
+    big = _encode_size(258047)
+    assert big == b"~}~~" and _decode_size(big, 0) == (258047, 4)
+    assert _decode_size(b"~~???}~~", 0) == (258047, 8)
+    assert read_sparse6(b":" + big).n == 258047
+    assert read_graph6(b"@") == read_sparse6(b":@") == complete_graph(1)
+    with pytest.raises(ValueError, match="above the graph6/sparse6 limit 258047"):
+        _encode_size(258048)
+
+
 def test_parser_fuzzing_no_crashes():
     # structured errors only, no unhandled exceptions: 10^4 random blobs,
-    # then 5,000 near-valid ones (a size byte, 58..62 included, then graph6
-    # characters), on which loops and bad size bytes are common. A graph
-    # reader may raise ParseError alone, since the CLI shows any other
-    # ValueError as a traceback. The near-valid size byte stays below 126:
-    # a long size header can ask for a graph of billions of vertices.
+    # then 5,000 near-valid ones (a size byte in 58..126, then graph6
+    # characters), on which loops, bad size bytes and long size headers are
+    # common. A graph reader may raise ParseError alone, since the CLI shows
+    # any other ValueError as a traceback.
     rng = random.Random(123)
     crashes = []
 
@@ -175,7 +192,7 @@ def test_parser_fuzzing_no_crashes():
             crashes.append((blob, "parse_generators", exc))
     near = random.Random(77)
     for _ in range(5000):
-        blob = near.choice([b"", b":"]) + bytes([near.randrange(58, 126)])
+        blob = near.choice([b"", b":"]) + bytes([near.randrange(58, 127)])
         read_all(blob + bytes(near.randrange(58, 127) for _ in range(near.randrange(0, 12))))
     assert crashes == []
 

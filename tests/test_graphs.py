@@ -16,11 +16,9 @@ from semireg.graphs import (
     has_intra_class_edges,
     has_triangle,
     is_arc_transitive,
-    is_s_arc,
     left_mult_automorphism,
     local_graph,
     quotient_graph,
-    s_arcs,
     standard_double_cover,
 )
 from semireg.families import psl2_action, psl2_coset_instance, symmetric_group
@@ -288,25 +286,6 @@ def test_is_arc_transitive_rejects_non_automorphism():
     bad = PermGroup([Permutation.from_cycles(5, [(0, 1)])])
     with pytest.raises(PreconditionError, match="automorphism"):
         is_arc_transitive(g, bad)
-
-
-def test_s_arcs_counts():
-    arcs = s_arcs(cycle_graph(6), 2, sample=1000)
-    assert len(arcs) == 12
-    assert all(is_s_arc(cycle_graph(6), a) for a in arcs)
-    arcs1 = s_arcs(complete_graph(4), 1, sample=1000)
-    assert len(arcs1) == 12  # n * (n-1)
-    assert all(len(set(a)) == 2 for a in arcs1)
-
-
-def test_s_arcs_sampling_uniform_and_valid():
-    g = petersen()
-    arcs = s_arcs(g, 3, sample=50, seed=7)
-    assert len(arcs) == 50
-    assert all(is_s_arc(g, a) for a in arcs)
-    # deterministic under seed
-    assert arcs == s_arcs(g, 3, sample=50, seed=7)
-    assert arcs != s_arcs(g, 3, sample=50, seed=8)
 
 
 def test_is_automorphism_matches_edge_set_oracle(corpus):
