@@ -33,6 +33,7 @@ from .families import (
     psl2_coset_instance,
 )
 from .formats import (
+    MAX_VERTICES,
     ParseError,
     certificate_to_document,
     document_to_certificate,
@@ -147,6 +148,14 @@ def _cmd_construct(args) -> int:
     if args.family == "px":
         _require(params, args.family, "p", "r")
         p, r, s = params["p"], params["r"], params.get("s", 1)
+        # refuse, before building it, a graph too large for graph6; for
+        # p >= 2 the capped exponent alone already gives more vertices,
+        # since 2 ** MAX_VERTICES.bit_length() > MAX_VERTICES
+        if r * p ** min(s, MAX_VERTICES.bit_length()) > MAX_VERTICES:
+            raise PreconditionError(
+                f"C({p},{r},{s}) has more than {MAX_VERTICES} vertices, "
+                "the graph6 limit"
+            )
         graph, rotation = praeger_xu(p, r, s)
         group = praeger_xu_group(p, r, s)
         name = args.id or f"px-p{p}-r{r}-s{s}"
@@ -252,8 +261,12 @@ def _cmd_verify(args) -> int:
     graph = _load_graph(args.graph)
     group = _load_group(args.group)
     doc = parse_certificate_document(Path(args.certificate).read_text())
-    cert = document_to_certificate(doc)
-    ok, reason = verify_certificate(graph, group, cert)
+    # the element is parsed at the document's degree, so check it first
+    if doc["n"] != graph.n:
+        ok = False
+        reason = f"certificate is for {doc['n']} vertices, the graph has {graph.n}"
+    else:
+        ok, reason = verify_certificate(graph, group, document_to_certificate(doc))
     if ok:
         print("valid")
         return EXIT_OK

@@ -156,11 +156,14 @@ class ProofReport:
 
 def local_action(g: Graph, grp: PermGroup, v: int) -> PermGroup:
     """The permutation group induced on the neighbourhood of v by its
-    stabilizer. Faithfulness is not assumed; the kernel may be nontrivial."""
+    stabilizer, or the trivial group of degree 1 when v has no neighbours.
+    Faithfulness is not assumed; the kernel may be nontrivial."""
     check_automorphisms(g, grp)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     nbrs = g.neighbors(v)
+    if not nbrs.size:
+        return PermGroup([], 1)
     stab = grp.point_stabilizer(v)
     index = {int(w): i for i, w in enumerate(nbrs)}
     gens = []
@@ -169,7 +172,7 @@ def local_action(g: Graph, grp: PermGroup, v: int) -> PermGroup:
         for i, w in enumerate(nbrs):
             img[i] = index[int(gen(int(w)))]
         gens.append(Permutation(img))
-    return PermGroup(gens, max(len(nbrs), 1))
+    return PermGroup(gens, len(nbrs))
 
 
 # -- certificates -------------------------------------------------------------
@@ -421,19 +424,21 @@ def c4_buddy_structure(g: Graph, partition) -> BuddyStructure:
     """Validate the disjoint-4-cycle structure between adjacent classes and
     record each vertex's antipode ("buddy") per adjacent class.
 
-    Preconditions: no edges inside classes; between adjacent classes every
-    vertex has exactly two neighbours on the other side, and those
-    neighbour-pairs match up into disjoint 4-cycles.
+    Preconditions, checked in this order: no edges inside classes; between
+    adjacent classes every vertex has exactly two neighbours on the other
+    side, and those neighbour-pairs match up into disjoint 4-cycles. The
+    partition is validated once, and both the intra-class edges and the
+    adjacent class pairs are read off each vertex's neighbours by class.
+    Each vertex's buddy map lists its adjacent classes in increasing order.
     """
     classes, class_index = partition_index(partition, g.n)
-    if has_intra_class_edges(g, partition):
-        raise PreconditionError("partition has edges inside a class")
-
     nbrs_by_class: list[dict] = [dict() for _ in range(g.n)]
     for v in range(g.n):
         for w in g.neighbors(v):
             c = int(class_index[w])
             nbrs_by_class[v].setdefault(c, []).append(int(w))
+    if any(int(class_index[v]) in nbrs_by_class[v] for v in range(g.n)):
+        raise PreconditionError("partition has edges inside a class")
     for v in range(g.n):
         for c, lst in nbrs_by_class[v].items():
             if len(lst) != 2:
@@ -441,9 +446,11 @@ def c4_buddy_structure(g: Graph, partition) -> BuddyStructure:
                     f"vertex {v} has {len(lst)} neighbours in class {c}, not 2"
                 )
 
-    # group vertices of each class by their 2-neighbour set in the other class
+    # group vertices of each class by their 2-neighbour set in the other
+    # class, one adjacent class pair (ca < cb) at a time in sorted order
+    pairs = {(int(class_index[v]), c) for v in range(g.n) for c in nbrs_by_class[v]}
     buddy_map: list[dict] = [dict() for _ in range(g.n)]
-    for ca, cb in quotient_graph(g, partition).edges():
+    for ca, cb in sorted(p for p in pairs if p[0] < p[1]):
         for side, other in ((ca, cb), (cb, ca)):
             groups: dict = {}
             for v in classes[side]:
@@ -497,12 +504,12 @@ def buddy_swap_automorphism(g: Graph, bs: BuddyStructure) -> Permutation:
 # -- proof diagnostics --------------------------------------------------------
 
 
-def _arc_orbits(g: Graph, m_sub: PermGroup, s: int) -> list[list[int]]:
-    """The orbits of M_0 = ``m_sub.point_stabilizer(0)`` on the s-arcs
+def _arc_orbits(g: Graph, m0: PermGroup, s: int) -> list[list[int]]:
+    """The orbits of ``m0``, a group fixing vertex 0, on the s-arcs
     (0, v1, ..., vs) of g, each arc given by its place in lexicographic order.
 
     An s-arc is a walk whose consecutive vertices are adjacent and that
-    never steps straight back. M_0 fixes 0, so it permutes these arcs.
+    never steps straight back. ``m0`` fixes 0, so it permutes these arcs.
     """
     arcs = [(0,)]
     for _ in range(s):
@@ -515,7 +522,7 @@ def _arc_orbits(g: Graph, m_sub: PermGroup, s: int) -> list[list[int]]:
     if not arcs:
         return []
     index = {a: i for i, a in enumerate(arcs)}
-    images = m_sub.point_stabilizer(0).gen_arrays()[:, arcs]
+    images = m0.gen_arrays()[:, arcs]
     rows = [[index[tuple(arc)] for arc in img] for img in images.tolist()]
     return PermGroup(rows, len(arcs)).orbit_partition()
 
@@ -532,9 +539,10 @@ def arc_stabilizer_bound_check(
     group G, each s-arc of g is the G-image of an arc from vertex 0 with the
     same index, so these arcs settle the bound for every s-arc.
     """
+    m0 = m_sub.point_stabilizer(0)
     out = []
     for s in s_values:
-        violations = sum(len(o) for o in _arc_orbits(g, m_sub, s) if len(o) > 2**s)
+        violations = sum(len(o) for o in _arc_orbits(g, m0, s) if len(o) > 2**s)
         out.append((s, violations, violations == 0))
     return out
 
@@ -738,20 +746,27 @@ def _twin_classes(g: Graph) -> list[list[int]]:
 
 def _check_claim(m_sub: PermGroup, bs: BuddyStructure):
     """Check (e) on the classes of ``bs``, reading class adjacency off its
-    buddy map: the classes adjacent to a vertex's class are its keys."""
+    buddy map: the classes adjacent to a vertex's class are its keys.
+
+    ``m_sub`` is a minimal normal 2-subgroup whose orbits are the classes.
+    It is elementary abelian, and an abelian group transitive on a class
+    fixes the whole class as soon as it fixes one point of it. So the
+    subgroup fixing two classes pointwise is the stabilizer of their first
+    points, and it fixes a class pointwise when it fixes its first point.
+    """
     classes = bs.partition
     adjacency = [set(bs.buddy_map[cls[0]]) for cls in classes]
     checked = 0
     for ca in range(len(classes)):
         for cb in range(ca + 1, len(classes)):
-            x_sub = m_sub.pointwise_stabilizer(list(classes[ca]) + list(classes[cb]))
+            x_sub = m_sub.pointwise_stabilizer([classes[ca][0], classes[cb][0]])
             if x_sub.is_trivial():
                 continue
             for cc in adjacency[ca] & adjacency[cb]:
                 checked += 1
-                for gen in x_sub.generators:
-                    if any(gen(int(v)) != int(v) for v in classes[cc]):
-                        return True, False, f"X fixing classes {ca},{cb} moves adjacent class {cc}"
+                v = classes[cc][0]
+                if any(gen(v) != v for gen in x_sub.generators):
+                    return True, False, f"X fixing classes {ca},{cb} moves adjacent class {cc}"
             if checked >= 50:
                 break
         if checked >= 50:

@@ -551,69 +551,12 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
             )
 
     if cfg.include_named:
-        for p in cfg.primes:
-            n = 2 * p + 1
+        for id_, family, params, (graph, group) in _named_table(cfg.primes):
             add(
                 CorpusInstance(
-                    id=f"complete-K{n}",
-                    family="complete",
-                    params={"n": n},
-                    graph=complete_graph(n),
-                    group=symmetric_group(n),
+                    id=id_, family=family, params=params, graph=graph, group=group
                 )
             )
-            graph, group = complete_bipartite_instance(2 * p)
-            add(
-                CorpusInstance(
-                    id=f"bipartite-K{2 * p}{2 * p}",
-                    family="complete-bipartite",
-                    params={"m": 2 * p},
-                    graph=graph,
-                    group=group,
-                )
-            )
-        graph, group = hypercube_q4_instance()
-        add(
-            CorpusInstance(
-                id="hypercube-Q4",
-                family="hypercube",
-                params={"dim": 4},
-                graph=graph,
-                group=group,
-            )
-        )
-        for m in (3, 4, 6):
-            graph, group = rook_graph_instance(m)
-            add(
-                CorpusInstance(
-                    id=f"rook-{m}x{m}",
-                    family="rook",
-                    params={"m": m},
-                    graph=graph,
-                    group=group,
-                )
-            )
-        for m in (5, 7):
-            graph, group = johnson_pairs_instance(m)
-            add(
-                CorpusInstance(
-                    id=f"triangular-T{m}",
-                    family="triangular",
-                    params={"m": m},
-                    graph=graph,
-                    group=group,
-                )
-            )
-        graph, group = paley_instance(13)
-        add(
-            CorpusInstance(
-                id="paley-13",
-                family="paley",
-                params={"q": 13},
-                graph=graph,
-                group=group,
-            )
-        )
 
     if cfg.include_coset_search:
         out.extend(_coset_search_instances(cfg))
@@ -639,6 +582,23 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
     return out
 
 
+def _named_table(primes):
+    """The named corpus instances as (id, family, params, (graph, group))
+    rows, in corpus order."""
+    for p in primes:
+        n, m = 2 * p + 1, 2 * p
+        complete = complete_graph(n), symmetric_group(n)
+        yield f"complete-K{n}", "complete", {"n": n}, complete
+        bipartite = complete_bipartite_instance(m)
+        yield f"bipartite-K{m}{m}", "complete-bipartite", {"m": m}, bipartite
+    yield "hypercube-Q4", "hypercube", {"dim": 4}, hypercube_q4_instance()
+    for m in (3, 4, 6):
+        yield f"rook-{m}x{m}", "rook", {"m": m}, rook_graph_instance(m)
+    for m in (5, 7):
+        yield f"triangular-T{m}", "triangular", {"m": m}, johnson_pairs_instance(m)
+    yield "paley-13", "paley", {"q": 13}, paley_instance(13)
+
+
 def _px_diagonal_subgroup(p: int, r: int, s: int) -> PermGroup:
     """The diagonal translation subgroup (add 1 to every window symbol)."""
     return PermGroup([_px_translation(p, r, s, range(r))], r * p**s)
@@ -652,6 +612,7 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
     target_valencies = {2 * p for p in cfg.primes}
     for name, big in seeds:
         subgroup_pool = _small_subgroups(big, max_count=12)
+        involutions = [elem for elem in big.elements() if elem.order() == 2]
         hits = 0
         for h in subgroup_pool:
             if big.order() // h.order() > cfg.max_vertices:
@@ -659,10 +620,10 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
             # the coset graph depends on elem only through H*elem*H, the
             # union of the cosets _double_coset_keys lists
             seen_double_cosets = set()
-            for elem in big.elements():
+            for elem in involutions:
                 if hits >= 4:
                     break
-                if elem.order() != 2 or normalizes(elem, h):
+                if normalizes(elem, h):
                     continue
                 # the valency is cheap; the connectivity test builds a chain
                 double_coset = _double_coset_keys(h, elem)

@@ -198,12 +198,14 @@ def _column_starts(n: int) -> np.ndarray:
 def write_graph6(g: Graph) -> bytes:
     """Canonical graph6 encoding (no optional header, no newline)."""
     n = g.n
+    # checked before the n(n-1)/2 payload bits are allocated
+    header = _encode_size(n)
     sources = g.arc_sources()
     upper = sources < g.indices
     bits = np.zeros(-(-n * (n - 1) // 12) * 6, dtype=np.uint8)
     bits[_column_starts(n)[g.indices[upper]] + sources[upper]] = 1
     values = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-    return _encode_size(n) + (values + 63).tobytes()
+    return header + (values + 63).tobytes()
 
 
 def read_graph6(data: bytes) -> Graph:
@@ -237,21 +239,22 @@ def write_sparse6(g: Graph) -> bytes:
     n = g.n
     k = max(1, (n - 1).bit_length())
     bits = []
+
+    def record(flag: int, x: int) -> None:
+        bits.append(flag)
+        bits.extend((x >> t) & 1 for t in range(k - 1, -1, -1))
+
     v = 0
     for (b, a) in sorted((max(u, w), min(u, w)) for u, w in g.edges()):
         if b == v:
-            bits.append(0)
-            bits.extend((a >> t) & 1 for t in range(k - 1, -1, -1))
+            record(0, a)
         elif b == v + 1:
             v += 1
-            bits.append(1)
-            bits.extend((a >> t) & 1 for t in range(k - 1, -1, -1))
+            record(1, a)
         else:
             v = b
-            bits.append(1)
-            bits.extend((b >> t) & 1 for t in range(k - 1, -1, -1))
-            bits.append(0)
-            bits.extend((a >> t) & 1 for t in range(k - 1, -1, -1))
+            record(1, b)
+            record(0, a)
     # pad with 1s; when n is a power of two and enough padding remains while
     # the current vertex sits below n-1, a leading 0 bit keeps the padding
     # from decoding as a spurious edge at vertex n-1

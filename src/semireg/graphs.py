@@ -35,7 +35,7 @@ COSET_INDEX_BOUND = 5000
 class Graph:
     """Simple undirected graph: no loops, no multi-edges, sorted adjacency."""
 
-    __slots__ = ("n", "indptr", "indices", "_hash")
+    __slots__ = ("n", "indptr", "indices")
 
     def __init__(self, n: int, edges):
         """``edges`` is an (m, 2) array or any iterable of vertex pairs;
@@ -67,7 +67,6 @@ class Graph:
         self.indptr = np.searchsorted(sources, np.arange(n + 1, dtype=_INT)).astype(_INT)
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
-        self._hash = None
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -183,13 +182,6 @@ class Graph:
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
         )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(
-                (self.n, self.indptr.tobytes(), self.indices.tobytes())
-            )
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
@@ -358,7 +350,7 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
         raise PreconditionError("H is not a subgroup of G")
     if not g.contains(elem):
         raise PreconditionError("element is not in G")
-    if not h.chain().contains(elem * elem):
+    if not h.contains(elem * elem):
         raise PreconditionError("element squared is not in H")
     if normalizes(elem, h):
         raise PreconditionError("element normalizes H")

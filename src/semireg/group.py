@@ -109,11 +109,6 @@ class StabilizerChain:
         self._schreier_sims(len(self.levels) - 1)
         self._summarize()
 
-    def extend(self, arr) -> bool:
-        """Adjoin ``arr`` to the group in place; False, with the chain
-        unchanged, when it is already a member."""
-        return bool(self.extend_all([arr]))
-
     def extend_all(self, arrs) -> list[np.ndarray]:
         """Adjoin every element of ``arrs`` to the group in place; return the
         ones that were not members of the chain as it stood when sifted.
@@ -267,9 +262,6 @@ class StabilizerChain:
             raise ValueError("degree mismatch")
         return is_identity_images(self._sift(arr))
 
-    def contains(self, p: Permutation) -> bool:
-        return self.contains_array(p.images)
-
     def order_factored(self) -> Counter:
         out: Counter = Counter()
         for lv in self.levels:
@@ -329,7 +321,12 @@ class StabilizerChain:
 
 
 class PermGroup:
-    """A permutation group given by generators on 0..degree-1."""
+    """A permutation group given by generators on 0..degree-1.
+
+    The group keeps the one stabilizer chain ``chain()`` builds, with the
+    default base; a chain with a caller's base prefix is built for one
+    ``pointwise_stabilizer`` call and not kept.
+    """
 
     def __init__(self, generators, degree: int | None = None):
         gens = list(generators)
@@ -351,7 +348,7 @@ class PermGroup:
                 seen.add(g)
                 kept.append(g)
         self._gens = tuple(kept)
-        self._chain_cache: dict[tuple[int, ...], StabilizerChain] = {}
+        self._chain: StabilizerChain | None = None
         self._minimal_normal: tuple[PermGroup, ...] | None = None
 
     @property
@@ -374,15 +371,9 @@ class PermGroup:
         return not self._gens
 
     def chain(self) -> StabilizerChain:
-        return self.chain_with_base(())
-
-    def chain_with_base(self, prefix) -> StabilizerChain:
-        key = tuple(int(b) for b in prefix)
-        if key not in self._chain_cache:
-            self._chain_cache[key] = StabilizerChain(
-                [g.images for g in self._gens], self._degree, base_prefix=key
-            )
-        return self._chain_cache[key]
+        if self._chain is None:
+            self._chain = StabilizerChain([g.images for g in self._gens], self._degree)
+        return self._chain
 
     def order(self) -> int:
         return self.chain().order
@@ -393,7 +384,7 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self._degree:
             raise ValueError("degree mismatch")
-        return self.chain().contains(p)
+        return self.chain().contains_array(p.images)
 
     def orbit(self, v: int) -> set[int]:
         if not 0 <= v < self._degree:
@@ -424,8 +415,12 @@ class PermGroup:
         return self.pointwise_stabilizer([v])
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
+        """The subgroup fixing every point of ``points``, read off a chain
+        whose base starts with them; that chain is built for this call."""
         pts = [int(v) for v in points]
-        chain = self.chain_with_base(pts)
+        chain = StabilizerChain(
+            [g.images for g in self._gens], self._degree, base_prefix=pts
+        )
         gens = [
             Permutation._wrap(a.copy())
             for a in chain.stabilizer_generators(len(pts))
@@ -450,8 +445,7 @@ class PermGroup:
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
     if h.degree != g.degree:
         return False
-    chain = g.chain()
-    return all(chain.contains(x) for x in h.generators)
+    return all(g.contains(x) for x in h.generators)
 
 
 def coset_key(h_chain: StabilizerChain, x: Permutation) -> bytes:
@@ -505,8 +499,7 @@ def coset_action(
 
 def normalizes(x: Permutation, h: PermGroup) -> bool:
     """True iff conjugation by x maps H onto itself."""
-    chain = h.chain()
-    return all(chain.contains(gen.conjugate(x)) for gen in h.generators)
+    return all(h.contains(gen.conjugate(x)) for gen in h.generators)
 
 
 # -- induced actions ------------------------------------------------------
@@ -777,8 +770,10 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
     minimal = []
     for order, sel, chain, first in closures:
         # a smaller minimal normal subgroup inside this closure, or an
-        # earlier copy of it, sorts before it and has been kept
-        if any(all(chain.contains_array(a) for a in kept) for _, _, kept in minimal):
+        # earlier copy of it, sorts before it and has been kept. A kept one is
+        # the normal closure of its first element and this closure is normal,
+        # so it lies inside exactly when that one element does
+        if any(chain.contains_array(kept[0]) for _, _, kept in minimal):
             continue
         if len(prime_factors(order)) > 1:
             # ``first`` is its first element of prime order. One of

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semireg.cli import main
@@ -229,6 +230,32 @@ def test_find_exhausted_none_exit_zero(tmp_path, capsys):
     assert doc["method"] == "exhausted-none"
 
 
+@pytest.mark.parametrize("instance", ["k12-m11", "c6"])
+@pytest.mark.parametrize("bump", ["big", "plus-one"])
+def test_verify_compares_the_certificate_degree_with_the_graph(
+    tmp_path, capsys, c6_files, instance, bump
+):
+    # the element is parsed at the document's n, so an n of 10^11 once ended
+    # in an _ArrayMemoryError traceback
+    if instance == "c6":
+        graph_path, group_path = c6_files
+    else:
+        assert main(["construct", "--family", "k12m11", "--out", str(tmp_path)]) == 0
+        graph_path, group_path = tmp_path / "k12-m11.g6", tmp_path / "k12-m11.gens"
+    capsys.readouterr()
+    assert main(["find", "--graph", str(graph_path), "--group", str(group_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["n"] = 10**11 if bump == "big" else doc["n"] + 1
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    verify = ["verify", "--graph", str(graph_path), "--group", str(group_path)]
+    assert main(verify + ["--certificate", str(cert_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: certificate is for {doc['n']} vertices") and (
+        err.count("\n") == 1
+    ), err
+
+
 def test_exit_codes(tmp_path, capsys, c6_files):
     graph_path, group_path = c6_files
     # usage errors
@@ -317,6 +344,19 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     # precondition error: p=67 exceeds PSL2_MAX_PRIME
     code = main(["construct", "--family", "lemma33", "--params", "p=67,s=1", "--out", out])
     assert code == 4
+    # precondition error: C(2,129024,1) has one vertex more than graph6
+    # holds, and C(2,3,10^12) far more; both are refused before being built
+    for params in ("p=2,r=129024,s=1", "p=2,r=3,s=1000000000000"):
+        capsys.readouterr()
+        assert main(["construct", "--family", "px", "--params", params, "--out", out]) == 4
+        assert "graph6 limit" in capsys.readouterr().err
+    # a report on a graph whose vertex 0 has no neighbours: K1, and 3K1 with S3
+    no_neighbours = [("k1", b"@", "n=1\n()\n"), ("3k1", b"B?", "n=3\n(1,2)\n(1,2,3)\n")]
+    for name, graph6, gens in no_neighbours:
+        (tmp_path / f"{name}.g6").write_bytes(graph6 + b"\n")
+        (tmp_path / f"{name}.gens").write_text(gens)
+        report = ["report", "--graph", str(tmp_path / f"{name}.g6")]
+        assert main(report + ["--group", str(tmp_path / f"{name}.gens")]) == 0
     # inconclusive: sampling cannot conclude on C6 rotations with tiny bound
     rot_only = tmp_path / "rot.gens"
     rot_only.write_text("n=6\n(1,2,3,4,5,6)\n")
@@ -474,3 +514,72 @@ def test_verify_leaves_jsonschema_out(tmp_path, c6_files):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["valid", "False"]
+
+
+def test_cli_exit_codes_on_small_inputs(tmp_path, capsys):
+    # find, report, verify, quotient, dense, triangle and cover on graphs with
+    # at most 8 vertices (K1 and edgeless ones among them), generator files of
+    # the right and the wrong degree, and certificates with a changed n or
+    # element: no exception escapes main, and only verify may exit 1
+    from semireg.engine import ALL_ROUTES
+    from semireg.families import symmetric_group
+    from semireg.graphs import Graph, complete_graph
+
+    rng = np.random.default_rng(0)
+
+    def run(*argv):
+        code = main([str(a) for a in argv])
+        out = capsys.readouterr().out
+        allowed = {0, 2, 3, 4, 5} | ({1} if argv[0] == "verify" else set())
+        assert code in allowed, argv
+        return code, out
+
+    def random_group(n):
+        gens = [Permutation(rng.permutation(n)) for _ in range(int(rng.integers(1, 3)))]
+        return PermGroup(gens, n)
+
+    def dihedral(n):
+        arange = np.arange(n)
+        return PermGroup([Permutation((arange + 1) % n), Permutation(-arange % n)], n)
+
+    cases = [(Graph(1, ()), [PermGroup([], 1)]), (Graph(3, ()), [symmetric_group(3)])]
+    cases += [(Graph(5, ()), [])]
+    cases += [(cycle_graph(n), [dihedral(n)]) for n in range(3, 9)]
+    cases += [(complete_graph(n), [symmetric_group(n)]) for n in range(2, 7)]
+    for _ in range(6):
+        n = int(rng.integers(2, 9))
+        edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 0.5]
+        cases.append((Graph(n, edges), []))
+    certified = 0
+    for i, (graph, groups) in enumerate(cases):
+        n = graph.n
+        graph_path = tmp_path / f"g{i}.g6"
+        graph_path.write_bytes(write_graph6(graph) + b"\n")
+        run("triangle", "--graph", graph_path)
+        run("cover", "--graph", graph_path)
+        seed_set = ",".join(str(v) for v in rng.integers(0, n + 1, size=2))
+        run("dense", "--graph", graph_path, "--seed-set", seed_set)
+        groups = groups + [PermGroup([], n), random_group(n), random_group(n + 1)]
+        for j, group in enumerate(groups):
+            group_path = tmp_path / f"g{i}-{j}.gens"
+            group_path.write_text(format_generators(group))
+            run("report", "--graph", graph_path, "--group", group_path)
+            run("quotient", "--graph", graph_path, "--partition-from-group", group_path)
+            for routes in (ALL_ROUTES, ("quotient-lift", "buddy-swap")):
+                find = ["find", "--graph", graph_path, "--group", group_path]
+                code, out = run(*find, "--routes", ",".join(routes))
+                if code != 0:
+                    continue
+                certified += 1
+                doc = json.loads(out)
+                element = Permutation(rng.permutation(n)).cycle_string(one_based=True)
+                changes = [{}, {"n": n + 1}, {"n": 10**11}, {"n": 0}]
+                elements = (element or "()", f"(1,{n + 1})", "(")
+                changes += [{"element": e} for e in elements]
+                for change in changes:
+                    cert_path = tmp_path / "cert.json"
+                    cert_path.write_text(json.dumps({**doc, **change}))
+                    verify = ["verify", "--graph", graph_path, "--group", group_path]
+                    code, _ = run(*verify, "--certificate", cert_path)
+                    assert code == 0 or change, doc
+    assert certified >= 10

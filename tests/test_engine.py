@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from semireg.perm import Permutation
-from semireg.group import PermGroup, PreconditionError
+from semireg.group import BoundExceededError, PermGroup, PreconditionError
 from semireg.graphs import Graph, complete_graph, cycle_graph
 from semireg import engine
 from semireg.engine import (
@@ -252,6 +253,8 @@ def test_c4_buddy_structure_on_px231():
     partition = [[2 * i, 2 * i + 1] for i in range(3)]
     bs = c4_buddy_structure(g, partition)
     assert bs.buddies_per_vertex == 1
+    # each vertex's adjacent classes, in increasing order
+    assert [list(m) for m in bs.buddy_map] == [[1, 2]] * 2 + [[0, 2]] * 2 + [[0, 1]] * 2
     swap = buddy_swap_automorphism(g, bs)
     # the fiber flip (i, x) -> (i, x+1)
     assert swap == Permutation([1, 0, 3, 2, 5, 4])
@@ -360,7 +363,7 @@ def test_arcs_from_vertex_0_give_every_arc_index(instance):
     # orbit sizes of M_0 on the s-arcs from vertex 0
     g, m_sub = _arc_instance(instance)
     for s in (1, 2, 3):
-        orbits = engine._arc_orbits(g, m_sub, s)
+        orbits = engine._arc_orbits(g, m_sub.point_stabilizer(0), s)
         assert sum(map(len, orbits)) == len(s_arcs_t(_edge_set(g), g.n, s, starts=[0]))
         assert set(map(len, orbits)) == set(_sympy_arc_indices(g, m_sub, s))
 
@@ -425,6 +428,46 @@ def test_proof_report_propagation_needs_a_twin_free_graph(corpus):
     )
     assert engine._twin_classes(by_id["px-p2-r7-s2"].graph) == []
     assert propagation("px-p2-r7-s2") == (True, True, "7 class triples checked")
+
+
+def test_check_e_one_point_per_class(corpus):
+    # check (e) takes M, a minimal normal 2-subgroup whose orbits are the
+    # classes. M is elementary abelian and transitive on each class, so it
+    # fixes a class pointwise as soon as it fixes one point of it
+    applies = []
+    for inst in corpus:
+        if engine._twin_classes(inst.graph):
+            continue
+        try:
+            quotients = engine._ReportInputs(inst.graph, inst.group).quotients
+        except BoundExceededError:
+            continue
+        for m_sub, partition in quotients:
+            if not engine._is_2_group(m_sub):
+                continue
+            try:
+                bs = c4_buddy_structure(inst.graph, partition)
+            except PreconditionError:
+                continue
+            if engine._check_claim(m_sub, bs)[0]:
+                applies.append(inst.id)
+                classes = bs.partition
+                for ca, cb in itertools.combinations(range(len(classes)), 2):
+                    x_sub = m_sub.pointwise_stabilizer([classes[ca][0], classes[cb][0]])
+                    whole = m_sub.pointwise_stabilizer(classes[ca] + classes[cb])
+                    assert x_sub.order() == whole.order(), (inst.id, ca, cb)
+                    for gen in x_sub.generators + m_sub.generators:
+                        for cls in classes:
+                            if gen(cls[0]) == cls[0]:
+                                assert all(gen(v) == v for v in cls), (inst.id, cls)
+            break
+    assert applies == [
+        "px-p2-r7-s2",
+        "px-p2-r7-s3",
+        "cover-px-p2-r7-s2",
+        "cover-px-p2-r7-s3",
+        "quotient-px-p2-r7-s3",
+    ]
 
 
 def test_proof_report_k12_m11():

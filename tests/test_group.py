@@ -420,7 +420,7 @@ def test_extend_matches_fresh_chains_and_sympy(gens):
     chain = StabilizerChain([], n)
     for k in range(1, len(gens) + 1):
         was_member = chain.contains_array(gens[k - 1])
-        assert chain.extend(gens[k - 1]) is not was_member
+        assert bool(chain.extend_all([gens[k - 1]])) is not was_member
         assert chain.contains_array(gens[k - 1])
         fresh = StabilizerChain(gens[:k], n)
         sym = _sympy_group(gens[:k])
@@ -432,7 +432,7 @@ def test_extend_matches_fresh_chains_and_sympy(gens):
             assert chain.contains_array(x) == sym.contains(SymPerm(x.tolist()))
         # a member changes nothing
         before = (chain.order, chain.base, len(chain.strong_generators()))
-        assert not chain.extend(fresh.random_element(rng))
+        assert not chain.extend_all([fresh.random_element(rng)])
         assert (chain.order, chain.base, len(chain.strong_generators())) == before
     # the identity test compares int64 bytes: other dtypes are converted
     assert chain.contains_array(np.arange(n, dtype=np.int32))
@@ -562,7 +562,8 @@ _ENUMERATED_GROUPS = {
 @pytest.mark.parametrize("make_group", _ENUMERATED_GROUPS.values(), ids=list(_ENUMERATED_GROUPS))
 def test_element_array_rows_follow_iter_elements(make_group):
     g = make_group()
-    for chain in (g.chain(), g.chain_with_base([g.degree - 1])):
+    prefixed = StabilizerChain(g.gen_arrays(), g.degree, base_prefix=[g.degree - 1])
+    for chain in (g.chain(), prefixed):
         rows = chain.element_array()
         assert rows.dtype == np.int64
         assert rows.shape == (chain.order, chain.degree)
