@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from semireg.engine import NORMAL_BOUND
 from semireg.perm import Permutation
 from semireg.group import (
     BoundExceededError,
@@ -655,3 +657,33 @@ def test_minimal_normal_subgroups_ties_by_first_element():
     assert Permutation(elements[firsts[0]]).order() == 4
     sym_g = _sympy_group(_PSL27_SQUARED)
     assert all(_sympy_group(x.images for x in m.generators).is_normal(sym_g) for m in mins)
+
+
+# every default-corpus chain: its base, its strong generators in order, each
+# level's transversal keys in insertion order with their reps, then the
+# generators of the minimal normal subgroups of each group of order at most
+# NORMAL_BOUND. Update this hash only with a change that means to alter
+# chains, and say so in CHANGES.md.
+GOLDEN_CHAINS_SHA256 = (
+    "842d05b3343c936a99a14c8907f75dee747e1cc721e0076044ee9729846bfa11"
+)
+
+
+def test_golden_chains_on_corpus(corpus):
+    assert len(corpus) == 86
+    digest = hashlib.sha256()
+    for inst in corpus:
+        chain = inst.group.chain()
+        digest.update(repr((inst.id, chain.base)).encode())
+        for arr in chain.strong_generators():
+            digest.update(arr.tobytes())
+        for lv in chain.levels:
+            digest.update(repr(list(lv.transversal)).encode())
+            for rep, _ in lv.transversal.values():
+                digest.update(rep.tobytes())
+        if inst.group.order() <= NORMAL_BOUND:
+            for m in minimal_normal_subgroups(inst.group, NORMAL_BOUND):
+                digest.update(repr(len(m.generators)).encode())
+                for x in m.generators:
+                    digest.update(x.images.tobytes())
+    assert digest.hexdigest() == GOLDEN_CHAINS_SHA256
