@@ -1,8 +1,10 @@
 """Hot inner loops over permutation image arrays and CSR adjacency.
 
 Each kernel has one implementation, on numpy arrays: Python loops for the
-walks whose next step depends on the last one, array operations where a
-whole frontier moves at once (``arc_orbit_size``). There is no compiled
+walks whose next step depends on the last one (the cycle walks read the
+images as one Python list first, so each step is a list lookup rather than
+a numpy scalar), array operations where a whole frontier moves at once
+(``arc_orbit_size``). There is no compiled
 path and no backend switch; callers use the public names below directly.
 """
 
@@ -13,38 +15,36 @@ import numpy as np
 
 def point_cycle_lengths(images):
     """Length of the cycle through each point, as an int64 array."""
-    n = images.shape[0]
-    out = np.zeros(n, dtype=np.int64)
-    for start in range(n):
-        if out[start] != 0:
+    img = images.tolist()
+    out = [0] * len(img)
+    for start in range(len(img)):
+        if out[start]:
             continue
-        length = 1
-        j = images[start]
+        cycle = [start]
+        j = img[start]
         while j != start:
-            length += 1
-            j = images[j]
-        j = start
-        for _ in range(length):
-            out[j] = length
-            j = images[j]
-    return out
+            cycle.append(j)
+            j = img[j]
+        for j in cycle:
+            out[j] = len(cycle)
+    return np.array(out, dtype=np.int64)
 
 
 def is_semiregular_images(images):
     """True iff all cycles (fixed points included) share one length."""
-    n = images.shape[0]
-    seen = np.zeros(n, dtype=np.uint8)
+    img = images.tolist()
+    seen = [False] * len(img)
     target = 0
-    for start in range(n):
+    for start in range(len(img)):
         if seen[start]:
             continue
-        seen[start] = 1
+        seen[start] = True
         length = 1
-        j = images[start]
+        j = img[start]
         while j != start:
-            seen[j] = 1
+            seen[j] = True
             length += 1
-            j = images[j]
+            j = img[j]
         if target == 0:
             target = length
         elif length != target:

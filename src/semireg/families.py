@@ -86,10 +86,11 @@ def _primitive_root(p: int) -> int:
 
 
 def _check_p(p: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise PreconditionError(f"p={p} must be an odd prime")
+    # the bound first: trial division would run for ages on a huge prime
     if p > PSL2_MAX_PRIME:
         raise PreconditionError(f"p={p} exceeds the configured bound {PSL2_MAX_PRIME}")
+    if not is_prime(p) or p == 2:
+        raise PreconditionError(f"p={p} must be an odd prime")
 
 
 def psl2_action(p: int) -> PermGroup:

@@ -88,9 +88,9 @@ def _parse_cycles_token(text: str, degree: int, line_no: int) -> Permutation:
 
 
 def parse_generators(text: str) -> PermGroup:
-    """Parse a generator file: header ``n=<degree>``, one permutation per
-    line in 1-based disjoint-cycle notation; blank lines and # comments are
-    ignored."""
+    """Parse a generator file: header ``n=<degree>`` with the degree in
+    1..``MAX_VERTICES``, one permutation per line in 1-based disjoint-cycle
+    notation; blank lines and # comments are ignored."""
     degree = None
     perms = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -108,6 +108,12 @@ def parse_generators(text: str) -> PermGroup:
                 raise ParseError(f"line {line_no}: bad degree in header") from None
             if degree < 1:
                 raise ParseError(f"line {line_no}: degree must be >= 1")
+            # checked before any permutation of that degree is allocated
+            if degree > MAX_VERTICES:
+                raise ParseError(
+                    f"line {line_no}: degree {degree} is above the vertex limit "
+                    f"{MAX_VERTICES}"
+                )
             continue
         perms.append(_parse_cycles_token(line, degree, line_no))
     if degree is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -76,36 +76,53 @@ class _Level:
         self.transversal: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+@cache
+def _random_walk(k: int) -> tuple[tuple[int, int], ...]:
+    """The steps of the seeded random walk of ``StabilizerChain._random_boost``
+    over k generators: a generator index and 1 to take its inverse, else 0.
+    Drawn once per k: seeding a numpy random generator and drawing all its
+    numbers costs more than building many a small chain."""
+    rng = np.random.default_rng(_RANDOM_SEED)
+    return tuple(
+        (int(rng.integers(k)), int(rng.integers(2))) for _ in range(_RANDOM_ROUNDS)
+    )
+
+
 class StabilizerChain:
     """Base, strong generators and transversals for a permutation group.
 
     The base extension rule is "smallest moved point first" (after any caller
     supplied prefix), and the random pre-pass has a fixed seed, so chains
     are deterministic.
+
+    The inner loops take one Python step per orbit point or Schreier
+    generator: a point's image is one ``ndarray.item`` call and a product is
+    one numpy gather. A whole-row ``tolist`` would cost O(degree) per level
+    where orbits are small and the degree is large, and batching a level's
+    Schreier generators into one array computes many that are never looked
+    at, since the first that fails to sift usually comes early.
     """
 
     def __init__(self, generators, degree: int, base_prefix=()):
         self.degree = degree
         self.levels: list[_Level] = []
-        # strong generators as (array, depth); depth = first base index moved
-        self._strong: list[tuple[np.ndarray, int]] = []
+        # strong generators as (array, inverse, depth); depth = first base
+        # index moved
+        self._strong: list[tuple[np.ndarray, np.ndarray, int]] = []
         for b in base_prefix:
             if not 0 <= b < degree:
                 raise ValueError(f"base point {b} out of range")
             self.levels.append(_Level(int(b)))
-        gens = []
         seen = set()
         for g in generators:
             arr = np.asarray(g, dtype=_INT)
             key = arr.tobytes()
             if key not in seen and not is_identity_images(arr):
                 seen.add(key)
-                gens.append(arr)
-        for arr in gens:
-            self._add_strong(arr)
+                self._add_strong(arr)
         for lv_index in range(len(self.levels)):
             self._rebuild_level(lv_index)
-        self._random_boost(gens)
+        self._random_boost([(g, inv) for g, inv, _ in self._strong])
         self._schreier_sims(len(self.levels) - 1)
         self._summarize()
 
@@ -149,7 +166,7 @@ class StabilizerChain:
 
     def _depth_of(self, arr: np.ndarray) -> int:
         for i, lv in enumerate(self.levels):
-            if arr[lv.point] != lv.point:
+            if arr.item(lv.point) != lv.point:
                 return i
         return len(self.levels)
 
@@ -159,42 +176,45 @@ class StabilizerChain:
         if depth == len(self.levels):
             moved = np.flatnonzero(arr != identity_images(self.degree))
             self.levels.append(_Level(int(moved[0])))
-        self._strong.append((arr, depth))
+        self._strong.append((arr, inverse_images(arr), depth))
         return depth
 
-    def _rebuild_level(self, i: int) -> None:
-        lv = self.levels[i]
-        gens = self.stabilizer_generators(i)
-        ident = identity_images(self.degree)
-        lv.transversal = {lv.point: (ident, ident)}
-        queue = [lv.point]
-        head = 0
-        while head < len(queue):
-            p = queue[head]
-            head += 1
-            rep = lv.transversal[p][0]
-            for g in gens:
-                q = int(g[p])
-                if q not in lv.transversal:
-                    new_rep = _compose(rep, g)
-                    lv.transversal[q] = (new_rep, inverse_images(new_rep))
-                    queue.append(q)
+    def _rebuild_level(self, i: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Recompute level i's transversal by a breadth-first search under
+        its generators; return them as (array, inverse) pairs.
 
-    def _sift(self, arr: np.ndarray, start: int = 0) -> np.ndarray:
-        """Reduce arr by the transversal reps of levels ``start`` onward and
-        return the residue, the identity exactly when arr sifts through."""
+        The rep reached from p's rep by g is ``g[rep]``, and its inverse is
+        the gather ``rep_inv[g_inv]`` of two known inverses.
+        """
+        lv = self.levels[i]
+        gens = [(g, inv) for g, inv, d in self._strong if d >= i]
+        ident = identity_images(self.degree)
+        trans = lv.transversal = {lv.point: (ident, ident)}
+        queue = [lv.point]
+        for p in queue:
+            rep, rep_inv = trans[p]
+            for g, g_inv in gens:
+                q = g.item(p)
+                if q not in trans:
+                    trans[q] = (g[rep], rep_inv[g_inv])
+                    queue.append(q)
+        return gens
+
+    def _sift(self, arr: np.ndarray) -> np.ndarray:
+        """Reduce arr by the transversal reps of every level and return the
+        residue, the identity exactly when arr sifts through."""
         g = arr
-        for lv in self.levels[start:]:
-            p = int(g[lv.point])
+        for lv in self.levels:
+            p = g.item(lv.point)
             if p == lv.point:
                 continue
             pair = lv.transversal.get(p)
             if pair is None:
                 return g
-            g = _compose(g, pair[1])
+            g = pair[1][g]
         return g
 
-    def _random_boost(self, gens: list[np.ndarray]) -> None:
+    def _random_boost(self, gens: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Seeded random walk; sifting residues pre-populates strong gens.
 
         Each residue of depth d joins the generators of levels 0..d. Before
@@ -205,14 +225,10 @@ class StabilizerChain:
         """
         if not gens:
             return
-        rng = np.random.default_rng(_RANDOM_SEED)
         w = np.arange(self.degree, dtype=_INT)
         fresh = len(self.levels)
-        for _ in range(_RANDOM_ROUNDS):
-            g = gens[int(rng.integers(len(gens)))]
-            if rng.integers(2):
-                g = inverse_images(g)
-            w = _compose(w, g)
+        for index, side in _random_walk(len(gens)):
+            w = gens[index][side][w]
             residue = self._sift(w)
             if not is_identity_images(residue):
                 depth = self._add_strong(residue)
@@ -232,24 +248,35 @@ class StabilizerChain:
         and transversals and stay verified; levels d down to 0 are rebuilt
         as the loop reaches them.
         """
+        ident = identity_images(self.degree).tobytes()
         i = start
         while i >= 0:
-            self._rebuild_level(i)
-            lv = self.levels[i]
-            gens = self.stabilizer_generators(i)
+            gens = self._rebuild_level(i)
+            trans = self.levels[i].transversal
+            below = [(lv.point, lv.transversal) for lv in self.levels[i + 1 :]]
             restart = None
-            for p in sorted(lv.transversal):
-                rep = lv.transversal[p][0]
-                for g in gens:
-                    q = int(g[p])
-                    tail_inv = lv.transversal[q][1]
-                    schreier = _compose(_compose(rep, g), tail_inv)
-                    if is_identity_images(schreier):
+            for p in sorted(trans):
+                rep = trans[p][0]
+                for g, _ in gens:
+                    # the Schreier generator rep * g * rep(p^g)^-1, sifted
+                    # through the levels below i
+                    h = trans[g.item(p)][1][g[rep]]
+                    if h.tobytes() == ident:
                         continue
-                    residue = self._sift(schreier, i + 1)
-                    if not is_identity_images(residue):
-                        restart = self._add_strong(residue)
-                        break
+                    for pt, below_trans in below:
+                        q = h.item(pt)
+                        if q != pt:
+                            pair = below_trans.get(q)
+                            if pair is None:
+                                break
+                            h = pair[1][h]
+                    else:
+                        # sifted through every level: a new strong
+                        # generator only if the residue is not the identity
+                        if h.tobytes() == ident:
+                            continue
+                    restart = self._add_strong(h)
+                    break
                 if restart is not None:
                     break
             i = i - 1 if restart is None else restart
@@ -269,11 +296,11 @@ class StabilizerChain:
         return out
 
     def strong_generators(self) -> list[np.ndarray]:
-        return [g for g, _ in self._strong]
+        return [g for g, _, _ in self._strong]
 
     def stabilizer_generators(self, depth: int) -> list[np.ndarray]:
         """Generators of the pointwise stabilizer of base[:depth]."""
-        return [g for g, d in self._strong if d >= depth]
+        return [g for g, _, d in self._strong if d >= depth]
 
     def iter_elements(self):
         """Every element exactly once, as image arrays."""
@@ -462,7 +489,7 @@ def coset_key(h_chain: StabilizerChain, x: Permutation) -> bytes:
         raise ValueError("degree mismatch")
     g = x.images
     for lv in h_chain.levels:
-        q = min(lv.transversal, key=g.__getitem__)
+        q = min(lv.transversal, key=g.item)
         g = _compose(lv.transversal[q][0], g)
     return g.tobytes()
 
@@ -659,21 +686,6 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
 # -- bounded structure computations ---------------------------------------
 
 
-_POWER_ROWS = 4096  # rows per block when raising every element to a power
-
-
-def _row_powers(x: np.ndarray, e: int) -> np.ndarray:
-    """Each row of ``x``, a permutation's images, raised to the power e >= 1."""
-    result = None
-    while True:
-        if e & 1:
-            result = x if result is None else np.take_along_axis(x, result, axis=1)
-        e >>= 1
-        if not e:
-            return result
-        x = np.take_along_axis(x, x, axis=1)
-
-
 def _row_keys(x: np.ndarray) -> np.ndarray:
     """One void scalar per row of the int64 array ``x``, so that whole rows
     compare, sort and search as single values."""
@@ -687,24 +699,26 @@ def _prime_order_classes(g: PermGroup):
     Returns every element as the rows of ``g.chain().element_array()`` and
     each class as an array of row indices: the class's first row in
     enumeration order, then the rest in the order a depth-first search
-    under conjugation by the generators reaches them. The prime-order rows
-    come from row-wise p-th powers, one for each prime p dividing |G|; a
-    conjugate is looked up by its images of the base points, which
-    determine an element.
+    under conjugation by the generators reaches them. An element is
+    determined by its images of the base points, so x^p is the identity
+    exactly when it fixes them: for each prime p dividing |G|, p row-wise
+    steps from the base points give those images for every row at once. A
+    conjugate is looked up by its base images too.
     """
     chain = g.chain()
     elements = chain.element_array()
-    ident = identity_images(chain.degree)
+    base = np.asarray(chain.base, dtype=_INT)
+    moved = elements[:, base]
     prime = np.zeros(len(elements), dtype=bool)
-    for lo in range(0, len(elements), _POWER_ROWS):
-        block = elements[lo : lo + _POWER_ROWS]
-        for p in chain.order_factored():
-            prime[lo : lo + _POWER_ROWS] |= np.all(_row_powers(block, p) == ident, axis=1)
-    prime &= ~np.all(elements == ident, axis=1)
+    for p in chain.order_factored():
+        images = moved
+        for _ in range(p - 1):
+            images = np.take_along_axis(elements, images, axis=1)
+        prime |= np.all(images == base, axis=1)
+    prime &= ~np.all(moved == base, axis=1)
     rows = np.flatnonzero(prime)
     if not len(rows):
         return elements, []
-    base = np.asarray(chain.base)
     x = elements[rows]
     keys = _row_keys(x[:, base])
     by_key = np.argsort(keys)
@@ -745,8 +759,11 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
     nontrivial elements, and like every nontrivial group it has an element
     of prime order. So the normal closures of the classes of prime-order
     elements (a class generates its closure) include every minimal normal
-    subgroup, and no other class needs a closure. Each closure is one
-    ``extend_all`` with a single verification. One pass over the closures,
+    subgroup, and no other class needs a closure. A class holding a power
+    x^k (1 < k < p) of the first element x of a later class has the same
+    closure, as <x^k> = <x>, so the later class is skipped: the stable sort
+    by order puts the earlier one first, and the later one would never be
+    kept. Each closure is one ``extend_all`` with a single verification. One pass over the closures,
     in order of size, keeps each one that contains none kept before it:
     that drops the closures that are not minimal and the repeats of a kept
     one, so each result has the generators of its first class in that
@@ -761,8 +778,19 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
         return list(g._minimal_normal)
     n = g.degree
     elements, classes = _prime_order_classes(g)
+    class_of = {}
+    for c, cls in enumerate(classes):
+        class_of.update(dict.fromkeys(_row_keys(elements[cls]).tolist(), c))
     closures = []
-    for cls in classes:
+    for c, cls in enumerate(classes):
+        # skip the class when a power of its first element lies in an
+        # earlier class
+        x = elements[cls[0]]
+        y = x[x]
+        while not is_identity_images(y) and class_of[y.tobytes()] >= c:
+            y = x[y]
+        if not is_identity_images(y):
+            continue
         chain = StabilizerChain([], n)
         sel = chain.extend_all(elements[cls])
         closures.append((chain.order, sel, chain, int(cls[0])))

@@ -344,6 +344,16 @@ def test_exit_codes(tmp_path, capsys, c6_files):
     # precondition error: p=67 exceeds PSL2_MAX_PRIME
     code = main(["construct", "--family", "lemma33", "--params", "p=67,s=1", "--out", out])
     assert code == 4
+    # and so does a prime far beyond it, before any trial division
+    huge_p = "p=1000000000000000003,s=1"
+    assert main(["construct", "--family", "lemma33", "--params", huge_p, "--out", out]) == 4
+    # a generator file whose header claims more points than any graph holds
+    # is refused before a permutation of that degree is allocated
+    huge = tmp_path / "huge.gens"
+    huge.write_text("n=100000000000\n()\n")
+    capsys.readouterr()
+    assert main(["find", "--graph", str(graph_path), "--group", str(huge)]) == 3
+    assert "above the vertex limit" in capsys.readouterr().err
     # precondition error: C(2,129024,1) has one vertex more than graph6
     # holds, and C(2,3,10^12) far more; both are refused before being built
     for params in ("p=2,r=129024,s=1", "p=2,r=3,s=1000000000000"):

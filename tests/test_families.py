@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -181,6 +182,16 @@ def test_psl2_rejects_bad_p():
         psl2_action(2)
     with pytest.raises(PreconditionError):
         psl2_action(67)  # beyond the configured bound
+
+
+def test_psl2_huge_prime_is_refused_by_the_bound_alone():
+    # trial division of 10^18 + 3, a prime, would run for minutes; the bound
+    # is compared first, so this returns at once
+    t0 = time.perf_counter()
+    for p in (10**18 + 3, 10**18 + 4):
+        with pytest.raises(PreconditionError, match="exceeds the configured bound"):
+            psl2_coset_instance(p, 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_coset_instance_vertex_counts():

@@ -546,6 +546,45 @@ def test_minimal_normal_subgroups_stored_per_group(monkeypatch):
     assert builds
 
 
+@pytest.mark.parametrize(
+    "make_group, closures, minimal",
+    [
+        # C7: six classes of one element each, one cyclic subgroup
+        (lambda: PermGroup([Permutation.from_cycles(7, [range(7)])]), 1, [7]),
+        # C5 x C5: 24 classes of one element each, six cyclic subgroups
+        (
+            lambda: PermGroup(
+                [
+                    Permutation.from_cycles(10, [range(5)]),
+                    Permutation.from_cycles(10, [range(5, 10)]),
+                ]
+            ),
+            6,
+            [5] * 6,
+        ),
+        # PSL(2,7): classes of elements of order 2, 3, 7 and 7; the two of
+        # order 7 hold each other's powers
+        (lambda: psl2_action(7), 3, [168]),
+    ],
+    ids=["c7", "c5xc5", "psl2-7"],
+)
+def test_minimal_normal_subgroups_close_each_cyclic_subgroup_class_once(
+    monkeypatch, make_group, closures, minimal
+):
+    g = make_group()
+    g.chain()
+    calls = []
+    extend_all = StabilizerChain.extend_all
+
+    def counting_extend_all(self, arrs):
+        calls.append(len(arrs))
+        return extend_all(self, arrs)
+
+    monkeypatch.setattr(StabilizerChain, "extend_all", counting_extend_all)
+    assert [m.order() for m in minimal_normal_subgroups(g)] == minimal
+    assert len(calls) == closures
+
+
 def _s4():
     return PermGroup(
         [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])]
