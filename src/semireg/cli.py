@@ -299,8 +299,13 @@ def _corpus_config(path: str) -> CorpusConfig:
     for key, value in raw.items():
         if key == "primes":
             ok = isinstance(value, list) and all(type(p) is int for p in value)
-            if ok and not all(is_prime(p) for p in value):
-                raise UsageError(f"--config: 'primes' must hold primes only: {value}")
+            # a graph of valency 2p has at least 2p + 1 vertices; the bound
+            # comes before the trial division in is_prime
+            if ok and not all(2 * p + 1 <= MAX_VERTICES and is_prime(p) for p in value):
+                raise UsageError(
+                    f"--config: 'primes' must hold primes p with 2p + 1 <= "
+                    f"{MAX_VERTICES} only: {value}"
+                )
             value = tuple(value) if ok else value
         elif key == "px_grid":
             ok = isinstance(value, dict) and all(

@@ -552,7 +552,7 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
             )
 
     if cfg.include_named:
-        for id_, family, params, (graph, group) in _named_table(cfg.primes):
+        for id_, family, params, (graph, group) in _named_table(cfg):
             add(
                 CorpusInstance(
                     id=id_, family=family, params=params, graph=graph, group=group
@@ -583,11 +583,15 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
     return out
 
 
-def _named_table(primes):
+def _named_table(cfg: CorpusConfig):
     """The named corpus instances as (id, family, params, (graph, group))
-    rows, in corpus order."""
-    for p in primes:
+    rows, in corpus order. A prime whose K_{2p+1} has more than
+    ``cfg.max_vertices`` vertices gives no row: nothing is built for it."""
+    for p in cfg.primes:
         n, m = 2 * p + 1, 2 * p
+        if n > cfg.max_vertices:
+            log.info("corpus skip complete-K%d, bipartite-K%d%d: vertices exceed bound", n, m, m)
+            continue
         complete = complete_graph(n), symmetric_group(n)
         yield f"complete-K{n}", "complete", {"n": n}, complete
         bipartite = complete_bipartite_instance(m)

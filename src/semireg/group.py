@@ -103,7 +103,9 @@ class StabilizerChain:
     at, since the first that fails to sift usually comes early.
     """
 
-    def __init__(self, generators, degree: int, base_prefix=()):
+    def __init__(self, generators, degree: int, base_prefix=(), order=None):
+        """``order``, when given, is the group's order, known from another
+        chain of the same group: verification stops once it is reached."""
         self.degree = degree
         self.levels: list[_Level] = []
         # strong generators as (array, inverse, depth); depth = first base
@@ -123,21 +125,47 @@ class StabilizerChain:
         for lv_index in range(len(self.levels)):
             self._rebuild_level(lv_index)
         self._random_boost([(g, inv) for g, inv, _ in self._strong])
-        self._schreier_sims(len(self.levels) - 1)
-        self._summarize()
+        self._schreier_sims(len(self.levels) - 1, order)
 
     def extend_all(self, arrs) -> list[np.ndarray]:
         """Adjoin every element of ``arrs`` to the group in place; return the
         ones that were not members of the chain as it stood when sifted.
 
-        Incremental Schreier-Sims: each element is sifted through the chain
-        as it stands, and a non-identity residue becomes a strong generator
-        of levels 0..d, where base point d is the first one it moves. Level
-        d gets its orbit recomputed, so later elements sift further, but
-        nothing is verified yet. One deterministic pass then verifies the
-        levels from the deepest such d up to 0. Deeper levels keep their
-        generators and stay verified.
+        Incremental Schreier-Sims: ``_adjoin`` sifts each element in
+        without verifying, then one deterministic pass verifies the levels
+        from the deepest one touched up to 0. Deeper levels keep their
+        generators and stay verified. Between the two steps the chain is
+        incomplete, but every rep is a product of adjoined elements, so an
+        element that sifts to the identity there is already proved a member.
         """
+        added, deepest = self._adjoin(arrs)
+        if added:
+            self._schreier_sims(deepest)
+        return added
+
+    def copy(self) -> StabilizerChain:
+        """A copy that ``extend_all`` grows without changing this chain. The
+        arrays and transversal dicts are shared: a rebuild replaces a
+        level's dict and never edits one in place."""
+        new = object.__new__(StabilizerChain)
+        new.__dict__.update(self.__dict__)
+        new.levels = []
+        for lv in self.levels:
+            level = _Level(lv.point)
+            level.transversal = lv.transversal
+            new.levels.append(level)
+        new._strong = list(self._strong)
+        return new
+
+    # -- construction ----------------------------------------------------
+
+    def _adjoin(self, arrs) -> tuple[list[np.ndarray], int]:
+        """Sift each element of ``arrs`` through the chain as it stands; a
+        non-identity residue becomes a strong generator of levels 0..d,
+        where base point d is the first one it moves, and level d gets its
+        orbit recomputed, so later elements sift further. Return the
+        elements that left a residue and the deepest such d (-1 if none).
+        Nothing is verified."""
         added = []
         deepest = -1
         for arr in arrs:
@@ -151,18 +179,7 @@ class StabilizerChain:
             self._rebuild_level(depth)
             deepest = max(deepest, depth)
             added.append(arr)
-        if added:
-            self._schreier_sims(deepest)
-            self._summarize()
-        return added
-
-    # -- construction ----------------------------------------------------
-
-    def _summarize(self) -> None:
-        self.order = 1
-        for lv in self.levels:
-            self.order *= len(lv.transversal)
-        self.base = tuple(lv.point for lv in self.levels)
+        return added, deepest
 
     def _depth_of(self, arr: np.ndarray) -> int:
         for i, lv in enumerate(self.levels):
@@ -236,10 +253,10 @@ class StabilizerChain:
                     self._rebuild_level(lv_index)
                 fresh = depth
 
-    def _schreier_sims(self, start: int) -> None:
+    def _schreier_sims(self, start: int, order: int | None = None) -> None:
         """Deterministic verification of levels ``start`` down to 0, given
         that the deeper levels are complete: every Schreier generator must
-        sift.
+        sift. Then the order and base are read off the levels.
 
         A Schreier generator of level i that does not sift leaves a residue
         fixing base[:i+1]; it becomes a strong generator of depth d > i (d
@@ -247,11 +264,24 @@ class StabilizerChain:
         Levels deeper than d do not gain it, so they keep their generators
         and transversals and stay verified; levels d down to 0 are rebuilt
         as the loop reaches them.
+
+        With the group's ``order`` known, the pass stops once the product of
+        the level sizes reaches it, after rebuilding the levels above. Each
+        level's orbit lies inside the true basic orbit, so that product is
+        at most the order, and equal only when the chain is complete: every
+        remaining Schreier generator would sift, and the chain is the one
+        the full pass builds.
         """
         ident = identity_images(self.degree).tobytes()
         i = start
         while i >= 0:
             gens = self._rebuild_level(i)
+            if order is not None and order == math.prod(
+                len(lv.transversal) for lv in self.levels
+            ):
+                for j in range(i - 1, -1, -1):
+                    self._rebuild_level(j)
+                break
             trans = self.levels[i].transversal
             below = [(lv.point, lv.transversal) for lv in self.levels[i + 1 :]]
             restart = None
@@ -280,6 +310,8 @@ class StabilizerChain:
                 if restart is not None:
                     break
             i = i - 1 if restart is None else restart
+        self.order = math.prod(len(lv.transversal) for lv in self.levels)
+        self.base = tuple(lv.point for lv in self.levels)
 
     # -- queries ----------------------------------------------------------
 
@@ -351,8 +383,9 @@ class PermGroup:
     """A permutation group given by generators on 0..degree-1.
 
     The group keeps the one stabilizer chain ``chain()`` builds, with the
-    default base; a chain with a caller's base prefix is built for one
-    ``pointwise_stabilizer`` call and not kept.
+    default base, or, for a group ``minimal_normal_subgroups`` returns, the
+    chain its closure was computed in; a chain with a caller's base prefix
+    is built for one ``pointwise_stabilizer`` call and not kept.
     """
 
     def __init__(self, generators, degree: int | None = None):
@@ -443,10 +476,14 @@ class PermGroup:
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """The subgroup fixing every point of ``points``, read off a chain
-        whose base starts with them; that chain is built for this call."""
+        whose base starts with them; that chain is built for this call, and
+        stops verifying at |G| when the group's own chain is built."""
         pts = [int(v) for v in points]
         chain = StabilizerChain(
-            [g.images for g in self._gens], self._degree, base_prefix=pts
+            [g.images for g in self._gens],
+            self._degree,
+            base_prefix=pts,
+            order=None if self._chain is None else self._chain.order,
         )
         gens = [
             Permutation._wrap(a.copy())
@@ -657,7 +694,8 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
 
     Builds two chains: the induced image's, and one of the combined action
     on points + classes whose base starts with the image's base, from which
-    the kernel is read when it is first asked for.
+    the kernel is read when it is first asked for. The combined action is
+    faithful, so when ``g``'s chain is built its order is known.
     """
     n = g.degree
     classes, index = partition_index(partition, n)
@@ -671,7 +709,10 @@ def action_on_partition(g: PermGroup, partition) -> ActionBundle:
         for gen in g.generators
     ]
     combined = StabilizerChain(
-        combined_gens, n + len(classes), base_prefix=[n + b for b in image_base]
+        combined_gens,
+        n + len(classes),
+        base_prefix=[n + b for b in image_base],
+        order=None if g._chain is None else g._chain.order,
     )
     return ActionBundle(
         image_group=image_group,
@@ -759,17 +800,27 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
     nontrivial elements, and like every nontrivial group it has an element
     of prime order. So the normal closures of the classes of prime-order
     elements (a class generates its closure) include every minimal normal
-    subgroup, and no other class needs a closure. A class holding a power
-    x^k (1 < k < p) of the first element x of a later class has the same
-    closure, as <x^k> = <x>, so the later class is skipped: the stable sort
-    by order puts the earlier one first, and the later one would never be
-    kept. Each closure is one ``extend_all`` with a single verification. One pass over the closures,
-    in order of size, keeps each one that contains none kept before it:
-    that drops the closures that are not minimal and the repeats of a kept
-    one, so each result has the generators of its first class in that
-    order. The result is stored on ``g``, so later calls on the same group
-    return it without recomputing; every call raises ``BoundExceededError``
-    when |G| > ``bound``.
+    subgroup, and no other class needs a closure. One pass over the
+    closures, in order of size (a stable sort), keeps each one that
+    contains none kept before it: that drops the closures that are not
+    minimal and the repeats of a kept one, so each result has the
+    generators of its first class in that order, and it keeps the chain its
+    closure was computed in.
+
+    Two kinds of closure could never be kept, so neither is finished:
+    - a class holding a power x^k (1 < k < p) of the first element x of a
+      later class has the same closure, as <x^k> = <x>, so the later class
+      is skipped;
+    - a closure N containing the first element of an earlier computed
+      closure M contains M, so either N = M, and M sorts first, or N is not
+      minimal. The class is sifted into N's chain without verification
+      (``StabilizerChain._adjoin``), and each earlier first element is
+      sifted through that chain: one that sifts to the identity is a
+      product of elements of N, and N is dropped unverified.
+
+    The result is stored on ``g``, so later calls on the same group return
+    it without recomputing; every call raises ``BoundExceededError`` when
+    |G| > ``bound``.
     """
     order = g.order()
     if order > bound:
@@ -792,7 +843,13 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
         if not is_identity_images(y):
             continue
         chain = StabilizerChain([], n)
-        sel = chain.extend_all(elements[cls])
+        sel, deepest = chain._adjoin(elements[cls])
+        if any(
+            is_identity_images(chain._sift(elements[first]))
+            for _, _, _, first in closures
+        ):
+            continue
+        chain._schreier_sims(deepest)
         closures.append((chain.order, sel, chain, int(cls[0])))
     closures.sort(key=lambda t: t[0])
     minimal = []
@@ -801,7 +858,7 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
         # earlier copy of it, sorts before it and has been kept. A kept one is
         # the normal closure of its first element and this closure is normal,
         # so it lies inside exactly when that one element does
-        if any(chain.contains_array(kept[0]) for _, _, kept in minimal):
+        if any(chain.contains_array(kept[0]) for _, _, kept, _ in minimal):
             continue
         if len(prime_factors(order)) > 1:
             # ``first`` is its first element of prime order. One of
@@ -817,11 +874,13 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
                 ),
                 first,
             )
-        minimal.append((order, first, sel))
+        minimal.append((order, first, sel, chain))
     minimal.sort(key=lambda t: t[:2])
-    result = [
-        PermGroup([Permutation._wrap(a.copy()) for a in sel], n) for _, _, sel in minimal
-    ]
+    result = []
+    for _, _, sel, chain in minimal:
+        m = PermGroup([Permutation._wrap(a.copy()) for a in sel], n)
+        m._chain = chain
+        result.append(m)
     g._minimal_normal = tuple(result)
     return result
 
@@ -882,7 +941,8 @@ def semiregular_of_prime_power_degree(
         nonlocal sylow_chain
         if sylow_chain.contains_array(arr):
             return
-        cand = StabilizerChain(sylow_gens + [arr], n)
+        cand = sylow_chain.copy()
+        cand.extend_all([arr])
         if _p_part(cand.order, p) == cand.order:
             sylow_gens.append(arr)
             sylow_chain = cand

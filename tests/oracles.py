@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here works on plain tuples and dicts, never on the package's own
-chain machinery, so a bug cannot hide on both sides of an assertion.
+chain machinery, so a bug cannot hide on both sides of an assertion. The one
+exception is ``minimal_normal_subgroups_all_closures``, a reference copy of
+an earlier package algorithm that a later one must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -268,3 +270,47 @@ def random_group_t(rng, max_degree: int, max_order: int):
             frontier = nxt
         if ok:
             return n, gens, elements
+
+
+def minimal_normal_subgroups_all_closures(g):
+    """``group.minimal_normal_subgroups`` as it was before closures were
+    dropped unverified: every closure is verified, then one sorted pass
+    keeps each that contains none kept before it. No result is stored on
+    ``g``. Returns the kept subgroups' generators as lists of image arrays."""
+    from semireg.group import StabilizerChain, _prime_order_classes, _row_keys, prime_factors
+    from semireg.perm import is_identity_images
+
+    n = g.degree
+    elements, classes = _prime_order_classes(g)
+    class_of = {}
+    for c, cls in enumerate(classes):
+        class_of.update(dict.fromkeys(_row_keys(elements[cls]).tolist(), c))
+    closures = []
+    for c, cls in enumerate(classes):
+        x = elements[cls[0]]
+        y = x[x]
+        while not is_identity_images(y) and class_of[y.tobytes()] >= c:
+            y = x[y]
+        if not is_identity_images(y):
+            continue
+        chain = StabilizerChain([], n)
+        sel = chain.extend_all(elements[cls])
+        closures.append((chain.order, sel, chain, int(cls[0])))
+    closures.sort(key=lambda t: t[0])
+    minimal = []
+    for order, sel, chain, first in closures:
+        if any(chain.contains_array(kept[0]) for _, _, kept in minimal):
+            continue
+        if len(prime_factors(order)) > 1:
+            first = next(
+                (
+                    i
+                    for i in range(first)
+                    if not is_identity_images(elements[i])
+                    and chain.contains_array(elements[i])
+                ),
+                first,
+            )
+        minimal.append((order, first, sel))
+    minimal.sort(key=lambda t: t[:2])
+    return [sel for _, _, sel in minimal]

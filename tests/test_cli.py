@@ -256,7 +256,7 @@ def test_verify_compares_the_certificate_degree_with_the_graph(
     ), err
 
 
-def test_exit_codes(tmp_path, capsys, c6_files):
+def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
     graph_path, group_path = c6_files
     # usage errors
     assert main(["find"]) == 2
@@ -303,9 +303,23 @@ def test_exit_codes(tmp_path, capsys, c6_files):
         ('{"primes": [-1]}', 2),
         ('{"primes": [1]}', 2),
         ('{"primes": [3, 4]}', 2),
+        # refused by the bound 2p + 1 <= MAX_VERTICES before any trial division
+        ('{"primes": [1000000000000000003]}', 2),
     ]:
         config.write_text(text)
         assert main(corpus) == code, text
+    # a prime within that bound but with 2p + 1 > max_vertices gives no named
+    # instance, and neither K_{2p+1} nor K_{2p,2p} is built for it
+    def refuse(*args):
+        raise AssertionError("built an instance above max_vertices")
+
+    monkeypatch.setattr("semireg.families.complete_graph", refuse)
+    monkeypatch.setattr("semireg.families.complete_bipartite_instance", refuse)
+    config.write_text('{"primes": [100003], "include_coset_search": false}')
+    capsys.readouterr()
+    assert main(corpus) == 0
+    assert capsys.readouterr().out.startswith("0 instances")
+    monkeypatch.undo()
     config.write_bytes(b"\xff\xfe")
     assert main(corpus) == 3
     # parse error

@@ -547,11 +547,12 @@ def test_minimal_normal_subgroups_stored_per_group(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make_group, closures, minimal",
+    "make_group, closures, verified, minimal",
     [
         # C7: six classes of one element each, one cyclic subgroup
-        (lambda: PermGroup([Permutation.from_cycles(7, [range(7)])]), 1, [7]),
-        # C5 x C5: 24 classes of one element each, six cyclic subgroups
+        (lambda: PermGroup([Permutation.from_cycles(7, [range(7)])]), 1, 1, [7]),
+        # C5 x C5: 24 classes of one element each, six cyclic subgroups,
+        # each closure of order 5 and none inside another
         (
             lambda: PermGroup(
                 [
@@ -560,29 +561,147 @@ def test_minimal_normal_subgroups_stored_per_group(monkeypatch):
                 ]
             ),
             6,
+            6,
             [5] * 6,
         ),
         # PSL(2,7): classes of elements of order 2, 3, 7 and 7; the two of
-        # order 7 hold each other's powers
-        (lambda: psl2_action(7), 3, [168]),
+        # order 7 hold each other's powers. The group is simple, so the
+        # closures of orders 3 and 7 hold the involution the first closure
+        # started from, and are dropped before verification
+        (lambda: psl2_action(7), 3, 1, [168]),
     ],
     ids=["c7", "c5xc5", "psl2-7"],
 )
 def test_minimal_normal_subgroups_close_each_cyclic_subgroup_class_once(
-    monkeypatch, make_group, closures, minimal
+    monkeypatch, make_group, closures, verified, minimal
 ):
     g = make_group()
     g.chain()
     calls = []
-    extend_all = StabilizerChain.extend_all
+    verifications = []
+    adjoin = StabilizerChain._adjoin
+    schreier_sims = StabilizerChain._schreier_sims
 
-    def counting_extend_all(self, arrs):
+    def counting_adjoin(self, arrs):
         calls.append(len(arrs))
-        return extend_all(self, arrs)
+        return adjoin(self, arrs)
 
-    monkeypatch.setattr(StabilizerChain, "extend_all", counting_extend_all)
+    def counting_schreier_sims(self, start, order=None):
+        # an empty chain's constructor verifies no level
+        if start >= 0:
+            verifications.append(start)
+        return schreier_sims(self, start, order)
+
+    monkeypatch.setattr(StabilizerChain, "_adjoin", counting_adjoin)
+    monkeypatch.setattr(StabilizerChain, "_schreier_sims", counting_schreier_sims)
     assert [m.order() for m in minimal_normal_subgroups(g)] == minimal
     assert len(calls) == closures
+    assert len(verifications) == verified
+
+
+def _structural_pass_groups(corpus) -> list[PermGroup]:
+    """The groups one in-process pass of the normal-quotient routes over the
+    corpus reaches: those whose minimal normal subgroups it asks for, and
+    the quotient images the lift recurses on."""
+    from semireg import engine
+
+    reached = []
+    real_minimal, real_action = engine.minimal_normal_subgroups, engine.action_on_partition
+
+    def minimal(g, bound):
+        reached.append(g)
+        return real_minimal(g, bound)
+
+    def action(g, partition):
+        bundle = real_action(g, partition)
+        reached.append(bundle.image_group)
+        return bundle
+
+    routes = (engine.ROUTE_PRIME_POWER, engine.ROUTE_QUOTIENT_LIFT, engine.ROUTE_BUDDY_SWAP)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "minimal_normal_subgroups", minimal)
+        mp.setattr(engine, "action_on_partition", action)
+        for inst in corpus:
+            grp = PermGroup(inst.group.generators)
+            config = engine.EngineConfig(routes=routes, graph_id=inst.id)
+            try:
+                engine.find_semiregular(inst.graph, grp, config)
+            except engine.InconclusiveError:
+                pass
+    return reached
+
+
+def test_minimal_normal_subgroups_match_the_all_closures_oracle(corpus):
+    from oracles import minimal_normal_subgroups_all_closures
+
+    groups = {}
+    for g in [inst.group for inst in corpus if inst.group.order() <= NORMAL_BOUND]:
+        groups.setdefault(g.gen_arrays().tobytes(), g)
+    in_corpus = len(groups)
+    for g in _structural_pass_groups(corpus):
+        groups.setdefault(g.gen_arrays().tobytes(), g)
+    # the pass reaches quotient images that are not corpus groups
+    assert len(groups) > in_corpus
+    for g in groups.values():
+        fresh = PermGroup(g.generators)
+        ours = minimal_normal_subgroups(fresh, NORMAL_BOUND)
+        theirs = minimal_normal_subgroups_all_closures(PermGroup(g.generators))
+        assert [[x.images.tobytes() for x in m.generators] for m in ours] == [
+            [a.tobytes() for a in sel] for sel in theirs
+        ]
+        for m in ours:
+            # the kept chain is the closure's, and complete
+            assert m.order() == StabilizerChain(m.gen_arrays(), m.degree).order
+        if g.degree <= 12:
+            sym_g = _sympy_group(x.images for x in g.generators)
+            for m in ours:
+                closure = sym_g.normal_closure(_sympy_group([m.generators[0].images]))
+                assert m.order() == closure.order()
+
+
+def _chain_digest(chain: StabilizerChain) -> str:
+    """Everything a chain holds: base, strong generators in order, and each
+    level's transversal keys in insertion order with reps and inverses."""
+    digest = hashlib.sha256(repr(chain.base).encode())
+    for arr in chain.strong_generators():
+        digest.update(arr.tobytes())
+    for lv in chain.levels:
+        digest.update(repr(list(lv.transversal)).encode())
+        for rep, rep_inv in lv.transversal.values():
+            digest.update(rep.tobytes() + rep_inv.tobytes())
+    return digest.hexdigest()
+
+
+def test_chains_built_with_their_known_order_are_unchanged(corpus):
+    from semireg.engine import _normal_quotients
+
+    combined = 0
+    for inst in corpus:
+        gens, n, order = inst.group.gen_arrays(), inst.group.degree, inst.group.order()
+        for prefix in ([0], [0, 1]):
+            plain = StabilizerChain(gens, n, base_prefix=prefix)
+            known = StabilizerChain(gens, n, base_prefix=prefix, order=order)
+            assert known.order == order
+            assert _chain_digest(known) == _chain_digest(plain), (inst.id, prefix)
+        for _, partition in _normal_quotients(inst.group, []):
+            # a group without a built chain passes no order
+            plain = action_on_partition(PermGroup(inst.group.generators), partition)
+            known = action_on_partition(inst.group, partition)
+            assert _chain_digest(known._combined) == _chain_digest(plain._combined), inst.id
+            combined += 1
+    assert combined > 50
+
+
+def test_chain_copy_grows_without_changing_the_original():
+    g = psl2_action(7)
+    gens = g.gen_arrays()
+    chain = StabilizerChain(gens[:1], g.degree)
+    before = _chain_digest(chain)
+    grown = chain.copy()
+    assert grown.extend_all(gens[1:])
+    assert grown.order == g.order() > chain.order
+    assert _chain_digest(chain) == before
+    assert not chain.contains_array(gens[1])
 
 
 def _s4():
