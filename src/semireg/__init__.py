@@ -5,6 +5,10 @@ search for nontrivial semiregular automorphisms (coset graphs, normal
 quotients, double covers, density closure), concrete families (projective
 linear actions, Praeger-Xu graphs, K12 with M11), a certificate-producing
 search engine, and graph6/sparse6 + generator-file I/O with a CLI.
+
+The names of ``semireg.families`` load on first use: ``semireg.praeger_xu``
+or ``from semireg import corpus_generate`` imports that module, and a bare
+``import semireg`` (or a ``semireg find``/``verify`` process) does not.
 """
 
 __version__ = "0.1.0"
@@ -52,17 +56,6 @@ from .engine import (
     proof_invariant_report,
     verify_certificate,
 )
-from .families import (
-    CorpusConfig,
-    CorpusInstance,
-    corpus_generate,
-    k12_m11,
-    pgl2_action,
-    praeger_xu,
-    praeger_xu_group,
-    psl2_action,
-    psl2_coset_instance,
-)
 from .formats import (
     ParseError,
     format_generators,
@@ -72,3 +65,27 @@ from .formats import (
     write_graph6,
     write_sparse6,
 )
+
+_FAMILIES = frozenset(
+    {
+        "CorpusConfig",
+        "CorpusInstance",
+        "corpus_generate",
+        "k12_m11",
+        "pgl2_action",
+        "praeger_xu",
+        "praeger_xu_group",
+        "psl2_action",
+        "psl2_coset_instance",
+    }
+)
+
+
+def __getattr__(name):
+    # looked up on each access and never stored here, so a later rebinding
+    # of the name in ``families`` is what the package hands out
+    if name in _FAMILIES:
+        from . import families
+
+        return getattr(families, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -158,7 +158,9 @@ def arc_orbit_size(indptr, indices, heads, gens, e0):
     seen[e0] = True
     frontier = np.array([e0])
     while frontier.size:
-        reached = moves[:, frontier].ravel()
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
+        fresh = np.zeros_like(seen)
+        fresh[moves[:, frontier]] = True
+        fresh &= ~seen
+        frontier = np.flatnonzero(fresh)
+        seen |= fresh
     return int(np.count_nonzero(seen))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -22,15 +21,6 @@ from .engine import (
     find_semiregular,
     proof_invariant_report,
     verify_certificate,
-)
-from .families import (
-    CorpusConfig,
-    CorpusInstance,
-    corpus_generate,
-    k12_m11,
-    praeger_xu,
-    praeger_xu_group,
-    psl2_coset_instance,
 )
 from .formats import (
     MAX_VERTICES,
@@ -140,6 +130,16 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _cmd_construct(args) -> int:
+    # the families are imported where they are used: find and verify, the
+    # per-call commands, never load them
+    from .families import (
+        CorpusInstance,
+        k12_m11,
+        praeger_xu,
+        praeger_xu_group,
+        psl2_coset_instance,
+    )
+
     params = _parse_params(args.params or "")
     _check_params(params, args.family)
     outdir = Path(args.out)
@@ -284,10 +284,12 @@ def _corpus_worker(payload):
     return inst.manifest_row(seed), doc
 
 
-def _corpus_config(path: str) -> CorpusConfig:
+def _corpus_config(path: str):
     """The ``corpus --config`` file: a JSON object whose keys are fields of
     ``CorpusConfig``, with ``primes`` a list of integers and ``px_grid`` an
     object mapping each prime to ``[r_min, r_max, s_max]``."""
+    from .families import CorpusConfig
+
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -300,13 +302,23 @@ def _corpus_config(path: str) -> CorpusConfig:
         if key == "primes":
             ok = isinstance(value, list) and all(type(p) is int for p in value)
             # a graph of valency 2p has at least 2p + 1 vertices; the bound
-            # comes before the trial division in is_prime
-            if ok and not all(2 * p + 1 <= MAX_VERTICES and is_prime(p) for p in value):
+            # comes before the trial division in is_prime, and a repeated
+            # prime would list its named instances twice
+            if ok and (
+                len(set(value)) < len(value)
+                or not all(2 * p + 1 <= MAX_VERTICES and is_prime(p) for p in value)
+            ):
                 raise UsageError(
-                    f"--config: 'primes' must hold primes p with 2p + 1 <= "
+                    f"--config: 'primes' must hold distinct primes p with 2p + 1 <= "
                     f"{MAX_VERTICES} only: {value}"
                 )
             value = tuple(value) if ok else value
+        elif key == "max_vertices":
+            ok = type(value) is int
+            if ok and not 1 <= value <= MAX_VERTICES:
+                raise UsageError(
+                    f"--config: 'max_vertices' must lie in 1..{MAX_VERTICES}: {value}"
+                )
         elif key == "px_grid":
             ok = isinstance(value, dict) and all(
                 p.isdigit()
@@ -330,6 +342,8 @@ def _corpus_config(path: str) -> CorpusConfig:
 
 
 def _cmd_corpus(args) -> int:
+    from .families import CorpusConfig, corpus_generate
+
     cfg = _corpus_config(args.config) if args.config else CorpusConfig()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -432,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

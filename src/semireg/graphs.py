@@ -57,8 +57,8 @@ class Graph:
                 raise ValueError(f"loop at vertex {u0}")
             raise ValueError(f"edge ({u0},{w0}) out of range")
         # arc (u, w) has key u * n + w, so sorted keys are the CSR order;
-        # repeats are dropped by hand because np.unique imports numpy.ma on
-        # first use, about 13 ms of a CLI process
+        # repeats are dropped by hand: np.unique imports numpy.ma on first
+        # use, and tests/test_hygiene.py::test_no_numpy_unique keeps it out
         keys = np.sort(np.concatenate((u * n + w, w * n + u)))
         keep = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])

@@ -147,7 +147,7 @@ class Permutation:
 
     def order(self) -> int:
         lengths = _kernels.point_cycle_lengths(self._images)
-        return math.lcm(*{int(x) for x in np.unique(lengths)})
+        return math.lcm(*set(lengths.tolist()))
 
     def cycle_decomposition(self) -> "CycleDecomposition":
         """Disjoint cycles, each starting at its least point, sorted by it."""

@@ -305,6 +305,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
         ('{"primes": [3, 4]}', 2),
         # refused by the bound 2p + 1 <= MAX_VERTICES before any trial division
         ('{"primes": [1000000000000000003]}', 2),
+        # a repeated prime would list K5 and K4,4 twice
+        ('{"primes": [2, 2], "include_coset_search": false, "px_grid": {}}', 2),
+        # max_vertices outside 1..MAX_VERTICES
+        ('{"max_vertices": 0}', 2),
+        ('{"max_vertices": -1}', 2),
+        ('{"max_vertices": 1000000}', 2),
     ]:
         config.write_text(text)
         assert main(corpus) == code, text
@@ -515,6 +521,40 @@ def test_cli_import_leaves_the_process_pool_out():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_find_and_verify_leave_families_logging_and_numpy_ma_out(tmp_path, c6_files):
+    # a find or verify process imports only the code it runs; numpy.ma comes
+    # in with the first np.unique call
+    graph_path, group_path = c6_files
+    files = ["--graph", str(graph_path), "--group", str(group_path)]
+    cert = str(tmp_path / "cert.json")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import contextlib, sys; sys.path.insert(0, {src!r}); from semireg.cli import main\n"
+        f"with open({cert!r}, 'w') as fh, contextlib.redirect_stdout(fh):\n"
+        f"    assert main(['find', *{files!r}]) == 0\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        f"    assert main(['verify', *{files!r}, '--certificate', {cert!r}]) == 0\n"
+        "print([m for m in ('semireg.families', 'numpy.ma', 'logging') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_package_loads_the_families_on_first_use():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import semireg; "
+        "print('semireg.families' in sys.modules); "
+        "import semireg.families; "
+        "print(semireg.corpus_generate is semireg.families.corpus_generate); "
+        "print(hasattr(semireg, 'no_such_name'))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True", "False"]
 
 
 def test_verify_leaves_jsonschema_out(tmp_path, c6_files):

@@ -40,7 +40,8 @@ def test_no_unused_module_imports(path):
 
 def unreferenced_private(sources: dict[str, str]) -> list[str]:
     """Private module-level functions and classes that no module refers to
-    outside their own definition, as ``module: name``."""
+    outside their own definition, as ``module: name``. Dunders, such as a
+    module's ``__getattr__`` that the interpreter calls, are exempt."""
     nodes = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -58,6 +59,7 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
         for module, node, _ in nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and not any(other is not node and node.name in names for _, other, names in nodes)
     ]
 
@@ -65,7 +67,8 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
 def test_unreferenced_private_definitions_are_found():
     sources = {
         "a": "def _imported():\n    pass\n\ndef _recursive():\n    _recursive()\n\n"
-        "class _Dead:\n    pass\n\ndef _attribute():\n    pass\n\ndef public():\n    pass\n",
+        "class _Dead:\n    pass\n\ndef _attribute():\n    pass\n\ndef public():\n    pass\n\n"
+        "def __getattr__(name):\n    pass\n",
         "b": "from .a import _imported\nimport a\na._attribute()\n",
     }
     assert unreferenced_private(sources) == ["a: _recursive", "a: _Dead"]
@@ -74,6 +77,40 @@ def test_unreferenced_private_definitions_are_found():
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def numpy_unique_uses(source: str) -> list[str]:
+    """Lines that reach ``numpy.unique``, as ``line N``. Its first call
+    imports ``numpy.ma``, about 10 ms of a ``semireg find`` process."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        if (
+            isinstance(n, ast.Attribute)
+            and n.attr == "unique"
+            and isinstance(n.value, ast.Name)
+            and n.value.id in ("np", "numpy")
+        ) or (
+            isinstance(n, ast.ImportFrom)
+            and n.module == "numpy"
+            and any(alias.name == "unique" for alias in n.names)
+        ):
+            lines.append(n.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_numpy_unique_uses_are_found():
+    source = (
+        "import numpy as np\nimport numpy\nnp.unique(a)\nf = numpy.unique\n"
+        "from numpy import unique\nframe.unique()\nnp.sort(a)\n"
+    )
+    assert numpy_unique_uses(source) == ["line 3", "line 4", "line 5"]
+
+
+def test_no_numpy_unique():
+    found = {
+        p.name: numpy_unique_uses(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def _named(tree) -> list[str]:
