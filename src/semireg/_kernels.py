@@ -4,8 +4,10 @@ Each kernel has one implementation, on numpy arrays: Python loops for the
 walks whose next step depends on the last one (the cycle walks read the
 images as one Python list first, so each step is a list lookup rather than
 a numpy scalar), array operations where a whole frontier moves at once
-(``arc_orbit_size``). There is no compiled
-path and no backend switch; callers use the public names below directly.
+(``arc_orbit_size``) or a whole block of permutations is tested at once
+(``semiregular_rows``, which takes the (rows, degree) element blocks of
+``StabilizerChain.element_blocks``). There is no compiled path and no
+backend switch; callers use the public names below directly.
 """
 
 from __future__ import annotations
@@ -50,6 +52,46 @@ def is_semiregular_images(images):
         elif length != target:
             return False
     return True
+
+
+# semiregular_rows raises rows to at most this power together, and walks
+# the cycles of the rows left, one at a time, once no more than
+# _WALK_ROWS are left
+_POWER_STEPS = 16
+_WALK_ROWS = 16
+
+
+def semiregular_rows(rows):
+    """For each row of a (k, n) int64 array of permutation images, whether
+    it is nontrivial and semiregular, as a boolean array.
+
+    A row with a fixed point is the identity or not semiregular. The others
+    are raised to the powers 2, 3, ... together: the first power that fixes
+    a point of a row fixes every point exactly when all its cycles share one
+    length. Powers are gathers on the flattened block, each image offset to
+    its own row. The few rows left at the end, or whose cycles are all
+    longer than ``_POWER_STEPS``, are walked by ``is_semiregular_images``,
+    so no row costs more than one walk plus its share of the gathers.
+    """
+    k, n = rows.shape
+    out = np.zeros(k, dtype=bool)
+    live = (rows != np.arange(n)).all(axis=1).nonzero()[0]
+    if len(live) > _WALK_ROWS:
+        at = np.arange(k * n).reshape(k, n)
+        flat = (rows + at[:, :1]).ravel()
+        at = at[live]
+        power = flat[at]
+        for _ in range(_POWER_STEPS - 1):
+            power = flat[power]
+            fixed = (power == at).sum(axis=1)
+            out[live[fixed == n]] = True
+            keep = fixed == 0
+            live, at, power = live[keep], at[keep], power[keep]
+            if len(live) <= _WALK_ROWS:
+                break
+    for i in live.tolist():
+        out[i] = is_semiregular_images(rows[i])
+    return out
 
 
 def orbit_mask(gens, start):

@@ -265,6 +265,13 @@ def _cmd_verify(args) -> int:
     if doc["n"] != graph.n:
         ok = False
         reason = f"certificate is for {doc['n']} vertices, the graph has {graph.n}"
+    # compared as digits, since int() refuses a string of over 4,300
+    elif doc["group_order"].lstrip("0") != str(group.order()):
+        ok = False
+        reason = (
+            f"certificate is for a group of order {doc['group_order']}, "
+            f"the group has order {group.order()}"
+        )
     else:
         ok, reason = verify_certificate(graph, group, document_to_certificate(doc))
     if ok:

@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .graphs import (
     Graph,
     check_automorphisms,
@@ -183,15 +184,24 @@ def verify_certificate(
 ) -> tuple[bool, str]:
     """Independently check a certificate against the graph and group.
 
-    For element certificates: automorphism, nontrivial, semiregular,
-    membership (sift), and order/cycle-length consistency. For
-    exhausted-none: re-enumerate the group and confirm no nontrivial
-    semiregular element exists; raises ``BoundExceededError`` when the group
-    order is above ``bound``, since that says nothing about the certificate.
+    For element certificates: degrees, automorphism, nontrivial,
+    semiregular, membership (sift), and order/cycle-length consistency. For
+    exhausted-none: the group must act on the graph as ``find_semiregular``
+    requires (degree n, every generator an automorphism, transitive), since
+    the claim is about the graph's group; then re-enumerate the group and
+    confirm no nontrivial semiregular element exists. Raises
+    ``BoundExceededError`` when the group order is above ``bound``, since
+    that says nothing about the certificate.
     """
     if cert.method == EXHAUSTED_NONE:
         if cert.element is not None:
             return False, "exhausted-none certificate carries an element"
+        try:
+            check_automorphisms(g, grp)
+        except PreconditionError as exc:
+            return False, str(exc)
+        if not grp.is_transitive():
+            return False, "group is not vertex-transitive"
         _, el = _first_semiregular(grp, bound)
         if el is not None:
             return False, f"group contains semiregular element {el.cycle_string()}"
@@ -201,6 +211,8 @@ def verify_certificate(
         return False, "certificate carries no element"
     if el.degree != g.n:
         return False, "element degree does not match the graph"
+    if grp.degree != g.n:
+        return False, "group degree does not match vertex count"
     if not g.is_automorphism(el):
         return False, "not an automorphism"
     if el.is_identity():
@@ -230,14 +242,21 @@ def _certificate(graph_id, element, method, trace) -> Certificate:
 
 
 def _first_semiregular(grp: PermGroup, bound: int) -> tuple[int, Permutation | None]:
-    """Scan grp's elements up to its first nontrivial semiregular one: the
-    number scanned and that element, or None after the whole group. Raises
-    ``BoundExceededError`` when |grp| > bound."""
+    """Scan grp's elements, in ``iter_elements`` order, up to its first
+    nontrivial semiregular one: the number scanned and that element, or
+    |grp| and None. Whole blocks of elements are tested at once
+    (``StabilizerChain.element_blocks``). Raises ``BoundExceededError`` when
+    |grp| > bound."""
+    order = grp.order()
+    if order > bound:
+        raise BoundExceededError(f"order {order} exceeds bound {bound}")
     count = 0
-    for el in grp.elements(bound):
-        count += 1
-        if not el.is_identity() and el.is_semiregular():
-            return count, el
+    for block in grp.chain().element_blocks():
+        hits = _kernels.semiregular_rows(block)
+        i = int(hits.argmax())
+        if hits[i]:
+            return count + i + 1, Permutation._wrap(block[i].copy())
+        count += len(block)
     return count, None
 
 

@@ -2,9 +2,13 @@
 
 Stabilizer chains (randomized Schreier-Sims with a deterministic verification
 pass) support exact orders, membership sifting, point stabilizers and element
-enumeration, either lazily one element at a time or as one (order, degree)
-array built with a numpy gather per transversal rep, on which powers and
-conjugation act row-wise. On top of those sit induced actions on invariant
+enumeration: lazily one element at a time, as one (order, degree) array built
+with a numpy gather per transversal rep, on which powers and conjugation act
+row-wise, or as a sequence of such arrays of bounded size that starts small,
+for scans that may stop early. The random pre-pass follows a fixed walk read
+off recorded words of numpy's default generator, so building a chain does
+not import ``numpy.random``; only the samplers (direct-search above its
+bound, the Sylow builder) do. On top of those sit induced actions on invariant
 partitions with kernels, bounded normal-subgroup enumeration,
 quasiprimitivity classification, a prime-power-degree semiregular element
 finder and coprime lifting of semiregular elements through quotients.
@@ -31,7 +35,9 @@ _INT = np.int64
 DEFAULT_BOUND = 100_000
 
 _RANDOM_ROUNDS = 30
-_RANDOM_SEED = 0
+
+# most entries (rows x degree) of a block of StabilizerChain.element_blocks
+_BLOCK_CELLS = 1 << 18
 
 
 class PreconditionError(ValueError):
@@ -76,15 +82,79 @@ class _Level:
         self.transversal: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+def _reps(lv: _Level) -> list[np.ndarray]:
+    """A level's transversal reps, in the order of their points."""
+    return [lv.transversal[p][0] for p in sorted(lv.transversal)]
+
+
+def _products(levels: list[_Level], degree: int):
+    """Every product of one rep per level, as image arrays: the rep of the
+    first level is applied last and varies fastest."""
+    ident = np.arange(degree, dtype=_INT)
+    reps_per_level = [_reps(lv) for lv in levels]
+
+    def rec(i):
+        if i == len(reps_per_level):
+            yield ident
+            return
+        for h in rec(i + 1):
+            for rep in reps_per_level[i]:
+                yield _compose(h, rep)
+
+    return rec(0)
+
+
+def _product_rows(start: np.ndarray, rep_lists) -> np.ndarray:
+    """Every product of ``start`` with one rep from each list, as the rows
+    of one int64 array: ``start`` is applied first, then a rep of the last
+    list, and so on up to a rep of the first list, which varies fastest.
+    Built from the last list up, one gather ``rep[elements]`` per rep."""
+    elements = start[None, :]
+    for reps in reversed(rep_lists):
+        out = np.empty((len(elements), len(reps), len(start)), dtype=_INT)
+        for j, rep in enumerate(reps):
+            out[:, j] = rep[elements]
+        elements = out.reshape(-1, len(start))
+    return elements
+
+
+# The first 60 32-bit words of ``np.random.default_rng(0)``, the stream
+# from which its ``integers(k)`` draws come: a PCG64 output's low half, then
+# its high half. To record them again:
+#     raw = np.random.default_rng(0).bit_generator.random_raw(30).tolist()
+#     [half for r in raw for half in (r & 0xFFFFFFFF, r >> 32)]
+_RANDOM_WORDS = (
+    3653403231, 2735729615, 2195314465, 1158725112, 1322117304, 175979945,
+    323153949, 70985654, 752767291, 3492969080, 2789219406, 3920255353,
+    2163061375, 2605480817, 4169308741, 3133163871, 2715582399, 2334851559,
+    2404827117, 4016105479, 1191196492, 3504064333, 2881392816, 11761768,
+    1692857840, 3682523327, 2380764447, 144248947, 3285177209, 3133846279,
+    3636012966, 754435145, 383483662, 3707325242, 94927150, 2325558233,
+    345313848, 1287252768, 2066142961, 1815427791, 1731896076, 121632061,
+    22989416, 533792608, 35580840, 2880309929, 2257511099, 2779657786,
+    1105094193, 2643058928, 3281590885, 1647882547, 1979643162, 4282984061,
+    3457402175, 4212655702, 1630040365, 2944380403, 4080649790, 2793701318,
+)
+
+
 @cache
 def _random_walk(k: int) -> tuple[tuple[int, int], ...]:
-    """The steps of the seeded random walk of ``StabilizerChain._random_boost``
+    """The steps of the fixed random walk of ``StabilizerChain._random_boost``
     over k generators: a generator index and 1 to take its inverse, else 0.
-    Drawn once per k: seeding a numpy random generator and drawing all its
-    numbers costs more than building many a small chain."""
-    rng = np.random.default_rng(_RANDOM_SEED)
+
+    Each round draws ``integers(k)``, then ``integers(2)``, the way
+    ``np.random.default_rng(0)`` does, without importing ``numpy.random``:
+    numpy maps a 32-bit word w to ``(w * k) >> 32`` (Lemire's method), and
+    ``integers(1)`` is 0 and takes no word. Lemire's method also rejects a
+    word whose low product bits fall below 2^32 mod k; none of
+    ``_RANDOM_WORDS`` is rejected for k below 15,451, so up to there the
+    walk is numpy's. Beyond it the walk is still fixed, and the chain is
+    still verified by ``_schreier_sims``.
+    """
+    words = iter(_RANDOM_WORDS)
     return tuple(
-        (int(rng.integers(k)), int(rng.integers(2))) for _ in range(_RANDOM_ROUNDS)
+        (0 if k == 1 else next(words) * k >> 32, next(words) * 2 >> 32)
+        for _ in range(_RANDOM_ROUNDS)
     )
 
 
@@ -336,38 +406,58 @@ class StabilizerChain:
 
     def iter_elements(self):
         """Every element exactly once, as image arrays."""
-        ident = np.arange(self.degree, dtype=_INT)
-        reps_per_level = [
-            [lv.transversal[p][0] for p in sorted(lv.transversal)]
-            for lv in self.levels
-        ]
-
-        def rec(i):
-            if i == len(reps_per_level):
-                yield ident
-                return
-            for h in rec(i + 1):
-                for rep in reps_per_level[i]:
-                    yield _compose(h, rep)
-
-        yield from rec(0)
+        return _products(self.levels, self.degree)
 
     def element_array(self) -> np.ndarray:
         """Every element as one (order, degree) int64 array, rows in
-        ``iter_elements`` order.
+        ``iter_elements`` order."""
+        start = np.arange(self.degree, dtype=_INT)
+        return _product_rows(start, [_reps(lv) for lv in self.levels])
 
-        Built from the deepest level up: a level's elements are h * rep for
-        every element h of the levels below it and every rep of its
-        transversal, one gather ``rep[h]`` over all h per rep.
+    def element_blocks(self):
+        """Every element once, in ``iter_elements`` order, as a sequence of
+        (rows, degree) int64 arrays of at most ``_BLOCK_CELLS`` entries (or
+        one row).
+
+        Each block is the products of the top levels' reps applied to one
+        element of the deeper levels. The top levels are 0..t-1, as many as
+        fit in one block. ``first[i]`` is the first element of levels i,
+        i+1, ... in that order, the product of their first reps. The blocks
+        grow, so a scan that stops early builds little: level 0's reps
+        applied to ``first[1]``, in slices that double from one row; then
+        for each top level s the rows where its rep is not the first, the
+        deeper ones still at ``first[s + 1]``; then one block (or one per
+        slice of level 0, when level 0 alone fills a block) for every
+        further element of the deeper levels.
         """
-        elements = np.arange(self.degree, dtype=_INT)[None, :]
+        n = self.degree
+        first = [np.arange(n, dtype=_INT)]
         for lv in reversed(self.levels):
-            keys = sorted(lv.transversal)
-            out = np.empty((len(elements), len(keys), self.degree), dtype=_INT)
-            for j, p in enumerate(keys):
-                out[:, j] = lv.transversal[p][0][elements]
-            elements = out.reshape(-1, self.degree)
-        return elements
+            first.append(lv.transversal[min(lv.transversal)][0][first[-1]])
+        first.reverse()
+        if not self.levels:
+            yield first[0][None, :]
+            return
+        t, rows = 1, len(self.levels[0].transversal)
+        while t < len(self.levels):
+            size = len(self.levels[t].transversal)
+            if rows * size * n > _BLOCK_CELLS:
+                break
+            t, rows = t + 1, rows * size
+        top = [_reps(self.levels[0])]
+        chunk = max(1, _BLOCK_CELLS // n)
+        start, size = 0, 1
+        while start < len(top[0]):
+            yield _product_rows(first[1], [top[0][start : start + size]])
+            start, size = start + size, min(2 * size, chunk)
+        top += [_reps(lv) for lv in self.levels[1:t]]
+        for s in range(1, t):
+            yield _product_rows(first[s + 1], [*top[:s], top[s][1:]])
+        deeper = _products(self.levels[t:], n)
+        next(deeper)
+        for h in deeper:
+            for a in range(0, len(top[0]), chunk):
+                yield _product_rows(h, [top[0][a : a + chunk], *top[1:]])
 
     def random_element(self, rng) -> np.ndarray:
         """Uniformly random element (exact, via transversal products)."""

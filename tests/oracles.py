@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here works on plain tuples and dicts, never on the package's own
-chain machinery, so a bug cannot hide on both sides of an assertion. The one
-exception is ``minimal_normal_subgroups_all_closures``, a reference copy of
-an earlier package algorithm that a later one must reproduce byte for byte.
+chain machinery, so a bug cannot hide on both sides of an assertion. The two
+exceptions, ``minimal_normal_subgroups_all_closures`` and
+``first_semiregular_per_element``, are reference copies of earlier package
+algorithms that a later one must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -314,3 +315,16 @@ def minimal_normal_subgroups_all_closures(g):
         minimal.append((order, first, sel))
     minimal.sort(key=lambda t: t[:2])
     return [sel for _, _, sel in minimal]
+
+
+def first_semiregular_per_element(grp, bound):
+    """``engine._first_semiregular`` as it was before elements were scanned
+    in blocks: one ``Permutation`` at a time from ``PermGroup.elements``.
+    Returns the number scanned and the first nontrivial semiregular element,
+    or |grp| and None."""
+    count = 0
+    for el in grp.elements(bound):
+        count += 1
+        if not el.is_identity() and el.is_semiregular():
+            return count, el
+    return count, None

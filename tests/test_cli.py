@@ -387,6 +387,44 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
         (tmp_path / f"{name}.gens").write_text(gens)
         report = ["report", "--graph", str(tmp_path / f"{name}.g6")]
         assert main(report + ["--group", str(tmp_path / f"{name}.gens")]) == 0
+    # invalid certificate: the k12-m11 exhausted-none claim against a group
+    # of another order, with an order too long for int(), and, with the
+    # stated order edited to 2, against an intransitive group and a group of
+    # degree 5
+    assert main(["construct", "--family", "k12m11", "--out", str(tmp_path)]) == 0
+    k12 = ["--graph", str(tmp_path / "k12-m11.g6")]
+    capsys.readouterr()
+    assert main(["find", *k12, "--group", str(tmp_path / "k12-m11.gens")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    other = tmp_path / "other.gens"
+    none_cert = tmp_path / "none.json"
+    m11 = (tmp_path / "k12-m11.gens").read_text()
+    for order, gens, reason in [
+        ("7920", "n=12\n(1,2)\n", "certificate is for a group of order 7920,"),
+        # compared as digits: int() refuses a string of more than 4,300
+        ("9" * 5000, m11, "certificate is for a group of order 999"),
+        ("2", "n=12\n(1,2)\n", "group is not vertex-transitive"),
+        ("2", "n=5\n(1,2)\n", "group degree does not match vertex count"),
+    ]:
+        none_cert.write_text(json.dumps({**doc, "group_order": order}))
+        other.write_text(gens)
+        verify_other = ["verify", *k12, "--group", str(other), "--certificate", str(none_cert)]
+        assert main(verify_other) == 1
+        assert reason in capsys.readouterr().err
+    # leading zeros state the same order
+    none_cert.write_text(json.dumps({**doc, "group_order": "007920"}))
+    verify_m11 = ["verify", *k12, "--group", str(tmp_path / "k12-m11.gens")]
+    assert main(verify_m11 + ["--certificate", str(none_cert)]) == 0
+    # an element certificate for C6 with D6 against A4 on 5 points, of the
+    # same order 12, once ended in a ValueError traceback
+    other.write_text("n=5\n(1,2,3)\n(2,3,4)\n")
+    capsys.readouterr()
+    assert main(find) == 0
+    element_cert = tmp_path / "element.json"
+    element_cert.write_text(capsys.readouterr().out)
+    verify_other = ["verify", "--graph", str(graph_path), "--group", str(other)]
+    assert main(verify_other + ["--certificate", str(element_cert)]) == 1
+    assert "group degree does not match vertex count" in capsys.readouterr().err
     # inconclusive: sampling cannot conclude on C6 rotations with tiny bound
     rot_only = tmp_path / "rot.gens"
     rot_only.write_text("n=6\n(1,2,3,4,5,6)\n")
@@ -525,22 +563,32 @@ def test_cli_import_leaves_the_process_pool_out():
 
 def test_find_and_verify_leave_families_logging_and_numpy_ma_out(tmp_path, c6_files):
     # a find or verify process imports only the code it runs; numpy.ma comes
-    # in with the first np.unique call
+    # in with the first np.unique call, and numpy.random with the first
+    # sample, which C6 with D6 needs only above the bound
     graph_path, group_path = c6_files
     files = ["--graph", str(graph_path), "--group", str(group_path)]
     cert = str(tmp_path / "cert.json")
     src = str(Path(__file__).resolve().parent.parent / "src")
+    loaded = "('semireg.families', 'numpy.ma', 'numpy.random', 'logging')"
     code = (
-        f"import contextlib, sys; sys.path.insert(0, {src!r}); from semireg.cli import main\n"
+        f"import contextlib, io, json, sys; sys.path.insert(0, {src!r})\n"
+        "from semireg.cli import main\n"
         f"with open({cert!r}, 'w') as fh, contextlib.redirect_stdout(fh):\n"
         f"    assert main(['find', *{files!r}]) == 0\n"
         "with contextlib.redirect_stdout(sys.stderr):\n"
         f"    assert main(['verify', *{files!r}, '--certificate', {cert!r}]) == 0\n"
-        "print([m for m in ('semireg.families', 'numpy.ma', 'logging') if m in sys.modules])"
+        f"print([m for m in {loaded} if m in sys.modules])\n"
+        # |D6| = 12 is above a bound of 1, so this find samples
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main(['find', *{files!r}, '--bound', '1']) == 0\n"
+        "print(json.loads(out.getvalue())['trace'])"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    loaded, trace = done.stdout.splitlines()
+    assert loaded == "[]"
+    assert "direct-search: sampled element of prime order" in trace
 
 
 def test_package_loads_the_families_on_first_use():

@@ -134,6 +134,33 @@ def test_find_exhausted_none_on_m11():
     assert ok, reason
 
 
+def test_verify_checks_the_group_against_the_graph():
+    # an exhausted-none claim is about a group acting on the graph; a group
+    # of another degree, with a generator that is no automorphism, or that
+    # is not transitive once passed as valid
+    k12, m11 = k12_m11()
+    cert = Certificate("k12", None, 0, 0, engine.EXHAUSTED_NONE, ())
+    assert verify_certificate(k12, m11, cert) == (True, "")
+    swap = Permutation.from_cycles(12, [(0, 1)])
+    ok, reason = verify_certificate(k12, PermGroup([swap]), cert)
+    assert not ok and reason == "group is not vertex-transitive"
+    degree5 = PermGroup([Permutation.from_cycles(5, [(0, 1)])])
+    ok, reason = verify_certificate(k12, degree5, cert)
+    assert not ok and reason == "group degree does not match vertex count"
+    # an element certificate once reached the group's membership test,
+    # which raises ValueError on another degree
+    rotation = Permutation.from_cycles(12, [tuple(range(12))])
+    element_cert = Certificate("k12", rotation, 12, 12, "direct-search", ())
+    ok, reason = verify_certificate(k12, degree5, element_cert)
+    assert not ok and reason == "group degree does not match vertex count"
+    # S6 acts transitively on C6's vertices, but (0 1) is no automorphism
+    s6 = PermGroup(
+        [Permutation.from_cycles(6, [(0, 1)]), Permutation.from_cycles(6, [tuple(range(6))])]
+    )
+    ok, reason = verify_certificate(cycle_graph(6), s6, cert)
+    assert not ok and "is not an automorphism" in reason
+
+
 def test_find_with_rotation_added_on_k12():
     k12, m11 = k12_m11()
     big = PermGroup(

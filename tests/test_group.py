@@ -9,6 +9,7 @@ import pytest
 from semireg.engine import NORMAL_BOUND
 from semireg.perm import Permutation
 from semireg.group import (
+    DEFAULT_BOUND,
     BoundExceededError,
     PermGroup,
     PreconditionError,
@@ -23,6 +24,7 @@ from semireg.group import (
     transitivity_class,
 )
 from semireg.families import (
+    k12_m11,
     m11_degree11,
     pgl2_action,
     praeger_xu_group,
@@ -659,6 +661,43 @@ def test_minimal_normal_subgroups_match_the_all_closures_oracle(corpus):
                 assert m.order() == closure.order()
 
 
+def test_first_semiregular_matches_the_per_element_oracle(corpus):
+    from semireg.engine import _first_semiregular
+
+    from oracles import first_semiregular_per_element
+
+    groups = {}
+    for g in [inst.group for inst in corpus] + _structural_pass_groups(corpus):
+        if g.order() <= DEFAULT_BOUND:
+            groups.setdefault(g.gen_arrays().tobytes(), g)
+    groups["k12-m11"] = k12_m11()[1]
+    hits = 0
+    for g in groups.values():
+        count, el = _first_semiregular(g, DEFAULT_BOUND)
+        ref_count, ref = first_semiregular_per_element(g, DEFAULT_BOUND)
+        assert count == ref_count
+        assert (el is None) == (ref is None)
+        if el is not None:
+            assert el.images.tobytes() == ref.images.tobytes()
+            hits += 1
+    # M11 on 12 points is scanned to the end
+    assert hits == len(groups) - 1 and count == 7920 and el is None
+
+
+def test_random_walk_is_numpys_draws():
+    from semireg.group import _random_walk
+
+    def drawn(k):
+        rng = np.random.default_rng(0)
+        return tuple((int(rng.integers(k)), int(rng.integers(2))) for _ in range(30))
+
+    for k in range(1, 65):
+        assert _random_walk(k) == drawn(k), k
+    # the bound the docstring gives: numpy rejects a recorded word at 15,451
+    assert _random_walk(15_450) == drawn(15_450)
+    assert _random_walk(15_451) != drawn(15_451)
+
+
 def _chain_digest(chain: StabilizerChain) -> str:
     """Everything a chain holds: base, strong generators in order, and each
     level's transversal keys in insertion order with reps and inverses."""
@@ -730,6 +769,26 @@ def test_element_array_rows_follow_iter_elements(make_group):
         assert np.array_equal(rows, np.array(list(chain.iter_elements())))
     trivial = PermGroup([Permutation.identity(5)], 5).chain().element_array()
     assert trivial.tolist() == [list(range(5))]
+
+
+@pytest.mark.parametrize("cells", [None, 64, 24], ids=["default", "64-cells", "24-cells"])
+@pytest.mark.parametrize("make_group", _ENUMERATED_GROUPS.values(), ids=list(_ENUMERATED_GROUPS))
+def test_element_blocks_follow_iter_elements(make_group, cells, monkeypatch):
+    # with blocks of 64 entries, every group here also has blocks over its
+    # deeper levels, and with 24 the slices of level 0 reach their cap
+    from semireg import group
+
+    if cells is not None:
+        monkeypatch.setattr(group, "_BLOCK_CELLS", cells)
+    g = make_group()
+    prefixed = StabilizerChain(g.gen_arrays(), g.degree, base_prefix=[g.degree - 1])
+    for chain in (g.chain(), prefixed):
+        blocks = list(chain.element_blocks())
+        assert all(b.dtype == np.int64 and b.shape[1] == chain.degree for b in blocks)
+        assert all(b.size <= max(group._BLOCK_CELLS, chain.degree) for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), chain.element_array())
+    trivial = list(PermGroup([Permutation.identity(5)], 5).chain().element_blocks())
+    assert [b.tolist() for b in trivial] == [[list(range(5))]]
 
 
 @pytest.mark.parametrize("make_group", _ENUMERATED_GROUPS.values(), ids=list(_ENUMERATED_GROUPS))

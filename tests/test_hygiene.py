@@ -113,6 +113,74 @@ def test_no_numpy_unique():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def numpy_random_uses(source: str) -> list[str]:
+    """Where a module reaches ``numpy.random``, as ``owner: line N``, the
+    owner being the module-level function or class around it, or
+    ``<module>``. Its import loads ``secrets``, ``hashlib`` and ``hmac``,
+    15-21 ms of a ``semireg find`` process."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for n in ast.walk(top):
+            if (
+                (
+                    isinstance(n, ast.Attribute)
+                    and n.attr == "random"
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id in ("np", "numpy")
+                )
+                or (isinstance(n, ast.Import) and any(a.name == "numpy.random" for a in n.names))
+                or (
+                    isinstance(n, ast.ImportFrom)
+                    and (
+                        n.module == "numpy.random"
+                        or (n.module == "numpy" and any(a.name == "random" for a in n.names))
+                    )
+                )
+            ):
+                out.append(f"{owner}: line {n.lineno}")
+    return out
+
+
+def test_numpy_random_uses_are_found():
+    source = (
+        "import numpy as np\nimport numpy.random\n\n"
+        "def sample(seed):\n    return np.random.default_rng(seed)\n\n"
+        "class Walk:\n    def step(self):\n        from numpy import random\n\n"
+        "def draw(rng):\n    from numpy.random import default_rng\n    return rng.random()\n"
+    )
+    assert numpy_random_uses(source) == [
+        "<module>: line 2",
+        "sample: line 5",
+        "Walk: line 9",
+        "draw: line 12",
+    ]
+
+
+# the two places that sample: direct-search above its enumeration bound, and
+# the random Sylow builder of the prime-power route
+_SAMPLERS = {
+    "engine.py": ["_route_direct"],
+    "group.py": ["semiregular_of_prime_power_degree"],
+}
+
+
+def test_numpy_random_only_where_the_package_samples():
+    found = {
+        p.name: [
+            use
+            for use in numpy_random_uses(p.read_text())
+            if use.split(":")[0] not in _SAMPLERS.get(p.name, [])
+        ]
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    # and both still do
+    for name, owners in _SAMPLERS.items():
+        uses = numpy_random_uses((PACKAGE / name).read_text())
+        assert sorted({use.split(":")[0] for use in uses}) == owners
+
+
 def _named(tree) -> list[str]:
     """Every name a tree reads or imports, and every attribute it takes."""
     out = []

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semireg import _kernels
 from semireg.graphs import Graph, cycle_graph
@@ -40,6 +41,79 @@ def test_is_semiregular():
         assert bool(_kernels.is_semiregular_images(arr)) == is_semiregular_t(
             tuple(images)
         )
+
+
+def _cycles(order, lengths):
+    """The permutation whose cycles run through ``order`` in consecutive
+    runs of the given lengths."""
+    perm = [0] * len(order)
+    start = 0
+    for d in lengths:
+        cycle = order[start : start + d]
+        for i, x in enumerate(cycle):
+            perm[x] = cycle[(i + 1) % d]
+        start += d
+    return perm
+
+
+@st.composite
+def permutation_blocks(draw):
+    """A (rows, degree) block of images, degree 1-40: identity rows, rows
+    with a fixed point, products of equal-length cycles and any
+    permutations, in any mix."""
+    n = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["identity", "fixed point", "equal cycles", "any"]))
+        perm = draw(st.permutations(range(n)))
+        if kind == "identity":
+            perm = list(range(n))
+        elif kind == "fixed point":
+            p = draw(st.integers(0, n - 1))
+            q = perm.index(p)
+            perm[q], perm[p] = perm[p], p
+        elif kind == "equal cycles":
+            d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+            perm = _cycles(perm, [d] * (n // d))
+        rows.append(perm)
+    return np.array(rows, dtype=np.int64)
+
+
+def _walked(rows):
+    ident = np.arange(rows.shape[1])
+    return [
+        not np.array_equal(row, ident) and bool(_kernels.is_semiregular_images(row))
+        for row in rows
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_blocks())
+def test_semiregular_rows_match_the_walk_row_by_row(rows):
+    got = _kernels.semiregular_rows(rows)
+    assert got.dtype == bool and got.tolist() == _walked(rows)
+
+
+def test_semiregular_rows_takes_the_powers_and_the_walk():
+    # 30 rows without a fixed point, more than _WALK_ROWS, go through the
+    # powers; the 37-cycles outlast _POWER_STEPS and are walked after them,
+    # and the sixth power fixes every point of the 2- and 3-cycles, which
+    # the second power has already ruled out
+    rng = random.Random(8)
+    rows = []
+    for _ in range(10):
+        order = list(range(37))
+        rng.shuffle(order)
+        rows += [
+            _cycles(order, [37]),
+            _cycles(order, [3, 34]),
+            _cycles(order, [2] * 5 + [3] * 9),
+            list(range(37)),
+        ]
+    block = np.array(rows, dtype=np.int64)
+    assert len(np.flatnonzero((block != np.arange(37)).all(axis=1))) > _kernels._WALK_ROWS
+    got = _kernels.semiregular_rows(block).tolist()
+    assert got == _walked(block) == [True, False, False, False] * 10
 
 
 def test_orbit_mask():
