@@ -1,16 +1,21 @@
 """Hot inner loops over permutation image arrays and CSR adjacency.
 
 Each kernel has one implementation, on numpy arrays: Python loops for the
-walks whose next step depends on the last one (the cycle walks read the
-images as one Python list first, so each step is a list lookup rather than
-a numpy scalar), array operations where a whole frontier moves at once
-(``arc_orbit_size``) or a whole block of permutations is tested at once
-(``semiregular_rows``, which takes the (rows, degree) element blocks of
+walks whose next step depends on the last one (cycles, orbits, the density
+closure, the triangle search), array operations where a whole frontier moves
+at once (``arc_orbit_size``) or a whole block of permutations is tested at
+once (``semiregular_rows``, which takes the (rows, degree) element blocks of
 ``StabilizerChain.element_blocks``). There is no compiled path and no
 backend switch; callers use the public names below directly.
+
+Every walk reads its arrays as Python lists first (``tolist()`` once), so
+each step is a list lookup rather than a numpy scalar, and keeps its
+worklist in a list or a deque; only its result goes back into numpy.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -95,89 +100,59 @@ def semiregular_rows(rows):
 
 
 def orbit_mask(gens, start):
-    """Boolean mask of the orbit of ``start`` under the rows of ``gens``."""
-    k, n = gens.shape
-    mask = np.zeros(n, dtype=np.uint8)
-    stack = np.empty(n, dtype=np.int64)
-    mask[start] = 1
-    stack[0] = start
-    top = 1
-    while top > 0:
-        top -= 1
-        v = stack[top]
-        for i in range(k):
-            w = gens[i, v]
-            if not mask[w]:
-                mask[w] = 1
-                stack[top] = w
-                top += 1
+    """Mask (uint8) of the orbit of ``start`` under the rows of ``gens``."""
+    rows = gens.tolist()
+    seen = [False] * gens.shape[1]
+    seen[start] = True
+    # the list grows while it is walked: a breadth-first search
+    orbit = [start]
+    for v in orbit:
+        for row in rows:
+            w = row[v]
+            if not seen[w]:
+                seen[w] = True
+                orbit.append(w)
+    mask = np.zeros(len(seen), dtype=np.uint8)
+    mask[orbit] = 1
     return mask
 
 
 def density_closure_mask(indptr, indices, seed_mask, lifo):
-    """Close ``seed_mask`` under "two neighbours inside" and return the mask.
+    """Close ``seed_mask`` under "two neighbours inside" and return the mask,
+    of ``seed_mask``'s dtype.
 
     ``lifo`` switches the worklist from queue to stack; the closure itself is
     order-independent, the switch exists so tests can confirm that.
     """
-    n = indptr.shape[0] - 1
-    in_s = seed_mask.copy()
-    count = np.zeros(n, dtype=np.int64)
-    work = np.empty(n, dtype=np.int64)
-    head = 0
-    tail = 0
-    for v in range(n):
-        if in_s[v]:
-            work[tail] = v
-            tail += 1
-    while head < tail:
-        if lifo:
-            tail -= 1
-            v = work[tail]
-        else:
-            v = work[head]
-            head += 1
-        for e in range(indptr[v], indptr[v + 1]):
-            w = indices[e]
-            if not in_s[w]:
+    ptr, nbrs = indptr.tolist(), indices.tolist()
+    inside = seed_mask.tolist()
+    count = [0] * len(inside)
+    work = deque(v for v, x in enumerate(inside) if x)
+    take = work.pop if lifo else work.popleft
+    while work:
+        v = take()
+        for w in nbrs[ptr[v] : ptr[v + 1]]:
+            if not inside[w]:
                 count[w] += 1
-                if count[w] >= 2:
-                    in_s[w] = 1
-                    work[tail] = w
-                    tail += 1
-    return in_s
+                if count[w] == 2:
+                    inside[w] = 1
+                    work.append(w)
+    return np.array(inside, dtype=seed_mask.dtype)
 
 
 def triangle_witness(indptr, indices):
-    """First triangle (u < v < w) in lexicographic order, else (-1,-1,-1)."""
-    n = indptr.shape[0] - 1
-    out = np.full(3, -1, dtype=np.int64)
-    for u in range(n):
-        for e in range(indptr[u], indptr[u + 1]):
-            v = indices[e]
-            if v <= u:
-                continue
-            i = indptr[u]
-            j = indptr[v]
-            iend = indptr[u + 1]
-            jend = indptr[v + 1]
-            while i < iend and j < jend:
-                a = indices[i]
-                b = indices[j]
-                if a <= v:
-                    i += 1
-                elif b <= v:
-                    j += 1
-                elif a == b:
-                    out[0] = u
-                    out[1] = v
-                    out[2] = a
-                    return out
-                elif a < b:
-                    i += 1
-                else:
-                    j += 1
-    return out
+    """First triangle (u < v < w) in lexicographic order, as an int64 array,
+    else (-1, -1, -1). The rows of the CSR adjacency are sorted."""
+    ptr, nbrs = indptr.tolist(), indices.tolist()
+    for u in range(len(ptr) - 1):
+        row = nbrs[ptr[u] : ptr[u + 1]]
+        mine = set(row)
+        for v in row:
+            if v > u:
+                for w in nbrs[ptr[v] : ptr[v + 1]]:
+                    if w > v and w in mine:
+                        return np.array([u, v, w], dtype=np.int64)
+    return np.full(3, -1, dtype=np.int64)
 
 
 def arc_orbit_size(indptr, indices, heads, gens, e0):

@@ -150,8 +150,9 @@ def _cmd_construct(args) -> int:
         p, r, s = params["p"], params["r"], params.get("s", 1)
         # refuse, before building it, a graph too large for graph6; for
         # p >= 2 the capped exponent alone already gives more vertices,
-        # since 2 ** MAX_VERTICES.bit_length() > MAX_VERTICES
-        if r * p ** min(s, MAX_VERTICES.bit_length()) > MAX_VERTICES:
+        # since 2 ** MAX_VERTICES.bit_length() > MAX_VERTICES; a p below 2
+        # or an s below 1 is refused by praeger_xu's checks instead
+        if p >= 2 and s >= 1 and r * p ** min(s, MAX_VERTICES.bit_length()) > MAX_VERTICES:
             raise PreconditionError(
                 f"C({p},{r},{s}) has more than {MAX_VERTICES} vertices, "
                 "the graph6 limit"

@@ -154,12 +154,13 @@ def psl2_coset_instance(p: int, s: int) -> CosetGraphBundle:
 
 
 def _px_check(p: int, r: int, s: int) -> None:
-    if not is_prime(p):
-        raise PreconditionError(f"p={p} must be prime")
+    # the trial division for p comes last, after the checks that cost nothing
     if r < 3:
         raise PreconditionError(f"r={r} must be at least 3")
     if not 1 <= s <= r - 1:
         raise PreconditionError(f"s={s} must satisfy 1 <= s <= r-1")
+    if not is_prime(p):
+        raise PreconditionError(f"p={p} must be prime")
 
 
 def _px_vertex(i: int, digits, p: int, s: int) -> int:
@@ -513,11 +514,15 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
             grid = cfg.px_grid.get(p)
             if grid is None:
                 continue
+            # r_range ascends, so the first r (then s) too large for
+            # max_vertices ends its loop
             r_range, s_max = grid
             for r in r_range:
+                if r * p > cfg.max_vertices:
+                    break
                 for s in range(1, min(s_max, r - 1) + 1):
                     if r * p**s > cfg.max_vertices:
-                        continue
+                        break
                     graph, rot = praeger_xu(p, r, s)
                     group = praeger_xu_group(p, r, s)
                     family = "px" if s > 1 else "px-lexicographic"

@@ -2,10 +2,11 @@
 
 Stabilizer chains (randomized Schreier-Sims with a deterministic verification
 pass) support exact orders, membership sifting, point stabilizers and element
-enumeration: lazily one element at a time, as one (order, degree) array built
-with a numpy gather per transversal rep, on which powers and conjugation act
-row-wise, or as a sequence of such arrays of bounded size that starts small,
-for scans that may stop early. The random pre-pass follows a fixed walk read
+enumeration. One walk lists the elements in two shapes: (rows, degree)
+arrays of bounded size that start at one row, for scans that may stop early,
+or their rows one at a time. All of them also come as one (order, degree)
+array built with a numpy gather per transversal rep, on which powers and
+conjugation act row-wise. The random pre-pass follows a fixed walk read
 off recorded words of numpy's default generator, so building a chain does
 not import ``numpy.random``; only the samplers (direct-search above its
 bound, the Sylow builder) do. On top of those sit induced actions on invariant
@@ -87,23 +88,6 @@ def _reps(lv: _Level) -> list[np.ndarray]:
     return [lv.transversal[p][0] for p in sorted(lv.transversal)]
 
 
-def _products(levels: list[_Level], degree: int):
-    """Every product of one rep per level, as image arrays: the rep of the
-    first level is applied last and varies fastest."""
-    ident = np.arange(degree, dtype=_INT)
-    reps_per_level = [_reps(lv) for lv in levels]
-
-    def rec(i):
-        if i == len(reps_per_level):
-            yield ident
-            return
-        for h in rec(i + 1):
-            for rep in reps_per_level[i]:
-                yield _compose(h, rep)
-
-    return rec(0)
-
-
 def _product_rows(start: np.ndarray, rep_lists) -> np.ndarray:
     """Every product of ``start`` with one rep from each list, as the rows
     of one int64 array: ``start`` is applied first, then a rep of the last
@@ -116,6 +100,44 @@ def _product_rows(start: np.ndarray, rep_lists) -> np.ndarray:
             out[:, j] = rep[elements]
         elements = out.reshape(-1, len(start))
     return elements
+
+
+def _element_blocks(levels: list[_Level], n: int):
+    """Every product of one rep per level, in ``_product_rows`` order, as
+    (rows, n) int64 blocks of at most ``_BLOCK_CELLS`` entries (or one row).
+
+    The top levels 0..t-1 are as many as fit in one block. Level 0's reps
+    come first, applied to the first element of the levels below, in
+    slices that double from one row, so a scan that stops early builds
+    little. Then the top levels' products are built once, as the rows of
+    ``table``, and the block for each element h of the deeper levels is the
+    gather ``table[:, h]``; the deeper elements are this walk's rows over
+    ``levels[t:]``.
+    """
+    if not levels:
+        yield np.arange(n, dtype=_INT)[None, :]
+        return
+    t, rows = 1, len(levels[0].transversal)
+    while t < len(levels) and rows * len(levels[t].transversal) * n <= _BLOCK_CELLS:
+        t, rows = t + 1, rows * len(levels[t].transversal)
+    deeper = (h for block in _element_blocks(levels[t:], n) for h in block)
+    h = first = next(deeper)
+    for lv in reversed(levels[1:t]):
+        first = lv.transversal[min(lv.transversal)][0][first]
+    reps = _reps(levels[0])
+    chunk = max(1, _BLOCK_CELLS // n)
+    start, size = 0, 1
+    while start < len(reps):
+        yield np.array(reps[start : start + size]).take(first, axis=1)
+        start, size = start + size, min(2 * size, chunk)
+    if len(levels) == 1:
+        return  # the slices held every element
+    table = _product_rows(np.arange(n, dtype=_INT), [reps, *map(_reps, levels[1:t])])
+    for a in range(len(reps), rows, chunk):
+        yield table[a : a + chunk].take(h, axis=1)
+    for h in deeper:
+        for a in range(0, rows, chunk):
+            yield table[a : a + chunk].take(h, axis=1)
 
 
 # The first 60 32-bit words of ``np.random.default_rng(0)``, the stream
@@ -405,8 +427,10 @@ class StabilizerChain:
         return [g for g, _, d in self._strong if d >= depth]
 
     def iter_elements(self):
-        """Every element exactly once, as image arrays."""
-        return _products(self.levels, self.degree)
+        """Every element exactly once, as image arrays: the rows of
+        ``element_blocks``, in the same order."""
+        for block in self.element_blocks():
+            yield from block
 
     def element_array(self) -> np.ndarray:
         """Every element as one (order, degree) int64 array, rows in
@@ -415,49 +439,12 @@ class StabilizerChain:
         return _product_rows(start, [_reps(lv) for lv in self.levels])
 
     def element_blocks(self):
-        """Every element once, in ``iter_elements`` order, as a sequence of
-        (rows, degree) int64 arrays of at most ``_BLOCK_CELLS`` entries (or
-        one row).
-
-        Each block is the products of the top levels' reps applied to one
-        element of the deeper levels. The top levels are 0..t-1, as many as
-        fit in one block. ``first[i]`` is the first element of levels i,
-        i+1, ... in that order, the product of their first reps. The blocks
-        grow, so a scan that stops early builds little: level 0's reps
-        applied to ``first[1]``, in slices that double from one row; then
-        for each top level s the rows where its rep is not the first, the
-        deeper ones still at ``first[s + 1]``; then one block (or one per
-        slice of level 0, when level 0 alone fills a block) for every
-        further element of the deeper levels.
-        """
-        n = self.degree
-        first = [np.arange(n, dtype=_INT)]
-        for lv in reversed(self.levels):
-            first.append(lv.transversal[min(lv.transversal)][0][first[-1]])
-        first.reverse()
-        if not self.levels:
-            yield first[0][None, :]
-            return
-        t, rows = 1, len(self.levels[0].transversal)
-        while t < len(self.levels):
-            size = len(self.levels[t].transversal)
-            if rows * size * n > _BLOCK_CELLS:
-                break
-            t, rows = t + 1, rows * size
-        top = [_reps(self.levels[0])]
-        chunk = max(1, _BLOCK_CELLS // n)
-        start, size = 0, 1
-        while start < len(top[0]):
-            yield _product_rows(first[1], [top[0][start : start + size]])
-            start, size = start + size, min(2 * size, chunk)
-        top += [_reps(lv) for lv in self.levels[1:t]]
-        for s in range(1, t):
-            yield _product_rows(first[s + 1], [*top[:s], top[s][1:]])
-        deeper = _products(self.levels[t:], n)
-        next(deeper)
-        for h in deeper:
-            for a in range(0, len(top[0]), chunk):
-                yield _product_rows(h, [top[0][a : a + chunk], *top[1:]])
+        """Every element once, as (rows, degree) int64 arrays of at most
+        ``_BLOCK_CELLS`` entries (or one row) that start at one row and
+        grow, for scans that may stop early: the one element walk, of which
+        ``iter_elements`` yields the rows. Level 0's rep varies fastest, the
+        last level's slowest."""
+        return _element_blocks(self.levels, self.degree)
 
     def random_element(self, rng) -> np.ndarray:
         """Uniformly random element (exact, via transversal products)."""

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here works on plain tuples and dicts, never on the package's own
-chain machinery, so a bug cannot hide on both sides of an assertion. The two
-exceptions, ``minimal_normal_subgroups_all_closures`` and
-``first_semiregular_per_element``, are reference copies of earlier package
-algorithms that a later one must reproduce byte for byte.
+chain machinery, so a bug cannot hide on both sides of an assertion. The three
+exceptions, ``minimal_normal_subgroups_all_closures``,
+``first_semiregular_per_element`` and ``chain_products``, are reference
+copies of earlier package algorithms that a later one must reproduce byte
+for byte.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def all_normal_subgroups_t(gens: list[tuple]) -> list[frozenset]:
 
     Normal closures of single elements are the atoms; arbitrary normal
     subgroups are joins of atoms, so closing the atom set under pairwise
-    join yields the whole lattice.
+    join yields the whole lattice. Conjugate elements have the same normal
+    closure, the closure of their class, so each class is closed once.
     """
     elements = closure_t(gens)
     n = len(gens[0])
@@ -106,25 +108,28 @@ def all_normal_subgroups_t(gens: list[tuple]) -> list[frozenset]:
 
     gen_invs = [inverse_t(g) for g in gens]
 
-    def normal_closure(xs) -> frozenset:
+    def conjugacy_class(x) -> set:
         # closing under conjugation by the generators closes under the whole
         # group: in a finite group every inverse is a positive power
-        core = set(xs)
-        work = list(core)
+        cls = {x}
+        work = [x]
         while work:
             x = work.pop()
             for g, g_inv in zip(gens, gen_invs):
                 y = compose_t(compose_t(g_inv, x), g)
-                if y not in core:
-                    core.add(y)
+                if y not in cls:
+                    cls.add(y)
                     work.append(y)
-        # close under multiplication
-        return frozenset(closure_t(sorted(core)))
+        return cls
 
     atoms = set()
+    seen = {ident}
     for x in elements:
-        if x != ident:
-            atoms.add(normal_closure([x]))
+        if x not in seen:
+            cls = conjugacy_class(x)
+            seen |= cls
+            # the normal closure: the class closed under multiplication
+            atoms.add(frozenset(closure_t(sorted(cls))))
     lattice = set(atoms)
     lattice.add(frozenset({ident}))
     frontier = set(atoms)
@@ -328,3 +333,26 @@ def first_semiregular_per_element(grp, bound):
         if not el.is_identity() and el.is_semiregular():
             return count, el
     return count, None
+
+
+def chain_products(chain):
+    """``StabilizerChain.iter_elements`` as it was before the element walk
+    was built from blocks: every product of one transversal rep per level
+    of ``chain``, as image arrays one at a time, built by recursion over the
+    levels. The rep of the first level is applied last and varies fastest."""
+    import numpy as np
+
+    from semireg.group import _reps
+
+    ident = np.arange(chain.degree, dtype=np.int64)
+    reps_per_level = [_reps(lv) for lv in chain.levels]
+
+    def rec(i):
+        if i == len(reps_per_level):
+            yield ident
+            return
+        for h in rec(i + 1):
+            for rep in reps_per_level[i]:
+                yield rep[h]
+
+    return rec(0)

@@ -380,6 +380,17 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
         capsys.readouterr()
         assert main(["construct", "--family", "px", "--params", params, "--out", out]) == 4
         assert "graph6 limit" in capsys.readouterr().err
+    # precondition error: p and s outside their ranges, refused before the
+    # size check raises 0 ** -1 and before a trial division of a huge p
+    for params, message in [
+        ("p=0,r=3,s=-1", "s=-1 must satisfy"),
+        ("p=2,r=3,s=-1", "s=-1 must satisfy"),
+        ("p=0,r=3,s=1", "p=0 must be prime"),
+        ("p=1000000000000000003,r=0,s=1", "r=0 must be at least 3"),
+    ]:
+        capsys.readouterr()
+        assert main(["construct", "--family", "px", "--params", params, "--out", out]) == 4
+        assert message in capsys.readouterr().err
     # a report on a graph whose vertex 0 has no neighbours: K1, and 3K1 with S3
     no_neighbours = [("k1", b"@", "n=1\n()\n"), ("3k1", b"B?", "n=3\n(1,2)\n(1,2,3)\n")]
     for name, graph6, gens in no_neighbours:

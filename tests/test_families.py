@@ -362,6 +362,28 @@ def test_corpus_px_grid_p2():
     assert all(is_arc_transitive(inst.graph, inst.group) for inst in corpus)
 
 
+def test_corpus_px_grid_stops_at_the_first_r_above_max_vertices():
+    # the r ranges ascend, so the grid stops reading its r range at the
+    # first r with r * p > max_vertices: with max_vertices 10 and p = 2
+    # that is r = 6, well before this range raises
+    def r_range():
+        yield from range(3, 21)
+        raise AssertionError("the r range was read past r = 20")
+
+    def corpus(rs):
+        cfg = CorpusConfig(
+            primes=(2,),
+            max_vertices=10,
+            px_grid={2: (rs, 1)},
+            include_named=False,
+            include_coset_search=False,
+        )
+        return [(inst.id, inst.graph.n) for inst in corpus_generate(cfg)]
+
+    assert corpus(r_range()) == corpus(range(3, 6))
+    assert corpus(range(3, 6)) == [("px-p2-r3-s1", 6), ("px-p2-r4-s1", 8), ("px-p2-r5-s1", 10)]
+
+
 def test_corpus_double_covers(corpus):
     # even-r bases are bipartite, so only odd-r covers appear (connected)
     cover_ids = {i.id for i in corpus if i.family == "double-cover"}

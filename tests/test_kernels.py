@@ -129,20 +129,23 @@ def test_orbit_mask():
         arr = np.array(gens, dtype=np.int64)
         v = rng.randrange(n)
         mask = _kernels.orbit_mask(arr, v)
+        assert mask.dtype == np.uint8
         assert {int(x) for x in np.flatnonzero(mask)} == orbit_t(list(gens), v)
 
 
 def test_density_closure_kernel():
     rng = random.Random(8)
-    for _ in range(80):
+    for trial in range(80):
         n = rng.randrange(2, 25)
         g = random_graph(rng, n, rng.random())
-        seed_mask = np.zeros(n, dtype=np.uint8)
+        # the closure comes back in the seed's dtype
+        seed_mask = np.zeros(n, dtype=(np.uint8, np.bool_)[trial % 2])
         for v in rng.sample(range(n), rng.randrange(1, n)):
             seed_mask[v] = 1
         fifo = _kernels.density_closure_mask(g.indptr, g.indices, seed_mask, 0)
         lifo = _kernels.density_closure_mask(g.indptr, g.indices, seed_mask, 1)
         assert np.array_equal(fifo, lifo)
+        assert fifo.dtype == lifo.dtype == seed_mask.dtype
         # brute closure
         s = {int(x) for x in np.flatnonzero(seed_mask)}
         changed = True
@@ -172,11 +175,9 @@ def test_triangle_kernel():
                     break
             if brute:
                 break
-        if brute is None:
-            assert out[0] == -1
-        else:
-            u, v, w = (int(x) for x in out)
-            assert g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
+        # the witness is the first triangle in lexicographic order
+        assert out.dtype == np.int64
+        assert tuple(out.tolist()) == (brute or (-1, -1, -1))
 
 
 def _arc_orbit_cases(corpus, d6, c6_regular):
