@@ -10,7 +10,10 @@ backend switch; callers use the public names below directly.
 
 Every walk reads its arrays as Python lists first (``tolist()`` once), so
 each step is a list lookup rather than a numpy scalar, and keeps its
-worklist in a list or a deque; only its result goes back into numpy.
+worklist in a list or a deque; only its result goes back into numpy. The
+orbit walks share one breadth-first reach: ``orbit_mask`` gives one orbit of
+a group, ``orbits`` every orbit of CSR lists (a graph, or a group's generator
+rows, with k successors per point).
 """
 
 from __future__ import annotations
@@ -99,22 +102,33 @@ def semiregular_rows(rows):
     return out
 
 
-def orbit_mask(gens, start):
-    """Mask (uint8) of the orbit of ``start`` under the rows of ``gens``."""
-    rows = gens.tolist()
-    seen = [False] * gens.shape[1]
+def _reach(succ, seen, start):
+    """The unseen points that ``start`` reaches, marked seen on the way, with
+    ``succ[v]`` the successors of v; breadth first, as ``found`` grows."""
     seen[start] = True
-    # the list grows while it is walked: a breadth-first search
-    orbit = [start]
-    for v in orbit:
-        for row in rows:
-            w = row[v]
+    found = [start]
+    for v in found:
+        for w in succ[v]:
             if not seen[w]:
                 seen[w] = True
-                orbit.append(w)
-    mask = np.zeros(len(seen), dtype=np.uint8)
-    mask[orbit] = 1
+                found.append(w)
+    return found
+
+
+def orbit_mask(gens, start):
+    """Mask (uint8) of the orbit of ``start`` under the rows of ``gens``."""
+    mask = np.zeros(gens.shape[1], dtype=np.uint8)
+    # column v of the rows lists the images of point v
+    mask[_reach(list(zip(*gens.tolist())), [False] * len(mask), start)] = 1
     return mask
+
+
+def orbits(indptr, indices):
+    """Every orbit (component) of the CSR lists, sorted, by least point."""
+    ptr, nbrs = indptr.tolist(), indices.tolist()
+    succ = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
+    seen = [False] * len(succ)
+    return [sorted(_reach(succ, seen, v)) for v in range(len(succ)) if not seen[v]]
 
 
 def density_closure_mask(indptr, indices, seed_mask, lifo):

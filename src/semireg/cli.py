@@ -335,6 +335,8 @@ def _corpus_config(path: str):
                 and all(type(x) is int for x in row)
                 for p, row in value.items()
             )
+            if ok and not all(3 <= lo <= hi and s >= 1 for lo, hi, s in value.values()):
+                raise UsageError("--config: 'px_grid' rows need 3 <= r_min <= r_max, s_max >= 1")
             if ok:
                 value = {
                     int(p): (range(lo, hi + 1), smax) for p, (lo, hi, smax) in value.items()
@@ -346,6 +348,9 @@ def _corpus_config(path: str):
         if not ok:
             raise UsageError(f"--config: malformed {key!r}: {json.dumps(raw[key])}")
         fields[key] = value
+    stray = set(fields.get("px_grid", {})) - set(fields.get("primes", default.primes))
+    if stray:
+        raise UsageError(f"--config: 'px_grid' rows for primes {sorted(stray)} outside 'primes'")
     return CorpusConfig(**fields)
 
 

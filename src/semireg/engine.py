@@ -541,9 +541,10 @@ def _arc_orbits(g: Graph, m0: PermGroup, s: int) -> list[list[int]]:
     if not arcs:
         return []
     index = {a: i for i, a in enumerate(arcs)}
-    images = m0.gen_arrays()[:, arcs]
-    rows = [[index[tuple(arc)] for arc in img] for img in images.tolist()]
-    return PermGroup(rows, len(arcs)).orbit_partition()
+    images = m0.gen_arrays()[:, arcs].tolist()
+    # the rows as CSR lists: each arc's successors are its k images
+    rows = np.array([[index[tuple(arc)] for arc in img] for img in images])
+    return _kernels.orbits(np.arange(0, rows.size + 1, len(rows)), rows.T.ravel())
 
 
 def arc_stabilizer_bound_check(
@@ -566,13 +567,13 @@ def arc_stabilizer_bound_check(
     return out
 
 
-def _neighbour_orbit_sizes(g: Graph, sub: PermGroup, v: int) -> set[int] | None:
-    """Orbit sizes on N(v) of sub's stabilizer of v, which fixes v and so
-    maps N(v) to itself; None when that stabilizer is trivial."""
-    stab = sub.point_stabilizer(v)
+def _neighbour_orbit_sizes(g: Graph, sub: PermGroup) -> set[int] | None:
+    """Orbit sizes on N(0) of sub's stabilizer of 0, which fixes 0 and so
+    maps N(0), its 1-arcs, to itself; None when that stabilizer is trivial."""
+    stab = sub.point_stabilizer(0)
     if stab.is_trivial():
         return None
-    return {len(stab.orbit(int(w))) for w in g.neighbors(v)}
+    return {len(o) for o in _arc_orbits(g, stab, 1)}
 
 
 class _ReportInputs:
@@ -621,7 +622,7 @@ def _kernel_fixing_classes(r: _ReportInputs):
         d = quotient_graph(r.g, partition).valency()
         if d is None or d % 2 == 0 or not is_prime(d):
             continue
-        if _neighbour_orbit_sizes(r.g, nsub, 0) != {2}:
+        if _neighbour_orbit_sizes(r.g, nsub) != {2}:
             continue
         kv = r.bundle(i).kernel.point_stabilizer(0)
         return True, _is_2_group(kv), f"quotient valency {d}, |K_v| = {kv.order()}"
@@ -656,7 +657,7 @@ def _arc_stabilizer_index(r: _ReportInputs):
     # each kernel is built only when the loop reaches it
     kernels = (r.bundle(i).kernel for i in range(len(r.quotients)))
     for m_sub in itertools.chain(minimal_normal_subgroups(r.grp, NORMAL_BOUND), kernels):
-        sizes = _neighbour_orbit_sizes(r.g, m_sub, 0)
+        sizes = _neighbour_orbit_sizes(r.g, m_sub)
         if sizes is None or not sizes <= {1, 2}:
             continue
         results = arc_stabilizer_bound_check(r.g, m_sub, s_values=(1, 2, 3))

@@ -98,12 +98,13 @@ def parse_generators(text: str) -> PermGroup:
         if not line:
             continue
         if degree is None:
-            if not line.startswith("n") or "=" not in line:
+            key, eq, value = line.partition("=")
+            if not eq or key.strip() != "n":
                 raise ParseError(
                     f"line {line_no}: expected header 'n=<degree>', got {line!r}"
                 )
             try:
-                degree = int(line.split("=", 1)[1].strip())
+                degree = int(value)
             except ValueError:
                 raise ParseError(f"line {line_no}: bad degree in header") from None
             if degree < 1:

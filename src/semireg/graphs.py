@@ -103,21 +103,7 @@ class Graph:
         return self.component_count() == 1
 
     def component_count(self) -> int:
-        seen = np.zeros(self.n, dtype=bool)
-        count = 0
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            count += 1
-            stack = [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(int(w))
-        return count
+        return len(_kernels.orbits(self.indptr, self.indices))
 
     def is_bipartite(self) -> bool:
         color = np.full(self.n, -1, dtype=np.int8)

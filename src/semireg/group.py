@@ -109,10 +109,10 @@ def _element_blocks(levels: list[_Level], n: int):
     The top levels 0..t-1 are as many as fit in one block. Level 0's reps
     come first, applied to the first element of the levels below, in
     slices that double from one row, so a scan that stops early builds
-    little. Then the top levels' products are built once, as the rows of
-    ``table``, and the block for each element h of the deeper levels is the
-    gather ``table[:, h]``; the deeper elements are this walk's rows over
-    ``levels[t:]``.
+    little. The rest of the top levels' products with that element are the
+    rows of one table built on it; only if the deeper levels (this walk's
+    rows over ``levels[t:]``) have more elements h is the table built again
+    at the identity, and each h's block is the gather ``table[:, h]``.
     """
     if not levels:
         yield np.arange(n, dtype=_INT)[None, :]
@@ -132,9 +132,12 @@ def _element_blocks(levels: list[_Level], n: int):
         start, size = start + size, min(2 * size, chunk)
     if len(levels) == 1:
         return  # the slices held every element
-    table = _product_rows(np.arange(n, dtype=_INT), [reps, *map(_reps, levels[1:t])])
+    top = [reps, *map(_reps, levels[1:t])]
+    table = _product_rows(h, top)
     for a in range(len(reps), rows, chunk):
-        yield table[a : a + chunk].take(h, axis=1)
+        yield table[a : a + chunk]
+    if t < len(levels):
+        table = _product_rows(np.arange(n, dtype=_INT), top)
     for h in deeper:
         for a in range(0, rows, chunk):
             yield table[a : a + chunk].take(h, axis=1)
@@ -462,7 +465,9 @@ class PermGroup:
     The group keeps the one stabilizer chain ``chain()`` builds, with the
     default base, or, for a group ``minimal_normal_subgroups`` returns, the
     chain its closure was computed in; a chain with a caller's base prefix
-    is built for one ``pointwise_stabilizer`` call and not kept.
+    is built for one ``pointwise_stabilizer`` call and not kept. Its orbits
+    come from ``orbit_partition``, one walk over the generator rows;
+    ``is_transitive`` walks only the orbit of 0, with ``orbit_mask``.
     """
 
     def __init__(self, generators, degree: int | None = None):
@@ -523,28 +528,13 @@ class PermGroup:
             raise ValueError("degree mismatch")
         return self.chain().contains_array(p.images)
 
-    def orbit(self, v: int) -> set[int]:
-        if not 0 <= v < self._degree:
-            raise ValueError(f"point {v} out of range")
-        mask = _kernels.orbit_mask(self.gen_arrays(), v)
-        return set(int(x) for x in np.flatnonzero(mask))
-
     def orbit_partition(self) -> list[list[int]]:
         """Orbits as sorted lists, ordered by least point."""
-        seen = np.zeros(self._degree, dtype=bool)
         gens = self.gen_arrays()
-        parts = []
-        for v in range(self._degree):
-            if seen[v]:
-                continue
-            mask = _kernels.orbit_mask(gens, v)
-            pts = np.flatnonzero(mask)
-            seen[pts] = True
-            parts.append([int(x) for x in pts])
-        return parts
+        return _kernels.orbits(np.arange(0, gens.size + 1, len(gens)), gens.T.ravel())
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self._degree
+        return bool(_kernels.orbit_mask(self.gen_arrays(), 0).all())
 
     def point_stabilizer(self, v: int) -> "PermGroup":
         if not 0 <= v < self._degree:

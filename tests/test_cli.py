@@ -307,6 +307,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
         ('{"primes": [1000000000000000003]}', 2),
         # a repeated prime would list K5 and K4,4 twice
         ('{"primes": [2, 2], "include_coset_search": false, "px_grid": {}}', 2),
+        # px_grid rows that corpus_generate cannot honour: PX(p, r, s) needs
+        # r >= 3, and an empty row or a grid prime outside 'primes' (given or
+        # default) would build nothing
+        ('{"px_grid": {"2": [1, 4, 2]}, "include_named": false, '
+         '"include_coset_search": false}', 2),
+        ('{"px_grid": {"2": [5, 3, 2]}}', 2),
+        ('{"px_grid": {"2": [3, 4, 0]}}', 2),
+        ('{"px_grid": {"7": [3, 4, 2]}, "include_named": false, '
+         '"include_coset_search": false}', 2),
+        ('{"primes": [3], "px_grid": {"2": [3, 4, 2]}}', 2),
         # max_vertices outside 1..MAX_VERTICES
         ('{"max_vertices": 0}', 2),
         ('{"max_vertices": -1}', 2),
@@ -330,8 +340,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
     assert main(corpus) == 3
     # parse error
     bad = tmp_path / "bad.gens"
-    bad.write_text("n=3\n(1,9)\n")
-    assert main(["find", "--graph", str(graph_path), "--group", str(bad)]) == 3
+    for text in ("n=3\n(1,9)\n", "nope=3\n(1,2)\n", "name = 5\n(1,2)\n"):
+        bad.write_text(text)
+        assert main(["find", "--graph", str(graph_path), "--group", str(bad)]) == 3
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe\xc2")
     assert main(["find", "--graph", str(graph_path), "--group", str(binary)]) == 3

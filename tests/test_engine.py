@@ -30,7 +30,7 @@ from semireg.families import (
     px_fiber_translations,
 )
 
-from oracles import s_arcs_t
+from oracles import orbit_t, s_arcs_t
 
 
 def petersen_instance():
@@ -393,6 +393,28 @@ def test_arcs_from_vertex_0_give_every_arc_index(instance):
         orbits = engine._arc_orbits(g, m_sub.point_stabilizer(0), s)
         assert sum(map(len, orbits)) == len(s_arcs_t(_edge_set(g), g.n, s, starts=[0]))
         assert set(map(len, orbits)) == set(_sympy_arc_indices(g, m_sub, s))
+
+
+def test_neighbour_orbit_sizes_against_per_neighbour_orbits(corpus):
+    # every minimal normal subgroup of the default corpus that the report
+    # checks reach, against one orbit walk per neighbour of vertex 0
+    from semireg.group import minimal_normal_subgroups
+
+    seen = 0
+    for inst in corpus:
+        if inst.group.order() > engine.NORMAL_BOUND:
+            continue
+        for m_sub in minimal_normal_subgroups(inst.group, engine.NORMAL_BOUND):
+            stab = m_sub.point_stabilizer(0)
+            gens = [tuple(x.images.tolist()) for x in stab.generators]
+            expected = (
+                None
+                if stab.is_trivial()
+                else {len(orbit_t(gens, int(w))) for w in inst.graph.neighbors(0)}
+            )
+            assert engine._neighbour_orbit_sizes(inst.graph, m_sub) == expected, inst.id
+            seen += expected is not None
+    assert seen > 0
 
 
 def test_arc_stabilizer_index_needs_a_vertex_transitive_group():

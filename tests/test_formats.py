@@ -66,6 +66,17 @@ def test_parse_generators_missing_header():
         parse_generators("(1,2)\n")
 
 
+@pytest.mark.parametrize("header", ["nope=3", "name = 5"])
+def test_parse_generators_header_key_is_n(header):
+    with pytest.raises(ParseError, match="expected header"):
+        parse_generators(f"{header}\n(1,2)\n")
+
+
+def test_parse_generators_header_spaces():
+    assert parse_generators("n = 3\n(1,2)\n").degree == 3
+    assert parse_generators("  n=  4 \n").degree == 4
+
+
 def test_parse_generators_reports_line_and_column():
     try:
         parse_generators("n=4\n(1,2)\nx(1,3)\n")

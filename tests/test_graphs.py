@@ -98,6 +98,24 @@ def test_quotient_valency_divides_for_px_setting():
         assert graph.valency() % q.valency() == 0
 
 
+def test_component_count_against_networkx():
+    import networkx as nx
+
+    rng = random.Random(29)
+    cases = [Graph(n, []) for n in (1, 2, 5)] + [Graph(4, [(1, 2)])]
+    for _ in range(60):
+        n = rng.randrange(1, 30)
+        p = rng.choice([0.0, 0.03, 0.08, 0.2])
+        cases.append(
+            Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        )
+    for g in cases:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        assert g.component_count() == nx.number_connected_components(h)
+
+
 def test_double_cover_examples():
     dc = standard_double_cover(cycle_graph(3))
     assert dc.n == 6 and dc.valency() == 2 and dc.is_connected()

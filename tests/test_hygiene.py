@@ -338,3 +338,37 @@ def test_unoverridden_defaults_are_found():
 
 def test_every_parameter_default_is_overridden_somewhere():
     assert unoverridden_defaults(*_package_and_others()) == []
+
+
+def kernels_without_package_caller(kernels: str, others: dict[str, str]) -> list[str]:
+    """Public functions of the ``_kernels`` source whose name no other
+    package module reads, imports or takes as an attribute. A kernel that
+    only the tests, the benchmark or another kernel call has no job in the
+    package."""
+    named = {name for source in others.values() for name in _named(ast.parse(source))}
+    return [
+        node.name
+        for node in ast.parse(kernels).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in named
+    ]
+
+
+def test_kernels_without_package_caller_are_found():
+    kernels = (
+        "def walk(a):\n    pass\n\ndef reach(a):\n    pass\n\n"
+        "def inner(a):\n    pass\n\ndef spare(a):\n    return inner(a)\n\n"
+        "def _helper(a):\n    pass\n"
+    )
+    others = {
+        "graphs.py": "from . import _kernels\n_kernels.walk(x)\n",
+        "group.py": "from ._kernels import reach\n",
+    }
+    assert kernels_without_package_caller(kernels, others) == ["inner", "spare"]
+
+
+def test_every_kernel_has_a_package_caller():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    kernels = package.pop("_kernels.py")
+    assert kernels_without_package_caller(kernels, package) == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from semireg import _kernels
 from semireg.graphs import Graph, cycle_graph
 
-from oracles import arc_orbit_size_t, cycle_lengths_t, is_semiregular_t, orbit_t
+from oracles import arc_orbit_size_t, cycle_lengths_t, is_semiregular_t, orbit_t, orbits_t
 
 def random_graph(rng, n, p):
     edges = [
@@ -131,6 +131,28 @@ def test_orbit_mask():
         mask = _kernels.orbit_mask(arr, v)
         assert mask.dtype == np.uint8
         assert {int(x) for x in np.flatnonzero(mask)} == orbit_t(list(gens), v)
+
+
+def test_orbits_against_oracle():
+    # generators that each move a few points, so most sets leave many
+    # orbits, fixed points among them
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randrange(1, 40)
+        k = rng.randrange(1, 4)
+        gens = []
+        for _ in range(k):
+            images = list(range(n))
+            moved = rng.sample(range(n), rng.randrange(0, min(n, 6) + 1))
+            for i, x in enumerate(moved):
+                images[x] = moved[(i + 1) % len(moved)]
+            gens.append(tuple(images))
+        arr = np.array(gens, dtype=np.int64)
+        got = _kernels.orbits(np.arange(0, arr.size + 1, k), arr.T.ravel())
+        assert [frozenset(o) for o in got] == orbits_t(gens, n)
+        assert all(o == sorted(o) for o in got)
+        v = rng.randrange(n)
+        assert {int(x) for x in np.flatnonzero(_kernels.orbit_mask(arr, v))} == orbit_t(gens, v)
 
 
 def test_density_closure_kernel():
