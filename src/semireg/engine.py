@@ -10,7 +10,8 @@ or, after full enumeration, the definitive answer that none exists. Routes:
 2. prime-power: on prime-power degree, the Sylow-center construction;
 3. quotient-lift: recurse on the quotient by a normal subgroup with at
    least three orbits (at most half the vertices, so the recursion ends),
-   then lift coprime-order elements through the kernel;
+   then lift through the kernel K the first quotient element with a prime
+   order that does not divide |K|;
 4. buddy-swap: on quotients by a normal 2-subgroup whose inter-class
    structure is a disjoint union of 4-cycles with unique antipodes, the
    involution swapping every vertex with its antipode.
@@ -81,7 +82,9 @@ class Certificate:
     Unless ``method`` is exhausted-none, ``element`` is a nontrivial
     semiregular automorphism of the graph lying in the searched group and
     ``cycle_length == element_order``. ``method`` = exhausted-none is only
-    produced after full enumeration of the group.
+    produced after full enumeration of the group. ``trace`` is the path to
+    this certificate: what the search tried and did not take on the way,
+    then how this certificate was found.
     """
 
     graph_id: str
@@ -202,9 +205,9 @@ def verify_certificate(
             return False, str(exc)
         if not grp.is_transitive():
             return False, "group is not vertex-transitive"
-        _, el = _first_semiregular(grp, bound)
-        if el is not None:
-            return False, f"group contains semiregular element {el.cycle_string()}"
+        hit = next(_semiregular_elements(grp, bound), None)
+        if hit is not None:
+            return False, f"group contains semiregular element {hit[1].cycle_string()}"
         return True, ""
     el = cert.element
     if el is None:
@@ -231,20 +234,13 @@ def verify_certificate(
 
 def _certificate(graph_id, element, method, trace) -> Certificate:
     order = element.order() if element is not None else 0
-    return Certificate(
-        graph_id=graph_id,
-        element=element,
-        element_order=order,
-        cycle_length=order,
-        method=method,
-        trace=tuple(trace),
-    )
+    return Certificate(graph_id, element, order, order, method, tuple(trace))
 
 
-def _first_semiregular(grp: PermGroup, bound: int) -> tuple[int, Permutation | None]:
-    """Scan grp's elements, in ``iter_elements`` order, up to its first
-    nontrivial semiregular one: the number scanned and that element, or
-    |grp| and None. Whole blocks of elements are tested at once
+def _semiregular_elements(grp: PermGroup, bound: int):
+    """Every nontrivial semiregular element of grp, in ``iter_elements``
+    order, as (place, element) pairs, the places counting from 1 in that
+    order. Whole blocks of elements are tested at once
     (``StabilizerChain.element_blocks``). Raises ``BoundExceededError`` when
     |grp| > bound."""
     order = grp.order()
@@ -252,19 +248,9 @@ def _first_semiregular(grp: PermGroup, bound: int) -> tuple[int, Permutation | N
         raise BoundExceededError(f"order {order} exceeds bound {bound}")
     count = 0
     for block in grp.chain().element_blocks():
-        hits = _kernels.semiregular_rows(block)
-        i = int(hits.argmax())
-        if hits[i]:
-            return count + i + 1, Permutation._wrap(block[i].copy())
+        for i in _kernels.semiregular_rows(block).nonzero()[0].tolist():
+            yield count + i + 1, Permutation._wrap(block[i].copy())
         count += len(block)
-    return count, None
-
-
-def _element_prime_order_powers(el: Permutation):
-    """Prime-order powers of an element, one per prime dividing its order."""
-    o = el.order()
-    for q in sorted(prime_factors(o)):
-        yield q, el ** (o // q)
 
 
 def find_semiregular(
@@ -272,80 +258,85 @@ def find_semiregular(
 ) -> Certificate:
     """Find a verified nontrivial semiregular element of ``grp`` on ``g``.
 
-    Requires a connected graph and a vertex-transitive group. Returns a
-    Certificate (method exhausted-none when full enumeration proves the
-    group elusive); raises InconclusiveError when bounds stop every route.
+    Requires a connected graph and a vertex-transitive group. Returns the
+    first certificate of the search (method exhausted-none when full
+    enumeration proves the group elusive); raises InconclusiveError when
+    bounds stop every route, and ValueError on an unknown route name.
     """
     config = config or EngineConfig()
+    unknown = [route for route in config.routes if route not in _ROUTES]
+    if unknown:
+        raise ValueError(f"unknown route {unknown[0]!r}")
     if not g.is_connected():
         raise PreconditionError("graph is not connected")
     check_automorphisms(g, grp)
     if not grp.is_transitive():
         raise PreconditionError("group is not vertex-transitive")
-    cert = _search(g, grp, config, trace=[])
+    cert = next(_search(g, grp, config, trace=[]), None)
     if cert is None:
-        raise InconclusiveError(
-            "all routes exhausted their bounds without an answer"
-        )
+        raise InconclusiveError("all routes exhausted their bounds without an answer")
     ok, reason = verify_certificate(g, grp, cert, bound=config.enum_bound)
     if not ok:
         raise RuntimeError(f"certificate failed verification: {reason} (internal)")
     return cert
 
 
-def _search(g, grp, config, trace) -> Certificate | None:
+def _search(g, grp, config, trace):
+    """Every certificate the routes of ``config`` find, route by route, made
+    only as the reader asks for the next one.
+
+    ``trace`` is the path to where the search stands: a route appends the
+    lines of what it tried and did not find. A certificate's trace is that
+    path plus its own lines, in a copy, so a certificate the reader refuses
+    leaves no line behind.
+    """
     for route in config.routes:
-        if route not in _ROUTES:
-            raise ValueError(f"unknown route {route!r}")
-        cert = _ROUTES[route](g, grp, config, trace)
-        if cert is not None:
-            return cert
-    return None
+        yield from _ROUTES[route](g, grp, config, trace)
 
 
-def _route_direct(g, grp, config, trace) -> Certificate | None:
+def _route_direct(g, grp, config, trace):
     order = grp.order()
     if order <= config.enum_bound:
-        count, el = _first_semiregular(grp, config.enum_bound)
-        if el is not None:
-            trace.append(f"direct-search: exhaustive hit after {count} elements")
-            return _certificate(config.graph_id, el, ROUTE_DIRECT, trace)
-        trace.append(
-            f"direct-search: exhausted all {count} elements, none semiregular"
-        )
-        return _certificate(config.graph_id, None, EXHAUSTED_NONE, trace)
+        el = None
+        for count, el in _semiregular_elements(grp, config.enum_bound):
+            line = f"direct-search: exhaustive hit after {count} elements"
+            yield _certificate(config.graph_id, el, ROUTE_DIRECT, (*trace, line))
+        if el is None:
+            line = f"direct-search: exhausted all {order} elements, none semiregular"
+            yield _certificate(config.graph_id, None, EXHAUSTED_NONE, (*trace, line))
+        return
     rng = np.random.default_rng(config.seed)
     chain = grp.chain()
     for _ in range(SAMPLE_COUNT):
         el = Permutation._wrap(chain.random_element(rng))
-        if el.is_identity():
-            continue
-        for q, cand in _element_prime_order_powers(el):
-            if not cand.is_identity() and cand.is_semiregular():
-                trace.append(f"direct-search: sampled element of prime order {q}")
-                return _certificate(config.graph_id, cand, ROUTE_DIRECT, trace)
+        o = el.order()
+        # each power tried has prime order q, so it is not the identity
+        for q in sorted(prime_factors(o)):
+            cand = el ** (o // q)
+            if cand.is_semiregular():
+                line = f"direct-search: sampled element of prime order {q}"
+                yield _certificate(config.graph_id, cand, ROUTE_DIRECT, (*trace, line))
     trace.append(
-        f"direct-search: {SAMPLE_COUNT} samples without a hit "
+        f"direct-search: {SAMPLE_COUNT} samples drawn "
         f"(order {order} exceeds enumeration bound)"
     )
-    return None
 
 
-def _route_prime_power(g, grp, config, trace) -> Certificate | None:
+def _route_prime_power(g, grp, config, trace):
     n = g.n
     factors = prime_factors(n)
     if len(factors) != 1:
-        return None
+        return
     try:
         el = semiregular_of_prime_power_degree(
             grp, bound=config.enum_bound, seed=config.seed
         )
     except BoundExceededError as exc:
         trace.append(f"prime-power: {exc}")
-        return None
+        return
     p = next(iter(factors))
-    trace.append(f"prime-power: degree {n} = {p}^{factors[p]}, Sylow center element")
-    return _certificate(config.graph_id, el, ROUTE_PRIME_POWER, trace)
+    line = f"prime-power: degree {n} = {p}^{factors[p]}, Sylow center element"
+    yield _certificate(config.graph_id, el, ROUTE_PRIME_POWER, (*trace, line))
 
 
 def _normal_quotients(grp, trace) -> list[tuple[PermGroup, list[list[int]]]]:
@@ -370,42 +361,45 @@ def _is_2_group(grp: PermGroup) -> bool:
     return order & (order - 1) == 0
 
 
-def _route_quotient_lift(g, grp, config, trace) -> Certificate | None:
+def _route_quotient_lift(g, grp, config, trace):
     # The recursion ends without a depth bound: the orbits of a nontrivial
     # normal subgroup of a transitive group all have one size >= 2, so each
     # quotient has at most half the vertices of the graph above it.
+    # The recursion is internal to this route: the quotient search uses
+    # every route, whatever the top-level restriction was.
+    sub_config = replace(config, routes=ALL_ROUTES)
     for nsub, partition in _normal_quotients(grp, trace):
         bundle = action_on_partition(grp, partition)
         qgraph = quotient_graph(g, partition)
-        # the recursion is internal to this route: the quotient search uses
-        # every route, whatever the top-level restriction was
-        sub_config = replace(config, routes=ALL_ROUTES)
         trace.append(
             f"quotient-lift: normal subgroup of order {nsub.order()} with "
             f"{len(partition)} orbits; recursing on {qgraph.n} classes"
         )
-        sub_cert = _search(qgraph, bundle.image_group, sub_config, trace)
-        if sub_cert is None or sub_cert.element is None:
-            trace.append("quotient-lift: recursion found nothing liftable")
-            continue
-        # the coprime lifting lemma needs prime order: lift the power of the
-        # quotient element whose order is a prime q not dividing |K|
-        r = sub_cert.element_order
+        # the coprime lifting lemma needs prime order: read the quotient's
+        # certificates until one has an element with a prime divisor q of
+        # its order that does not divide |K|, and lift its power of order q
         k_order = bundle.kernel_order
-        q = next((q for q in sorted(prime_factors(r)) if k_order % q), None)
-        if q is None:
-            trace.append(
-                f"quotient-lift: found order {r} but no prime divisor is "
-                f"coprime to kernel order {k_order}"
+        skipped = 0
+        for sub in _search(qgraph, bundle.image_group, sub_config, trace):
+            r = sub.element_order  # 0 on an exhausted-none certificate
+            q = min((q for q in prime_factors(r or 1) if k_order % q), default=0)
+            if not q:
+                skipped += 1
+                continue
+            lifted = lift_semiregular(bundle, grp, sub.element ** (r // q), q)
+            line = f"quotient-lift: lifted element of order {q} through kernel"
+            if skipped:
+                line += f" (skipped {skipped} quotient certificates before it)"
+            yield _certificate(
+                config.graph_id, lifted, ROUTE_QUOTIENT_LIFT, (*sub.trace, line)
             )
-            continue
-        lifted = lift_semiregular(bundle, grp, sub_cert.element ** (r // q), q)
-        trace.append(f"quotient-lift: lifted element of order {q} through kernel")
-        return _certificate(config.graph_id, lifted, ROUTE_QUOTIENT_LIFT, trace)
-    return None
+        trace.append(
+            f"quotient-lift: none of {skipped} quotient certificates has an "
+            f"element of a prime order coprime to kernel order {k_order}"
+        )
 
 
-def _route_buddy_swap(g, grp, config, trace) -> Certificate | None:
+def _route_buddy_swap(g, grp, config, trace):
     for nsub, partition in _normal_quotients(grp, trace):
         if not _is_2_group(nsub):
             continue
@@ -423,9 +417,8 @@ def _route_buddy_swap(g, grp, config, trace) -> Certificate | None:
         if not grp.contains(swap):
             trace.append("buddy-swap: swap involution lies outside the group")
             continue
-        trace.append("buddy-swap: unique-buddy involution")
-        return _certificate(config.graph_id, swap, ROUTE_BUDDY_SWAP, trace)
-    return None
+        line = "buddy-swap: unique-buddy involution"
+        yield _certificate(config.graph_id, swap, ROUTE_BUDDY_SWAP, (*trace, line))
 
 
 _ROUTES = {
@@ -559,7 +552,11 @@ def arc_stabilizer_bound_check(
     group G, each s-arc of g is the G-image of an arc from vertex 0 with the
     same index, so these arcs settle the bound for every s-arc.
     """
-    m0 = m_sub.point_stabilizer(0)
+    return _arc_bound_rows(g, m_sub.point_stabilizer(0), s_values)
+
+
+def _arc_bound_rows(g: Graph, m0: PermGroup, s_values) -> list[tuple[int, int, bool]]:
+    """``arc_stabilizer_bound_check`` read off M_{v0} = ``m0``."""
     out = []
     for s in s_values:
         violations = sum(len(o) for o in _arc_orbits(g, m0, s) if len(o) > 2**s)
@@ -567,10 +564,9 @@ def arc_stabilizer_bound_check(
     return out
 
 
-def _neighbour_orbit_sizes(g: Graph, sub: PermGroup) -> set[int] | None:
-    """Orbit sizes on N(0) of sub's stabilizer of 0, which fixes 0 and so
-    maps N(0), its 1-arcs, to itself; None when that stabilizer is trivial."""
-    stab = sub.point_stabilizer(0)
+def _neighbour_orbit_sizes(g: Graph, stab: PermGroup) -> set[int] | None:
+    """Orbit sizes on N(0) of ``stab``, a group fixing 0, which so maps
+    N(0), its 1-arcs, to itself; None when ``stab`` is trivial."""
     if stab.is_trivial():
         return None
     return {len(o) for o in _arc_orbits(g, stab, 1)}
@@ -622,7 +618,7 @@ def _kernel_fixing_classes(r: _ReportInputs):
         d = quotient_graph(r.g, partition).valency()
         if d is None or d % 2 == 0 or not is_prime(d):
             continue
-        if _neighbour_orbit_sizes(r.g, nsub) != {2}:
+        if _neighbour_orbit_sizes(r.g, nsub.point_stabilizer(0)) != {2}:
             continue
         kv = r.bundle(i).kernel.point_stabilizer(0)
         return True, _is_2_group(kv), f"quotient valency {d}, |K_v| = {kv.order()}"
@@ -634,7 +630,7 @@ def _conjugate_cover_counting(r: _ReportInputs):
     for p_sub, partition in r.quotients:
         if not _is_2_group(p_sub):
             continue
-        if _first_semiregular(p_sub, NORMAL_BOUND)[1] is not None:
+        if next(_semiregular_elements(p_sub, NORMAL_BOUND), None) is not None:
             result = (False, None, "M contains a semiregular element; bound not required")
             continue
         m_v = p_sub.point_stabilizer(0).order()
@@ -657,10 +653,11 @@ def _arc_stabilizer_index(r: _ReportInputs):
     # each kernel is built only when the loop reaches it
     kernels = (r.bundle(i).kernel for i in range(len(r.quotients)))
     for m_sub in itertools.chain(minimal_normal_subgroups(r.grp, NORMAL_BOUND), kernels):
-        sizes = _neighbour_orbit_sizes(r.g, m_sub)
+        m0 = m_sub.point_stabilizer(0)
+        sizes = _neighbour_orbit_sizes(r.g, m0)
         if sizes is None or not sizes <= {1, 2}:
             continue
-        results = arc_stabilizer_bound_check(r.g, m_sub, s_values=(1, 2, 3))
+        results = _arc_bound_rows(r.g, m0, (1, 2, 3))
         return (
             True,
             all(passed for _, _, passed in results),

@@ -3,7 +3,7 @@
 Everything here works on plain tuples and dicts, never on the package's own
 chain machinery, so a bug cannot hide on both sides of an assertion. The three
 exceptions, ``minimal_normal_subgroups_all_closures``,
-``first_semiregular_per_element`` and ``chain_products``, are reference
+``semiregular_per_element`` and ``chain_products``, are reference
 copies of earlier package algorithms that a later one must reproduce byte
 for byte.
 """
@@ -322,17 +322,14 @@ def minimal_normal_subgroups_all_closures(g):
     return [sel for _, _, sel in minimal]
 
 
-def first_semiregular_per_element(grp, bound):
-    """``engine._first_semiregular`` as it was before elements were scanned
-    in blocks: one ``Permutation`` at a time from ``PermGroup.elements``.
-    Returns the number scanned and the first nontrivial semiregular element,
-    or |grp| and None."""
-    count = 0
-    for el in grp.elements(bound):
-        count += 1
+def semiregular_per_element(grp, bound):
+    """``engine._semiregular_elements`` as it was before elements were
+    scanned in blocks: one ``Permutation`` at a time from
+    ``PermGroup.elements``. Yields every nontrivial semiregular element
+    after its place in the walk, counting from 1."""
+    for count, el in enumerate(grp.elements(bound), 1):
         if not el.is_identity() and el.is_semiregular():
-            return count, el
-    return count, None
+            yield count, el
 
 
 def chain_products(chain):

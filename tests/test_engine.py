@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,16 @@ def test_find_requires_connected_and_transitive(d6):
         find_semiregular(cycle_graph(6), intrans)
 
 
+def test_an_unknown_route_is_refused_before_any_search():
+    # direct-search answers on C(2,4,1) at once, so a check made route by
+    # route would let the first order through and refuse only the second
+    g, _ = praeger_xu(2, 4, 1)
+    grp = praeger_xu_group(2, 4, 1)
+    for routes in [("direct-search", "bogus"), ("bogus", "direct-search")]:
+        with pytest.raises(ValueError, match="unknown route 'bogus'"):
+            find_semiregular(g, grp, EngineConfig(routes=routes))
+
+
 def test_route_certificates_have_prime_order_except_direct(d6):
     # every structured route emits prime-order elements; direct search may
     # emit composite order only in the exhaustive branch
@@ -412,7 +423,7 @@ def test_neighbour_orbit_sizes_against_per_neighbour_orbits(corpus):
                 if stab.is_trivial()
                 else {len(orbit_t(gens, int(w))) for w in inst.graph.neighbors(0)}
             )
-            assert engine._neighbour_orbit_sizes(inst.graph, m_sub) == expected, inst.id
+            assert engine._neighbour_orbit_sizes(inst.graph, stab) == expected, inst.id
             seen += expected is not None
     assert seen > 0
 
@@ -567,27 +578,116 @@ GOLDEN_ROUTE_SETTINGS = (
     ALL_ROUTES,
 )
 GOLDEN_CERTIFICATES_SHA256 = (
-    "c7c06022769412edf48612c988a39ef359c25f6724743736e5d5c52b12de6fca"
+    "6aba13dbc8bfd99227df8b35b55ed32bd8b2f34dd437b060b43a137adcc438be"
 )
 
 
-def test_golden_certificates_on_corpus(corpus):
-    assert len(corpus) == 86
-    digest = hashlib.sha256()
+@pytest.fixture(scope="module")
+def golden_certificates(corpus):
+    """(routes, instance, certificate) for every default-corpus instance at
+    seed 1, under each route setting in turn; None when inconclusive."""
+    out = []
     for routes in GOLDEN_ROUTE_SETTINGS:
         for inst in corpus:
             config = EngineConfig(routes=routes, seed=1, graph_id=inst.id)
             try:
                 cert = find_semiregular(inst.graph, inst.group, config)
-                row = [
-                    cert.method,
-                    None if cert.element is None else cert.element.images.tolist(),
-                    list(cert.trace),
-                ]
             except InconclusiveError:
-                row = ["inconclusive", None, []]
-            digest.update((json.dumps([list(routes), inst.id, row]) + "\n").encode())
+                cert = None
+            out.append((routes, inst, cert))
+    return out
+
+
+def test_golden_certificates_on_corpus(corpus, golden_certificates):
+    assert len(corpus) == 86
+    digest = hashlib.sha256()
+    for routes, inst, cert in golden_certificates:
+        if cert is None:
+            row = ["inconclusive", None, []]
+        else:
+            row = [
+                cert.method,
+                None if cert.element is None else cert.element.images.tolist(),
+                list(cert.trace),
+            ]
+        digest.update((json.dumps([list(routes), inst.id, row]) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256
+
+
+# the lines that end a certificate's path where its element (or the proof
+# that none exists) was found; quotient-lift adds its lines after one
+_EXHAUSTED_LINE = re.compile(r"direct-search: exhausted all \d+ elements, none semiregular")
+_ELEMENT_LINE = re.compile(
+    r"direct-search: exhaustive hit after \d+ elements"
+    r"|direct-search: sampled element of prime order \d+"
+    r"|prime-power: degree \d+ = \d+\^\d+, Sylow center element"
+    r"|buddy-swap: unique-buddy involution"
+)
+
+
+def test_each_certificate_trace_has_one_leaf_line(golden_certificates):
+    # a certificate's trace is the path to it: quotient elements that did
+    # not lift add no line of their own to it
+    for routes, inst, cert in golden_certificates:
+        if cert is None:
+            continue
+        leaf = _EXHAUSTED_LINE if cert.method == engine.EXHAUSTED_NONE else _ELEMENT_LINE
+        leaves = [
+            line
+            for line in cert.trace
+            if _EXHAUSTED_LINE.fullmatch(line) or _ELEMENT_LINE.fullmatch(line)
+        ]
+        assert len(leaves) == 1 and leaf.fullmatch(leaves[0]), (routes, inst.id, cert.trace)
+
+
+def test_quotient_lift_reads_past_quotient_elements_that_do_not_lift(golden_certificates):
+    # the first five semiregular elements of the quotient have order 2 or
+    # 4, and |K| = 2; the route lifts the sixth, of order 5
+    (cert,) = [
+        cert
+        for routes, inst, cert in golden_certificates
+        if routes == GOLDEN_ROUTE_SETTINGS[0] and inst.id == "cover-px-p2-r5-s3"
+    ]
+    assert cert.method == "quotient-lift"
+    assert cert.trace == (
+        "quotient-lift: normal subgroup of order 2 with 40 orbits; recursing on 40 classes",
+        "direct-search: exhaustive hit after 9 elements",
+        "quotient-lift: lifted element of order 5 through kernel "
+        "(skipped 5 quotient certificates before it)",
+    )
+
+
+def _relabelled(g, grp, sigma):
+    """g and grp with each vertex v renamed sigma[v]: each element x of grp
+    becomes sigma^-1 x sigma, mapping sigma[v] to sigma[x(v)]."""
+    gens = []
+    for x in grp.generators:
+        images = np.empty(g.n, dtype=np.int64)
+        images[sigma] = sigma[x.images]
+        gens.append(Permutation(images))
+    edges = [(int(sigma[u]), int(sigma[w])) for u, w in g.edges()]
+    return Graph(g.n, edges), PermGroup(gens, g.n)
+
+
+def test_structural_verdict_does_not_depend_on_vertex_labels(golden_certificates):
+    # which semiregular quotient element the search meets first depends on
+    # the labels; quotient-lift reads on until one lifts, so the route that
+    # answers, or that none does, does not
+    rng = np.random.default_rng(11)
+    for routes, inst, cert in golden_certificates:
+        if routes != GOLDEN_ROUTE_SETTINGS[0]:
+            continue
+        expected = "inconclusive" if cert is None else cert.method
+        for _ in range(3):
+            g, grp = _relabelled(inst.graph, inst.group, rng.permutation(inst.graph.n))
+            config = EngineConfig(routes=routes, seed=1, graph_id=inst.id)
+            try:
+                found = find_semiregular(g, grp, config)
+            except InconclusiveError:
+                assert expected == "inconclusive", inst.id
+                continue
+            assert found.method == expected, inst.id
+            assert verify_certificate(g, grp, found) == (True, ""), inst.id
 
 
 # every default-corpus proof report, in corpus order. Update this

@@ -663,27 +663,25 @@ def test_minimal_normal_subgroups_match_the_all_closures_oracle(corpus):
                 assert m.order() == closure.order()
 
 
-def test_first_semiregular_matches_the_per_element_oracle(corpus):
-    from semireg.engine import _first_semiregular
+def test_semiregular_elements_match_the_per_element_oracle(corpus):
+    from semireg.engine import _semiregular_elements
 
-    from oracles import first_semiregular_per_element
+    from oracles import semiregular_per_element
 
     groups = {}
     for g in [inst.group for inst in corpus] + _structural_pass_groups(corpus):
         if g.order() <= DEFAULT_BOUND:
             groups.setdefault(g.gen_arrays().tobytes(), g)
     groups["k12-m11"] = k12_m11()[1]
-    hits = 0
+    with_hits = 0
     for g in groups.values():
-        count, el = _first_semiregular(g, DEFAULT_BOUND)
-        ref_count, ref = first_semiregular_per_element(g, DEFAULT_BOUND)
-        assert count == ref_count
-        assert (el is None) == (ref is None)
-        if el is not None:
-            assert el.images.tobytes() == ref.images.tobytes()
-            hits += 1
-    # M11 on 12 points is scanned to the end
-    assert hits == len(groups) - 1 and count == 7920 and el is None
+        # every hit, in walk order, with its place in the walk
+        ours = [(c, el.images.tobytes()) for c, el in _semiregular_elements(g, DEFAULT_BOUND)]
+        ref = [(c, el.images.tobytes()) for c, el in semiregular_per_element(g, DEFAULT_BOUND)]
+        assert ours == ref
+        with_hits += bool(ours)
+    # M11 on 12 points, the last group, yields nothing
+    assert with_hits == len(groups) - 1 and ours == []
 
 
 def test_random_walk_is_numpys_draws():
