@@ -429,7 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--group", required=True)
     p.add_argument(
-        "--routes", type=_routes, default=ALL_ROUTES, help="comma-separated route names"
+        "--routes",
+        type=_routes,
+        default=ALL_ROUTES,
+        help="comma-separated steps to run; they run in the fixed order "
+        f"{','.join(ALL_ROUTES)}, whatever order is given",
     )
     p.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND)
     p.add_argument("--seed", type=_nonnegative_int, default=0)

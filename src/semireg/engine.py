@@ -3,18 +3,20 @@
 ``find_semiregular`` takes a connected graph with a vertex-transitive group
 of automorphisms and produces a machine-verifiable certificate: either a
 nontrivial semiregular element of the group (with the route that found it)
-or, after full enumeration, the definitive answer that none exists. Routes:
+or, after full enumeration, the definitive answer that none exists. The
+search is the paper's induction over normal quotients: at each node it runs
+these steps in this order, each switched on by its route name.
 
 1. direct-search: exhaustive scan (small groups) or seeded random sampling
    of prime-order powers;
 2. prime-power: on prime-power degree, the Sylow-center construction;
-3. quotient-lift: recurse on the quotient by a normal subgroup with at
-   least three orbits (at most half the vertices, so the recursion ends),
-   then lift through the kernel K the first quotient element with a prime
-   order that does not divide |K|;
-4. buddy-swap: on quotients by a normal 2-subgroup whose inter-class
-   structure is a disjoint union of 4-cycles with unique antipodes, the
-   involution swapping every vertex with its antipode.
+3. for each minimal normal subgroup N with at least three orbits in turn,
+   quotient-lift: recurse on the quotient by N (at most half the vertices,
+   so the recursion ends), then lift through the kernel K the first
+   quotient element with a prime order that does not divide |K|; then,
+   when N is a 2-group, buddy-swap: if the structure between N's orbits is
+   a disjoint union of 4-cycles with unique antipodes, the involution
+   swapping every vertex with its antipode.
 
 "Inconclusive" (bounds stopped the search) is kept distinct from
 "exhausted-none" (the group was fully enumerated and is elusive).
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .graphs import (
 )
 from .group import (
     DEFAULT_BOUND,
-    ActionBundle,
     BoundExceededError,
     PermGroup,
     PreconditionError,
@@ -99,13 +100,15 @@ class Certificate:
 class EngineConfig:
     """Per-run settings of ``find_semiregular``.
 
-    ``routes`` are tried in order at the top level; ``enum_bound`` is the
-    largest group order that direct-search enumerates (and that a certificate
-    check re-enumerates); ``seed`` fixes the random draws of direct-search
-    and prime-power; ``graph_id`` labels the certificate. The normal-subgroup
-    bound and the sample count are the constants ``NORMAL_BOUND`` and
-    ``SAMPLE_COUNT``. Quotient-lift needs no depth bound, because each
-    quotient it recurses on has at most half the vertices.
+    ``routes`` switches the steps of the search on at the top level; they
+    run in the order of ``ALL_ROUTES`` whatever order they are given in.
+    ``enum_bound`` is the largest group order that direct-search enumerates
+    (and that a certificate check re-enumerates); ``seed`` fixes the random
+    draws of direct-search and prime-power; ``graph_id`` labels the
+    certificate. The normal-subgroup bound and the sample count are the
+    constants ``NORMAL_BOUND`` and ``SAMPLE_COUNT``. Quotient-lift needs no
+    depth bound, because each quotient it recurses on has at most half the
+    vertices.
     """
 
     routes: tuple[str, ...] = ALL_ROUTES
@@ -264,7 +267,7 @@ def find_semiregular(
     bounds stop every route, and ValueError on an unknown route name.
     """
     config = config or EngineConfig()
-    unknown = [route for route in config.routes if route not in _ROUTES]
+    unknown = [route for route in config.routes if route not in ALL_ROUTES]
     if unknown:
         raise ValueError(f"unknown route {unknown[0]!r}")
     if not g.is_connected():
@@ -282,16 +285,33 @@ def find_semiregular(
 
 
 def _search(g, grp, config, trace):
-    """Every certificate the routes of ``config`` find, route by route, made
-    only as the reader asks for the next one.
+    """Every certificate the steps switched on in ``config.routes`` find at
+    this node, in the step order of the module docstring, made only as the
+    reader asks for the next one. A group above ``NORMAL_BOUND`` has no
+    normal quotients, and one trace line says so.
 
-    ``trace`` is the path to where the search stands: a route appends the
+    ``trace`` is the path to where the search stands: a step appends the
     lines of what it tried and did not find. A certificate's trace is that
     path plus its own lines, in a copy, so a certificate the reader refuses
     leaves no line behind.
     """
-    for route in config.routes:
-        yield from _ROUTES[route](g, grp, config, trace)
+    if ROUTE_DIRECT in config.routes:
+        yield from _route_direct(g, grp, config, trace)
+    if ROUTE_PRIME_POWER in config.routes:
+        yield from _route_prime_power(g, grp, config, trace)
+    lift, swap = ROUTE_QUOTIENT_LIFT in config.routes, ROUTE_BUDDY_SWAP in config.routes
+    if not (lift or swap):
+        return
+    try:
+        quotients = _normal_quotients(grp)
+    except BoundExceededError as exc:
+        trace.append(f"normal-subgroup scan skipped: {exc}")
+        return
+    for nsub, partition in quotients:
+        if lift:
+            yield from _route_quotient_lift(g, grp, config, trace, nsub, partition)
+        if swap and _is_2_group(nsub):
+            yield from _route_buddy_swap(g, grp, config, trace, partition)
 
 
 def _route_direct(g, grp, config, trace):
@@ -339,21 +359,12 @@ def _route_prime_power(g, grp, config, trace):
     yield _certificate(config.graph_id, el, ROUTE_PRIME_POWER, (*trace, line))
 
 
-def _normal_quotients(grp, trace) -> list[tuple[PermGroup, list[list[int]]]]:
+def _normal_quotients(grp) -> list[tuple[PermGroup, list[list[int]]]]:
     """Each minimal normal subgroup with at least three orbits, paired with
-    its orbit partition; none, with a trace line, when |G| > NORMAL_BOUND."""
-    if grp.order() > NORMAL_BOUND:
-        trace.append(
-            f"normal-subgroup scan skipped: order {grp.order()} exceeds "
-            f"bound {NORMAL_BOUND}"
-        )
-        return []
-    pairs = []
-    for nsub in minimal_normal_subgroups(grp, NORMAL_BOUND):
-        partition = nsub.orbit_partition()
-        if len(partition) >= 3:
-            pairs.append((nsub, partition))
-    return pairs
+    its orbit partition; raises ``BoundExceededError`` when
+    |G| > ``NORMAL_BOUND``."""
+    pairs = [(m, m.orbit_partition()) for m in minimal_normal_subgroups(grp, NORMAL_BOUND)]
+    return [(nsub, partition) for nsub, partition in pairs if len(partition) >= 3]
 
 
 def _is_2_group(grp: PermGroup) -> bool:
@@ -361,72 +372,58 @@ def _is_2_group(grp: PermGroup) -> bool:
     return order & (order - 1) == 0
 
 
-def _route_quotient_lift(g, grp, config, trace):
+def _route_quotient_lift(g, grp, config, trace, nsub, partition):
     # The recursion ends without a depth bound: the orbits of a nontrivial
     # normal subgroup of a transitive group all have one size >= 2, so each
-    # quotient has at most half the vertices of the graph above it.
-    # The recursion is internal to this route: the quotient search uses
-    # every route, whatever the top-level restriction was.
+    # quotient has at most half the vertices of the graph above it. The
+    # quotient search runs every step, whatever ``config.routes`` switched
+    # off at the top.
+    bundle = action_on_partition(grp, partition)
+    qgraph = quotient_graph(g, partition)
+    trace.append(
+        f"quotient-lift: normal subgroup of order {nsub.order()} with "
+        f"{len(partition)} orbits; recursing on {qgraph.n} classes"
+    )
+    # the coprime lifting lemma needs prime order: read the quotient's
+    # certificates until one has an element with a prime divisor q of its
+    # order that does not divide |K|, and lift its power of order q
+    k_order = bundle.kernel_order
+    skipped = 0
     sub_config = replace(config, routes=ALL_ROUTES)
-    for nsub, partition in _normal_quotients(grp, trace):
-        bundle = action_on_partition(grp, partition)
-        qgraph = quotient_graph(g, partition)
+    for sub in _search(qgraph, bundle.image_group, sub_config, trace):
+        r = sub.element_order  # 0 on an exhausted-none certificate
+        q = min((q for q in prime_factors(r or 1) if k_order % q), default=0)
+        if not q:
+            skipped += 1
+            continue
+        lifted = lift_semiregular(bundle, grp, sub.element ** (r // q), q)
+        line = f"quotient-lift: lifted element of order {q} through kernel"
+        if skipped:
+            line += f" (skipped {skipped} quotient certificates before it)"
+        yield _certificate(config.graph_id, lifted, ROUTE_QUOTIENT_LIFT, (*sub.trace, line))
+    trace.append(
+        f"quotient-lift: none of {skipped} quotient certificates has an "
+        f"element of a prime order coprime to kernel order {k_order}"
+    )
+
+
+def _route_buddy_swap(g, grp, config, trace, partition):
+    try:
+        bs = c4_buddy_structure(g, partition)
+    except PreconditionError:
+        return
+    if bs.buddies_per_vertex != 1:
         trace.append(
-            f"quotient-lift: normal subgroup of order {nsub.order()} with "
-            f"{len(partition)} orbits; recursing on {qgraph.n} classes"
+            f"buddy-swap: {bs.buddies_per_vertex} buddies per vertex, "
+            "swap inapplicable"
         )
-        # the coprime lifting lemma needs prime order: read the quotient's
-        # certificates until one has an element with a prime divisor q of
-        # its order that does not divide |K|, and lift its power of order q
-        k_order = bundle.kernel_order
-        skipped = 0
-        for sub in _search(qgraph, bundle.image_group, sub_config, trace):
-            r = sub.element_order  # 0 on an exhausted-none certificate
-            q = min((q for q in prime_factors(r or 1) if k_order % q), default=0)
-            if not q:
-                skipped += 1
-                continue
-            lifted = lift_semiregular(bundle, grp, sub.element ** (r // q), q)
-            line = f"quotient-lift: lifted element of order {q} through kernel"
-            if skipped:
-                line += f" (skipped {skipped} quotient certificates before it)"
-            yield _certificate(
-                config.graph_id, lifted, ROUTE_QUOTIENT_LIFT, (*sub.trace, line)
-            )
-        trace.append(
-            f"quotient-lift: none of {skipped} quotient certificates has an "
-            f"element of a prime order coprime to kernel order {k_order}"
-        )
-
-
-def _route_buddy_swap(g, grp, config, trace):
-    for nsub, partition in _normal_quotients(grp, trace):
-        if not _is_2_group(nsub):
-            continue
-        try:
-            bs = c4_buddy_structure(g, partition)
-        except PreconditionError:
-            continue
-        if bs.buddies_per_vertex != 1:
-            trace.append(
-                f"buddy-swap: {bs.buddies_per_vertex} buddies per vertex, "
-                "swap inapplicable"
-            )
-            continue
-        swap = buddy_swap_automorphism(g, bs)
-        if not grp.contains(swap):
-            trace.append("buddy-swap: swap involution lies outside the group")
-            continue
-        line = "buddy-swap: unique-buddy involution"
-        yield _certificate(config.graph_id, swap, ROUTE_BUDDY_SWAP, (*trace, line))
-
-
-_ROUTES = {
-    ROUTE_DIRECT: _route_direct,
-    ROUTE_PRIME_POWER: _route_prime_power,
-    ROUTE_QUOTIENT_LIFT: _route_quotient_lift,
-    ROUTE_BUDDY_SWAP: _route_buddy_swap,
-}
+        return
+    swap = buddy_swap_automorphism(g, bs)
+    if not grp.contains(swap):
+        trace.append("buddy-swap: swap involution lies outside the group")
+        return
+    line = "buddy-swap: unique-buddy involution"
+    yield _certificate(config.graph_id, swap, ROUTE_BUDDY_SWAP, (*trace, line))
 
 
 # -- buddy machinery -----------------------------------------------------------
@@ -574,27 +571,20 @@ def _neighbour_orbit_sizes(g: Graph, stab: PermGroup) -> set[int] | None:
 
 class _ReportInputs:
     """What the report checks read, each part built at most once per report:
-    the normal quotients, and the action on each quotient's partition."""
+    the normal quotients; ``bundle(i)``, the action of G on the partition of
+    the i-th of them; and ``stabilizer(sub)``, the stabilizer of vertex 0 in
+    a subgroup that a check takes."""
 
     def __init__(self, g: Graph, grp: PermGroup):
         self.g, self.grp = g, grp
-        self._bundles: dict[int, ActionBundle] = {}
+        self.bundle = cache(lambda i: action_on_partition(grp, self.quotients[i][1]))
+        self.stabilizer = cache(lambda sub: sub.point_stabilizer(0))
 
     @cached_property
     def quotients(self) -> list[tuple[PermGroup, list[list[int]]]]:
-        """The list quotient-lift and buddy-swap read; raises
+        """The list the lift and swap steps read; raises
         ``BoundExceededError`` when |G| > ``NORMAL_BOUND``."""
-        if self.grp.order() > NORMAL_BOUND:
-            raise BoundExceededError(
-                f"group order {self.grp.order()} exceeds bound {NORMAL_BOUND}"
-            )
-        return _normal_quotients(self.grp, trace=[])
-
-    def bundle(self, i: int) -> ActionBundle:
-        """The action of G on the partition of the i-th normal quotient."""
-        if i not in self._bundles:
-            self._bundles[i] = action_on_partition(self.grp, self.quotients[i][1])
-        return self._bundles[i]
+        return _normal_quotients(self.grp)
 
 
 def _local_action_prime_divisibility(r: _ReportInputs):
@@ -618,9 +608,9 @@ def _kernel_fixing_classes(r: _ReportInputs):
         d = quotient_graph(r.g, partition).valency()
         if d is None or d % 2 == 0 or not is_prime(d):
             continue
-        if _neighbour_orbit_sizes(r.g, nsub.point_stabilizer(0)) != {2}:
+        if _neighbour_orbit_sizes(r.g, r.stabilizer(nsub)) != {2}:
             continue
-        kv = r.bundle(i).kernel.point_stabilizer(0)
+        kv = r.stabilizer(r.bundle(i).kernel)
         return True, _is_2_group(kv), f"quotient valency {d}, |K_v| = {kv.order()}"
     return False, None, "no qualifying normal subgroup"
 
@@ -633,7 +623,7 @@ def _conjugate_cover_counting(r: _ReportInputs):
         if next(_semiregular_elements(p_sub, NORMAL_BOUND), None) is not None:
             result = (False, None, "M contains a semiregular element; bound not required")
             continue
-        m_v = p_sub.point_stabilizer(0).order()
+        m_v = r.stabilizer(p_sub).order()
         return (
             True,
             p_sub.order() <= m_v * len(partition),
@@ -653,7 +643,7 @@ def _arc_stabilizer_index(r: _ReportInputs):
     # each kernel is built only when the loop reaches it
     kernels = (r.bundle(i).kernel for i in range(len(r.quotients)))
     for m_sub in itertools.chain(minimal_normal_subgroups(r.grp, NORMAL_BOUND), kernels):
-        m0 = m_sub.point_stabilizer(0)
+        m0 = r.stabilizer(m_sub)
         sizes = _neighbour_orbit_sizes(r.g, m0)
         if sizes is None or not sizes <= {1, 2}:
             continue

@@ -582,20 +582,23 @@ GOLDEN_CERTIFICATES_SHA256 = (
 )
 
 
+def _find_or_none(inst, routes):
+    config = EngineConfig(routes=routes, seed=1, graph_id=inst.id)
+    try:
+        return find_semiregular(inst.graph, inst.group, config)
+    except InconclusiveError:
+        return None
+
+
 @pytest.fixture(scope="module")
 def golden_certificates(corpus):
     """(routes, instance, certificate) for every default-corpus instance at
     seed 1, under each route setting in turn; None when inconclusive."""
-    out = []
-    for routes in GOLDEN_ROUTE_SETTINGS:
-        for inst in corpus:
-            config = EngineConfig(routes=routes, seed=1, graph_id=inst.id)
-            try:
-                cert = find_semiregular(inst.graph, inst.group, config)
-            except InconclusiveError:
-                cert = None
-            out.append((routes, inst, cert))
-    return out
+    return [
+        (routes, inst, _find_or_none(inst, routes))
+        for routes in GOLDEN_ROUTE_SETTINGS
+        for inst in corpus
+    ]
 
 
 def test_golden_certificates_on_corpus(corpus, golden_certificates):
@@ -694,7 +697,7 @@ def test_structural_verdict_does_not_depend_on_vertex_labels(golden_certificates
 # hash only with a change that means to alter reports, and say so in
 # CHANGES.md.
 GOLDEN_REPORTS_SHA256 = (
-    "aa4f6c0ba4249b4f51a30bb355cf5e315d0e11dbe1e61a78077ddbeabf93e29e"
+    "8bee3be59933348626daa81dfe946a7ab575e9962dc01ace5bafebbf08dc9c75"
 )
 
 
@@ -711,7 +714,38 @@ def test_normal_quotients_have_at_most_half_the_vertices(corpus):
     # why quotient-lift needs no depth bound: it recurses only on these
     # quotients, and each has at least three classes of one size >= 2
     for inst in corpus:
-        for _, partition in engine._normal_quotients(inst.group, []):
+        if inst.group.order() > engine.NORMAL_BOUND:
+            continue
+        for _, partition in engine._normal_quotients(inst.group):
             sizes = {len(c) for c in partition}
             assert len(partition) >= 3, inst.id
             assert len(sizes) == 1 and sizes.pop() >= 2, inst.id
+
+
+def test_route_order_does_not_change_the_certificate(corpus):
+    # the route names switch steps on; the steps run in one fixed order
+    by_id = {inst.id: inst for inst in corpus}
+    runs = 0
+    for inst_id in ("px-p2-r4-s2", "cover-px-p2-r5-s3", "rook-3x3"):
+        inst = by_id[inst_id]
+        for size in range(1, len(ALL_ROUTES) + 1):
+            for subset in itertools.combinations(ALL_ROUTES, size):
+                canonical = _find_or_none(inst, subset)
+                for routes in itertools.permutations(subset):
+                    assert _find_or_none(inst, routes) == canonical, (inst_id, routes)
+                    runs += 1
+    assert runs == 192
+
+
+def test_the_normal_subgroup_bound_is_met_once_per_search_node(corpus):
+    (inst,) = [inst for inst in corpus if inst.id == "px-p5-r6-s1"]
+    with pytest.raises(BoundExceededError, match="^order 187500 exceeds bound 20000$"):
+        engine._normal_quotients(inst.group)
+    config = EngineConfig(routes=("quotient-lift", "buddy-swap"), graph_id=inst.id)
+    trace = []
+    assert list(engine._search(inst.graph, inst.group, config, trace)) == []
+    assert [line for line in trace if line.startswith("normal-subgroup scan skipped")] == [
+        "normal-subgroup scan skipped: order 187500 exceeds bound 20000"
+    ]
+    with pytest.raises(InconclusiveError):
+        find_semiregular(inst.graph, inst.group, config)

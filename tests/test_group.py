@@ -160,7 +160,9 @@ def test_kernel_and_image_orders_multiply_to_the_group_order(corpus):
 
     count = 0
     for inst in corpus:
-        for _, partition in _normal_quotients(inst.group, []):
+        if inst.group.order() > NORMAL_BOUND:
+            continue
+        for _, partition in _normal_quotients(inst.group):
             bundle = action_on_partition(inst.group, partition)
             assert bundle.kernel.order() * bundle.image_group.order() == inst.group.order()
             assert bundle.kernel_order == bundle.kernel.order(), inst.id
@@ -613,8 +615,10 @@ def _structural_pass_groups(corpus) -> list[PermGroup]:
     real_minimal, real_action = engine.minimal_normal_subgroups, engine.action_on_partition
 
     def minimal(g, bound):
+        # a group above the bound raises here, and is not reached
+        subgroups = real_minimal(g, bound)
         reached.append(g)
-        return real_minimal(g, bound)
+        return subgroups
 
     def action(g, partition):
         bundle = real_action(g, partition)
@@ -722,7 +726,9 @@ def test_chains_built_with_their_known_order_are_unchanged(corpus):
             known = StabilizerChain(gens, n, base_prefix=prefix, order=order)
             assert known.order == order
             assert _chain_digest(known) == _chain_digest(plain), (inst.id, prefix)
-        for _, partition in _normal_quotients(inst.group, []):
+        if order > NORMAL_BOUND:
+            continue
+        for _, partition in _normal_quotients(inst.group):
             # a group without a built chain passes no order
             plain = action_on_partition(PermGroup(inst.group.generators), partition)
             known = action_on_partition(inst.group, partition)
