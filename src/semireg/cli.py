@@ -329,7 +329,7 @@ def _corpus_config(path: str):
                 )
         elif key == "px_grid":
             ok = isinstance(value, dict) and all(
-                p.isdigit()
+                p.isdecimal()
                 and isinstance(row, list)
                 and len(row) == 3
                 and all(type(x) is int for x in row)

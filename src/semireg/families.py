@@ -21,7 +21,6 @@ from .graphs import (
     Graph,
     complete_graph,
     coset_graph,
-    coset_graph_connected,
     double_cover_swap,
     is_arc_transitive,
     lift_to_double_cover,
@@ -32,10 +31,8 @@ from .group import (
     PermGroup,
     PreconditionError,
     coset_action,
-    coset_key,
     induced_group,
     is_prime,
-    normalizes,
     partition_index,
     prime_factors,
 )
@@ -495,10 +492,10 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
 
     Families: the Praeger-Xu grid, standard double covers of the odd-r
     members (with the lifted action), named instances (complete, complete
-    bipartite, hypercube, rook, triangular, Paley), bounded coset-graph
-    search hits, and quotients of s >= 2 Praeger-Xu members by the diagonal
-    translation subgroup. Instances failing validation are skipped with a
-    log entry.
+    bipartite, hypercube, rook, triangular, Paley), the five coset graphs
+    of PSL(2,5) and PGL(2,5), and quotients of s >= 2 Praeger-Xu members
+    by the diagonal translation subgroup. Instances failing validation are
+    skipped with a log entry.
     """
     cfg = cfg or CorpusConfig()
     out: list[CorpusInstance] = []
@@ -614,89 +611,40 @@ def _px_diagonal_subgroup(p: int, r: int, s: int) -> PermGroup:
     return PermGroup([_px_translation(p, r, s, range(r))], r * p**s)
 
 
+# The corpus's coset graphs as (seed group, generators of H, involution x)
+# rows, in corpus order, with 0-based cycles on the 6 points of P1(F_5)
+# (point 5 is infinity). They are what a scan of the small subgroups of
+# PSL(2,5) and PGL(2,5) found. A coset graph's valency k is at most |H| and
+# below |G : H|, so k^2 < |G| <= 120: no valency 2p above 10 can come from
+# these groups.
+_COSET_ROWS = (
+    ("psl2-5", ([(0, 4, 5), (1, 2, 3)], [(0, 1), (3, 5)]), [(0, 5), (1, 4)]),
+    ("pgl2-5", ([(1, 2, 4, 3)],), [(0, 2), (1, 3), (4, 5)]),
+    ("pgl2-5", ([(1, 2, 4, 3)],), [(0, 3), (4, 5)]),
+    ("pgl2-5", ([(0, 4, 1, 3, 2, 5)],), [(0, 5), (1, 4)]),
+    ("pgl2-5", ([(0, 4, 1, 3, 2, 5)],), [(0, 1), (2, 4)]),
+)
+
+
 def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
-    """Bounded scan for coset-graph hits of valency 2p over small seed groups."""
+    """The coset graphs of ``_COSET_ROWS`` that ``cfg`` admits."""
     out = []
-    seen_fingerprints = set()
-    seeds = [("psl2-5", psl2_action(5)), ("pgl2-5", pgl2_action(5))]
-    target_valencies = {2 * p for p in cfg.primes}
-    for name, big in seeds:
-        subgroup_pool = _small_subgroups(big, max_count=12)
-        involutions = [elem for elem in big.elements() if elem.order() == 2]
-        hits = 0
-        for h in subgroup_pool:
-            if big.order() // h.order() > cfg.max_vertices:
-                continue
-            # the coset graph depends on elem only through H*elem*H, the
-            # union of the cosets _double_coset_keys lists
-            seen_double_cosets = set()
-            for elem in involutions:
-                if hits >= 4:
-                    break
-                if normalizes(elem, h):
-                    continue
-                # the valency is cheap; the connectivity test builds a chain
-                double_coset = _double_coset_keys(h, elem)
-                val = len(double_coset)
-                if val not in target_valencies or double_coset in seen_double_cosets:
-                    continue
-                seen_double_cosets.add(double_coset)
-                if not coset_graph_connected(big, h, elem):
-                    continue
-                bundle = coset_graph(big, h, elem)
-                g = bundle.graph
-                girth = g.girth()
-                fp = (g.n, val, girth, g.is_bipartite())
-                if fp in seen_fingerprints:
-                    continue
-                seen_fingerprints.add(fp)
-                inst = CorpusInstance(
-                    id=f"coset-{name}-n{g.n}-v{val}-g{girth}",
-                    family="coset-search",
-                    params={"seed_group": name, "subgroup_order": h.order()},
-                    graph=g,
-                    group=bundle.acting_group,
-                )
-                checked = _validated(inst, cfg)
-                if checked is not None:
-                    out.append(checked)
-                    hits += 1
-            if hits >= 4:
-                break
+    seeds = {"psl2-5": psl2_action(5), "pgl2-5": pgl2_action(5)}
+    for name, h_cycles, x_cycles in _COSET_ROWS:
+        big = seeds[name]
+        h = PermGroup([Permutation.from_cycles(6, c) for c in h_cycles], 6)
+        if big.order() // h.order() > cfg.max_vertices:
+            continue
+        bundle = coset_graph(big, h, Permutation.from_cycles(6, x_cycles))
+        g = bundle.graph
+        inst = CorpusInstance(
+            id=f"coset-{name}-n{g.n}-v{g.valency()}-g{g.girth()}",
+            family="coset-search",
+            params={"seed_group": name, "subgroup_order": h.order()},
+            graph=g,
+            group=bundle.acting_group,
+        )
+        checked = _validated(inst, cfg)
+        if checked is not None:
+            out.append(checked)
     return out
-
-
-def _double_coset_keys(h: PermGroup, elem: Permutation) -> frozenset[bytes]:
-    """The keys of the cosets H*elem*y for y in H, whose union is H*elem*H;
-    their number is the valency of the coset graph of (G, H, H*elem*H),
-    found without building it."""
-    h_chain = h.chain()
-    return frozenset(coset_key(h_chain, elem * y) for y in h.elements())
-
-
-def _small_subgroups(g: PermGroup, max_count: int) -> list[PermGroup]:
-    """A deterministic pool of small subgroups: cyclic ones from element
-    scan (at most two per order; a cyclic group's order is its generator's)
-    plus a few two-generator extensions."""
-    pool = []
-    seen_orders = {}
-    for el in g.elements():
-        if el.is_identity():
-            continue
-        key = el.order()
-        if seen_orders.get(key, 0) >= 2:
-            continue
-        seen_orders[key] = seen_orders.get(key, 0) + 1
-        pool.append(PermGroup([el], g.degree))
-        if len(pool) >= max_count:
-            break
-    extended = []
-    for sub in pool[:4]:
-        base_el = sub.generators[0]
-        for el in g.elements():
-            if el.order() == 2:
-                cand = PermGroup([base_el, el], g.degree)
-                if cand.order() < g.order():
-                    extended.append(cand)
-                    break
-    return pool + extended

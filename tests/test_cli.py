@@ -294,6 +294,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
         ('{"bogus": 1}', 2),
         ('{"px_grid": {"2": [3, 4]}}', 2),
         ('{"px_grid": {"two": [3, 4, 2]}}', 2),
+        # a digit that is not a decimal digit, which int() refuses
+        ('{"px_grid": {"²": [3, 4, 1]}}', 2),
         ('{"px_grid": [3, 4, 2]}', 2),
         ('{"primes": 5}', 2),
         ('{"primes": ["2"]}', 2),
@@ -545,6 +547,20 @@ def _small_corpus(tmp_path, name: str, jobs: int) -> Path:
     )
     assert code == 0
     return outdir
+
+
+def test_corpus_config_reads_any_decimal_digit(tmp_path):
+    # str.isdecimal() admits exactly the digits int() reads, so an
+    # Arabic-Indic 3 is the prime 3
+    from semireg.cli import _corpus_config
+
+    def read(key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"px_grid": {key: [3, 4, 1]}}))
+        return _corpus_config(str(path))
+
+    assert read("\u0663") == read("3")
+    assert read("3").px_grid == {3: (range(3, 5), 1)}
 
 
 def test_corpus_cli_small(tmp_path, capsys):

@@ -22,9 +22,8 @@ from semireg.graphs import (
 )
 from semireg.families import (
     CorpusConfig,
-    _double_coset_keys,
+    _coset_search_instances,
     _px_diagonal_subgroup,
-    _small_subgroups,
     corpus_generate,
     k12_m11,
     m11_degree11,
@@ -73,67 +72,61 @@ def test_psl2_coset_normalizer_is_the_borel(p, s):
     assert psl2_coset_instance(p, s).normalizer_order == p * (p - 1) // 2
 
 
-@pytest.mark.parametrize("big", [psl2_action(5), pgl2_action(5)], ids=["psl2-5", "pgl2-5"])
-def test_coset_graph_shape_matches_built_graph(big):
-    # every (H, x) pair the corpus coset search tests; pairs with one double
-    # coset H*x*H give one graph, which is why the search builds it once
-    pairs = 0
-    for h in _small_subgroups(big, max_count=12):
-        by_double_coset = {}
-        for elem in big.elements():
-            if elem.order() != 2 or normalizes(elem, h):
+@pytest.mark.parametrize(
+    "big, pairs, disconnected",
+    [(psl2_action(5), 360, 240), (pgl2_action(5), 1260, 900)],
+    ids=["psl2-5", "pgl2-5"],
+)
+def test_coset_graph_shape_matches_built_graph(big, pairs, disconnected):
+    # every cyclic H = <g> with every involution x outside N_G(H): the base
+    # coset's neighbours H*x*y (y in H) number |H : H meet H^x|, and
+    # coset_graph_connected agrees with the built graph, mostly disconnected
+    elements = list(big.elements())
+    involutions = [x for x in elements if x.order() == 2]
+    cyclic = {}
+    for g in elements:
+        h = PermGroup([g], big.degree)
+        cyclic.setdefault(frozenset(tuple(y.images.tolist()) for y in h.elements()), h)
+    seen = []
+    for h in cyclic.values():
+        for x in involutions:
+            if normalizes(x, h):
                 continue
-            graph = coset_graph(big, h, elem).graph
-            keys = _double_coset_keys(h, elem)
-            assert len(keys) == graph.valency()
-            assert coset_graph_connected(big, h, elem) == graph.is_connected()
-            assert by_double_coset.setdefault(keys, graph) == graph
-            pairs += 1
-    assert pairs > 0
+            graph = coset_graph(big, h, x).graph
+            meet = sum(h.contains(x * y * x) for y in h.elements())
+            assert graph.valency() == h.order() // meet
+            connected = graph.is_connected()
+            assert coset_graph_connected(big, h, x) == connected
+            seen.append(connected)
+    assert (len(seen), seen.count(False)) == (pairs, disconnected)
 
 
-def test_coset_search_builds_no_chain_for_a_rejected_valency(corpus, monkeypatch):
-    # events in call order: each pair's valency, then every chain that
-    # semireg.graphs builds (the connectivity test and coset_graph)
-    from semireg import families, graphs
+def test_coset_rows_honour_the_config(corpus):
+    # each row is built only when its index fits max_vertices, and kept
+    # only when its valency is twice a configured prime
+    default = [inst for inst in corpus if inst.family == "coset-search"]
+    for k in range(1, 5):
+        for primes in itertools.combinations((2, 3, 5, 7), k):
+            for max_vertices in (4, 5, 20, 30, 2000):
+                cfg = CorpusConfig(primes=primes, max_vertices=max_vertices)
+                expected = [
+                    inst.id
+                    for inst in default
+                    if inst.valency // 2 in primes and inst.graph.n <= max_vertices
+                ]
+                assert [i.id for i in _coset_search_instances(cfg)] == expected
 
-    events = []
-    built = []
-    real_chain, real_keys = graphs.StabilizerChain, families._double_coset_keys
-    real_coset_graph = families.coset_graph
 
-    def chain(*args, **kwargs):
-        events.append("chain")
-        return real_chain(*args, **kwargs)
+def test_corpus_walks_no_group_elements(monkeypatch):
+    # no corpus output depends on the order of a stabilizer chain's
+    # element walk, because the corpus never walks one
+    from semireg.group import StabilizerChain
 
-    def double_coset_keys(h, elem):
-        keys = real_keys(h, elem)
-        events.append(len(keys))
-        return keys
+    def refuse(self):
+        raise AssertionError("corpus_generate walked a group's elements")
 
-    def coset_graph_counted(big, h, elem):
-        built.append((big, h, real_keys(h, elem)))
-        return real_coset_graph(big, h, elem)
-
-    monkeypatch.setattr(graphs, "StabilizerChain", chain)
-    monkeypatch.setattr(families, "_double_coset_keys", double_coset_keys)
-    monkeypatch.setattr(families, "coset_graph", coset_graph_counted)
-    cfg = CorpusConfig()
-    found = families._coset_search_instances(cfg)
-    assert [i.id for i in found] == [i.id for i in corpus if i.family == "coset-search"]
-    # one build per double coset: 8 graphs for the 5 instances, where
-    # building each (H, x) pair that passed the valency test took 32
-    assert len(built) == 8
-    assert len({(id(big), id(h), keys) for big, h, keys in built}) == 8
-    targets = {2 * p for p in cfg.primes}
-    last_valency = None
-    for event in events:
-        if event == "chain":
-            assert last_valency in targets
-        else:
-            last_valency = event
-    valencies = [e for e in events if e != "chain"]
-    assert "chain" in events and not set(valencies) <= targets
+    monkeypatch.setattr(StabilizerChain, "element_blocks", refuse)
+    assert len(corpus_generate()) == 86
 
 
 def test_quotient_instances_carry_the_induced_group(corpus):
