@@ -77,9 +77,11 @@ def _parse_params(text: str) -> dict:
     for piece in text.split(","):
         if "=" not in piece:
             raise ParseError(f"bad --params entry {piece!r}, expected key=value")
-        key, val = piece.split("=", 1)
+        key, val = (part.strip() for part in piece.split("=", 1))
+        if key in out:
+            raise UsageError(f"--params key {key} is given twice")
         try:
-            out[key.strip()] = int(val.strip())
+            out[key] = int(val)
         except ValueError:
             raise ParseError(f"bad --params value {piece!r}, expected an integer") from None
     return out
@@ -231,12 +233,8 @@ def _cmd_dense(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    graph = _load_graph(args.graph)
-    witness = has_triangle(graph)
-    if witness is None:
-        print("none")
-    else:
-        print(" ".join(str(v) for v in witness))
+    witness = has_triangle(_load_graph(args.graph))
+    print("none" if witness is None else " ".join(str(v) for v in witness))
     return EXIT_OK
 
 
@@ -251,9 +249,7 @@ def _cmd_find(args) -> int:
     )
     # find_semiregular verifies the certificate and raises if it fails
     cert = find_semiregular(graph, group, config)
-    doc = certificate_to_document(
-        cert, graph, group, verified=True, seed=args.seed
-    )
+    doc = certificate_to_document(cert, graph, group, verified=True, seed=args.seed)
     sys.stdout.write(document_to_json(doc))
     return EXIT_OK
 
@@ -286,9 +282,7 @@ def _corpus_worker(payload):
     inst, seed, bound = payload
     config = EngineConfig(seed=seed, enum_bound=bound, graph_id=inst.id)
     cert = find_semiregular(inst.graph, inst.group, config)
-    doc = certificate_to_document(
-        cert, inst.graph, inst.group, verified=True, seed=seed
-    )
+    doc = certificate_to_document(cert, inst.graph, inst.group, verified=True, seed=seed)
     return inst.manifest_row(seed), doc
 
 
@@ -338,9 +332,13 @@ def _corpus_config(path: str):
             if ok and not all(3 <= lo <= hi and s >= 1 for lo, hi, s in value.values()):
                 raise UsageError("--config: 'px_grid' rows need 3 <= r_min <= r_max, s_max >= 1")
             if ok:
-                value = {
-                    int(p): (range(lo, hi + 1), smax) for p, (lo, hi, smax) in value.items()
-                }
+                # "3" and "03" name one prime, and one row would be lost
+                grid = {}
+                for p, (lo, hi, smax) in value.items():
+                    if int(p) in grid:
+                        raise UsageError(f"--config: 'px_grid' names the prime {int(p)} twice")
+                    grid[int(p)] = (range(lo, hi + 1), smax)
+                value = grid
         elif hasattr(default, key):
             ok = type(value) is type(getattr(default, key))
         else:

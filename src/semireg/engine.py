@@ -171,14 +171,9 @@ def local_action(g: Graph, grp: PermGroup, v: int) -> PermGroup:
     nbrs = g.neighbors(v)
     if not nbrs.size:
         return PermGroup([], 1)
+    # the stabilizer maps the sorted neighbours onto themselves
     stab = grp.point_stabilizer(v)
-    index = {int(w): i for i, w in enumerate(nbrs)}
-    gens = []
-    for gen in stab.generators:
-        img = np.empty(len(nbrs), dtype=_INT)
-        for i, w in enumerate(nbrs):
-            img[i] = index[int(gen(int(w)))]
-        gens.append(Permutation(img))
+    gens = [Permutation(np.searchsorted(nbrs, gen.images[nbrs])) for gen in stab.generators]
     return PermGroup(gens, len(nbrs))
 
 

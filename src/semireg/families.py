@@ -160,43 +160,32 @@ def _px_check(p: int, r: int, s: int) -> None:
         raise PreconditionError(f"p={p} must be prime")
 
 
-def _px_vertex(i: int, digits, p: int, s: int) -> int:
-    e = 0
-    for d in digits:
-        e = e * p + d
-    return i * p**s + e
-
-
-def _px_digits(e: int, p: int, s: int) -> list[int]:
-    out = []
-    for _ in range(s):
-        out.append(e % p)
-        e //= p
-    return out[::-1]
+def _px_digits(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base-p digits of each x < p^s, most significant first, and their place values."""
+    place = p ** np.arange(s - 1, -1, -1, dtype=_INT)
+    digits = (np.arange(p**s, dtype=_INT)[:, None] // place) % p
+    return digits, place
 
 
 def praeger_xu(p: int, r: int, s: int) -> tuple[Graph, Permutation]:
     """The graph C(p,r,s) and its rotation, semiregular with cycles of length r.
 
-    Vertices are pairs (i, x) with i in Z_r and x in Z_p^s; (i, x) is adjacent
-    to (i+1, y) whenever y drops the first symbol of x and appends any symbol
-    (the shift-register overlap rule). The rotation maps (i, x) to (i+1, x).
+    Vertices are pairs (i, x) with i in Z_r and x in Z_p^s, numbered
+    i*p^s + x with x read in base p; (i, x) is adjacent to (i+1, y) whenever
+    y drops the first symbol of x and appends any symbol (the shift-register
+    overlap rule). The rotation maps (i, x) to (i+1, x).
     """
     _px_check(p, r, s)
     ps = p**s
     n = r * ps
-    edges = []
-    for i in range(r):
-        for e in range(ps):
-            tail = (e % p ** (s - 1)) * p
-            for y in range(p):
-                edges.append((i * ps + e, ((i + 1) % r) * ps + tail + y))
-    graph = Graph(n, edges)
-    rot = np.empty(n, dtype=_INT)
-    for i in range(r):
-        for e in range(ps):
-            rot[i * ps + e] = ((i + 1) % r) * ps + e
-    rotation = Permutation(rot)
+    digits, place = _px_digits(p, s)
+    # x without its first symbol, moved up one place: the y that ends in 0
+    shifted = digits[:, 1:] @ place[:-1]
+    vertices = np.arange(n, dtype=_INT)
+    next_layer = (vertices // ps + 1) % r * ps
+    targets = (next_layer + shifted[vertices % ps])[:, None] + np.arange(p)
+    graph = Graph(n, np.column_stack((np.repeat(vertices, p), targets.ravel())))
+    rotation = Permutation((vertices + ps) % n)
     if graph.valency() != 2 * p:
         raise RuntimeError("C(p,r,s) is not 2p-regular (internal error)")
     if not graph.is_automorphism(rotation):
@@ -207,17 +196,14 @@ def praeger_xu(p: int, r: int, s: int) -> tuple[Graph, Permutation]:
 def praeger_xu_group(p: int, r: int, s: int) -> PermGroup:
     """An arc-transitive group on C(p,r,s): rotation, reflection and a
     base translation (whose rotation-conjugates give all of Z_p^r)."""
-    _px_check(p, r, s)
     graph, rotation = praeger_xu(p, r, s)
-    ps = p**s
-    n = r * ps
-    refl = np.empty(n, dtype=_INT)
-    for i in range(r):
-        for e in range(ps):
-            rev = _px_digits(e, p, s)[::-1]
-            refl[i * ps + e] = _px_vertex((-i) % r, rev, p, s)
-    gens = [rotation, Permutation(refl), _px_translation(p, r, s, [0])]
-    group = PermGroup(gens, n)
+    digits, place = _px_digits(p, s)
+    # (i, x) -> (-i, x reversed)
+    reversed_x = digits[:, ::-1] @ place
+    mirrored = (-np.arange(r, dtype=_INT)) % r * p**s
+    reflection = Permutation((mirrored[:, None] + reversed_x).ravel())
+    gens = [rotation, reflection, _px_translation(p, r, s, [0])]
+    group = PermGroup(gens, graph.n)
     for gen in gens:
         if not graph.is_automorphism(gen):
             raise RuntimeError("generator is not an automorphism (internal error)")
@@ -229,17 +215,15 @@ def praeger_xu_group(p: int, r: int, s: int) -> PermGroup:
 def _px_translation(p: int, r: int, s: int, positions) -> Permutation:
     """Add 1 to every window symbol of (i, x) whose position t has
     (i + t) mod r in ``positions``."""
-    positions = set(positions)
-    ps = p**s
-    arr = np.empty(r * ps, dtype=_INT)
-    for i in range(r):
-        for e in range(ps):
-            shifted = [
-                (d + 1) % p if (i + t) % r in positions else d
-                for t, d in enumerate(_px_digits(e, p, s))
-            ]
-            arr[i * ps + e] = _px_vertex(i, shifted, p, s)
-    return Permutation(arr)
+    digits, place = _px_digits(p, s)
+    chosen = np.zeros(r, dtype=bool)
+    chosen[list(positions)] = True
+    # raised[i, t]: whether symbol t of a window in layer i gets the 1
+    raised = chosen[(np.arange(r)[:, None] + np.arange(s)) % r]
+    moved_digits = (digits + raised[:, None, :]) % p
+    moved_x = moved_digits @ place
+    layer = np.arange(r, dtype=_INT)[:, None] * p**s
+    return Permutation((layer + moved_x).ravel())
 
 
 def px_fiber_translations(p: int, r: int, s: int) -> PermGroup:

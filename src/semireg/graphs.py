@@ -4,7 +4,7 @@ Graphs are immutable CSR adjacency structures. The constructions here are
 coset graphs with their right-multiplication actions, quotients by vertex
 partitions, standard double covers, local graphs, triangle search and
 density closure; the arc checks test that a group acts by automorphisms and
-transitively on arcs.
+transitively on arcs. Constructions read the CSR arrays, not edge by edge.
 """
 
 from __future__ import annotations
@@ -216,26 +216,21 @@ def quotient_graph(g: Graph, partition) -> Graph:
     ``has_intra_class_edges`` to detect that they existed.
     """
     classes, class_index = partition_index(partition, g.n)
-    edges = set()
-    for u, w in g.edges():
-        cu, cw = int(class_index[u]), int(class_index[w])
-        if cu != cw:
-            edges.add((min(cu, cw), max(cu, cw)))
-    return Graph(len(classes), edges)
+    class_u = class_index[g.arc_sources()]
+    class_w = class_index[g.indices]
+    between = class_u != class_w
+    return Graph(len(classes), np.column_stack((class_u[between], class_w[between])))
 
 
 def has_intra_class_edges(g: Graph, partition) -> bool:
     _, class_index = partition_index(partition, g.n)
-    return any(class_index[u] == class_index[w] for u, w in g.edges())
+    return bool(np.any(class_index[g.arc_sources()] == class_index[g.indices]))
 
 
 def standard_double_cover(g: Graph) -> Graph:
     """Vertex (v, i) is index 2v+i; (u,i) ~ (v,1-i) iff u ~ v."""
-    edges = []
-    for u, w in g.edges():
-        edges.append((2 * u, 2 * w + 1))
-        edges.append((2 * u + 1, 2 * w))
-    return Graph(2 * g.n, edges)
+    # arc (u, w) gives (u,0) ~ (w,1); the reverse arc gives (u,1) ~ (w,0)
+    return Graph(2 * g.n, np.column_stack((2 * g.arc_sources(), 2 * g.indices + 1)))
 
 
 def lift_to_double_cover(p: Permutation) -> Permutation:
@@ -329,8 +324,9 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
     N_G(H) and index within ``COSET_INDEX_BOUND``. The cosets that H fixes
     by right multiplication are the cosets of N_G(H), and the base coset's
     neighbours are the H-orbit of H elem, so neither G nor H is enumerated.
-    Connectivity is verified to coincide with <H, elem> = G and recorded,
-    not assumed.
+    The edges come from one breadth-first walk over the cosets, in which a
+    generator first taking coset u to v maps N(u) onto N(v). Connectivity is
+    verified to coincide with <H, elem> = G and recorded, not assumed.
     """
     if not is_subgroup(h, g):
         raise PreconditionError("H is not a subgroup of G")
@@ -362,29 +358,25 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
     start = coset_index[coset_key(h_chain, elem)]
     base_nbrs = np.flatnonzero(_kernels.orbit_mask(h_action, start))
 
-    # close the base star under the action
-    edges = set()
-    queue = [(0, int(w)) for w in base_nbrs]
-    seen = set(queue)
-    while queue:
-        u, w = queue.pop()
-        edges.add((min(u, w), max(u, w)))
-        for a in acting_group.generators:
-            nxt = (a(u), a(w))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    graph = Graph(index, edges)
+    # walk the cosets breadth first from coset 0: a generator a that first
+    # reaches v from u gives N(v) = a(N(u)), as a preserves the orbital
+    stars = [base_nbrs] + [None] * (index - 1)
+    queue = [0]
+    for u in queue:
+        for a in action:
+            v = a(u)
+            if stars[v] is None:
+                stars[v] = a.images[stars[u]]
+                queue.append(v)
+    sources = np.repeat(np.arange(index, dtype=_INT), base_nbrs.size)
+    graph = Graph(index, np.column_stack((sources, np.concatenate(stars))))
 
-    expected_valency = len(base_nbrs)
-    if graph.valency() != expected_valency:
+    if graph.valency() != base_nbrs.size:
         raise RuntimeError("coset graph is not regular (internal error)")
 
     generates = coset_graph_connected(g, h, elem)
     if generates != graph.is_connected():
-        raise RuntimeError(
-            "connectivity disagrees with <H, elem> = G (internal error)"
-        )
+        raise RuntimeError("connectivity disagrees with <H, elem> = G (internal error)")
 
     return CosetGraphBundle(
         graph=graph,

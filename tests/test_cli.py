@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -86,6 +87,29 @@ def test_construct_above_the_element_bound(tmp_path):
     manifest = json.loads((tmp_path / "k10.json").read_text())
     assert (manifest["n"], manifest["valency"]) == (10, 9)
     assert manifest["normalizer_order"] == 362880 and manifest["generates"]
+
+
+# sha256 over the .g6 then .gens file that `semireg construct` writes for
+# each of these instances, in this order. Update this hash only with a change
+# that means to alter constructed graphs or generators, and say so in
+# CHANGES.md.
+CONSTRUCT_CASES = (
+    ("px-p5-r6-s2", ["--family", "px", "--params", "p=5,r=6,s=2"]),
+    ("k12-m11", ["--family", "k12m11"]),
+    ("psl2-coset-p29-s1", ["--family", "lemma33", "--params", "p=29,s=1"]),
+)
+GOLDEN_CONSTRUCT_SHA256 = (
+    "fa686662bb9e8968380a0c82d67130ef804faff65cb08c1427dacb762cf0af45"
+)
+
+
+def test_golden_constructed_bytes(tmp_path):
+    digest = hashlib.sha256()
+    for name, args in CONSTRUCT_CASES:
+        assert main(["construct", *args, "--out", str(tmp_path)]) == 0
+        digest.update((tmp_path / f"{name}.g6").read_bytes())
+        digest.update((tmp_path / f"{name}.gens").read_bytes())
+    assert digest.hexdigest() == GOLDEN_CONSTRUCT_SHA256
 
 
 def test_construct_k12m11(tmp_path):
@@ -284,6 +308,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
         capsys.readouterr()
         assert main(["construct", "--family", family, "--params", params, "--out", out]) == 2
         assert "does not take --params key(s)" in capsys.readouterr().err
+    # a repeated --params key, which would otherwise keep its last value
+    capsys.readouterr()
+    assert main(["construct", "--family", "px", "--params", "p=2,r=3,s=1,p=3", "--out", out]) == 2
+    assert "--params key p is given twice" in capsys.readouterr().err
     # corpus --config: not JSON is a parse error, a well-formed file that is
     # not a valid configuration is a usage error
     config = tmp_path / "config.json"
@@ -297,6 +325,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
         # a digit that is not a decimal digit, which int() refuses
         ('{"px_grid": {"²": [3, 4, 1]}}', 2),
         ('{"px_grid": [3, 4, 2]}', 2),
+        # "3" and "03" name one prime: one of the two rows would be lost
+        ('{"px_grid": {"3": [3, 4, 1], "03": [3, 6, 2]}}', 2),
         ('{"primes": 5}', 2),
         ('{"primes": ["2"]}', 2),
         ('{"max_vertices": "many"}', 2),
@@ -552,7 +582,7 @@ def _small_corpus(tmp_path, name: str, jobs: int) -> Path:
 def test_corpus_config_reads_any_decimal_digit(tmp_path):
     # str.isdecimal() admits exactly the digits int() reads, so an
     # Arabic-Indic 3 is the prime 3
-    from semireg.cli import _corpus_config
+    from semireg.cli import UsageError, _corpus_config
 
     def read(key):
         path = tmp_path / "config.json"
@@ -561,6 +591,10 @@ def test_corpus_config_reads_any_decimal_digit(tmp_path):
 
     assert read("\u0663") == read("3")
     assert read("3").px_grid == {3: (range(3, 5), 1)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"px_grid": {"3": [3, 4, 1], "\u0663": [3, 6, 2]}}))
+    with pytest.raises(UsageError, match="'px_grid' names the prime 3 twice"):
+        _corpus_config(str(path))
 
 
 def test_corpus_cli_small(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -115,6 +116,28 @@ def test_coset_rows_honour_the_config(corpus):
                     if inst.valency // 2 in primes and inst.graph.n <= max_vertices
                 ]
                 assert [i.id for i in _coset_search_instances(cfg)] == expected
+
+
+# sha256 over the default corpus: per instance its id and a NUL byte, the
+# CSR arrays indptr and indices, every generator's images (all as <i8), then
+# a 0x01 byte. Update this hash only with a change that means to alter the
+# corpus's graphs or groups, and say so in CHANGES.md.
+GOLDEN_CORPUS_SHA256 = (
+    "26bdee1ae31922d4230f3c58767855b12fbc8605d0158e0678be69daa68f9b78"
+)
+
+
+def test_golden_corpus(corpus):
+    assert len(corpus) == 86
+    digest = hashlib.sha256()
+    for inst in corpus:
+        digest.update(inst.id.encode() + b"\0")
+        digest.update(np.asarray(inst.graph.indptr, dtype="<i8").tobytes())
+        digest.update(np.asarray(inst.graph.indices, dtype="<i8").tobytes())
+        for gen in inst.group.generators:
+            digest.update(np.asarray(gen.images, dtype="<i8").tobytes())
+        digest.update(b"\1")
+    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
 
 
 def test_corpus_walks_no_group_elements(monkeypatch):

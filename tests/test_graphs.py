@@ -21,7 +21,13 @@ from semireg.graphs import (
     quotient_graph,
     standard_double_cover,
 )
-from semireg.families import psl2_action, psl2_coset_instance, symmetric_group
+from semireg.families import (
+    _COSET_ROWS,
+    pgl2_action,
+    psl2_action,
+    psl2_coset_instance,
+    symmetric_group,
+)
 
 from oracles import adjacency_t, is_automorphism_t
 
@@ -223,6 +229,35 @@ def test_coset_graph_preconditions(s4):
     big_h = PermGroup([Permutation.from_cycles(5, [(0, 1)])], 5)
     with pytest.raises(PreconditionError, match="subgroup"):
         coset_graph(s4, big_h, Permutation.from_cycles(4, [(2, 3)]))
+
+
+@pytest.mark.parametrize(
+    "row, p, s",
+    [(row, None, None) for row in range(len(_COSET_ROWS))]
+    + [(None, p, s) for p, s in [(5, 1), (5, 2), (7, 1), (7, 3), (11, 5)]],
+)
+def test_coset_graph_edges_match_the_double_coset(row, p, s):
+    if row is None:
+        bundle = psl2_coset_instance(p, s)
+    else:
+        name, h_cycles, x_cycles = _COSET_ROWS[row]
+        big = psl2_action(5) if name == "psl2-5" else pgl2_action(5)
+        h = PermGroup([Permutation.from_cycles(6, c) for c in h_cycles], 6)
+        bundle = coset_graph(big, h, Permutation.from_cycles(6, x_cycles))
+    # Hx ~ Hy iff x * y^-1 lies in H elem H, over every pair of cosets
+    h_elements = list(bundle.subgroup.elements())
+    double_coset = {
+        (y * bundle.element * z).images.tobytes() for y in h_elements for z in h_elements
+    }
+    reps = bundle.coset_reps
+    assert len(reps) <= 30
+    expected = [
+        (i, j)
+        for i, x in enumerate(reps)
+        for j, y in enumerate(reps)
+        if (x * y.inverse()).images.tobytes() in double_coset
+    ]
+    assert bundle.graph == Graph(len(reps), expected)
 
 
 def test_coset_graph_representative_independence(s4):
