@@ -4,6 +4,8 @@ Subcommands: construct, quotient, cover, dense, triangle, find, verify,
 corpus, report. Exit codes: 0 success (including a definitive
 exhausted-none answer), 1 failed verification, 2 usage, 3 parse error,
 4 precondition violation, 5 inconclusive (a bound stopped the search).
+The enumeration bound is the constant ``group.DEFAULT_BOUND``, not an option,
+so ``verify`` re-enumerates every group that ``find`` enumerated.
 """
 
 from __future__ import annotations
@@ -241,12 +243,8 @@ def _cmd_triangle(args) -> int:
 def _cmd_find(args) -> int:
     graph = _load_graph(args.graph)
     group = _load_group(args.group)
-    config = EngineConfig(
-        routes=args.routes,
-        enum_bound=args.bound,
-        seed=args.seed,
-        graph_id=args.id or Path(args.graph).stem,
-    )
+    graph_id = args.id or Path(args.graph).stem
+    config = EngineConfig(routes=args.routes, seed=args.seed, graph_id=graph_id)
     # find_semiregular verifies the certificate and raises if it fails
     cert = find_semiregular(graph, group, config)
     doc = certificate_to_document(cert, graph, group, verified=True, seed=args.seed)
@@ -278,22 +276,35 @@ def _cmd_verify(args) -> int:
     return EXIT_INVALID
 
 
-def _corpus_worker(payload):
-    inst, seed, bound = payload
-    config = EngineConfig(seed=seed, enum_bound=bound, graph_id=inst.id)
+def _corpus_worker(inst, seed):
+    config = EngineConfig(seed=seed, graph_id=inst.id)
     cert = find_semiregular(inst.graph, inst.group, config)
     doc = certificate_to_document(cert, inst.graph, inst.group, verified=True, seed=seed)
     return inst.manifest_row(seed), doc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key, of which ``json.loads``
+    keeps the last without a word, is refused."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise UsageError(f"--config: key {key!r} is given twice")
+        out[key] = value
+    return out
+
+
 def _corpus_config(path: str):
-    """The ``corpus --config`` file: a JSON object whose keys are fields of
-    ``CorpusConfig``, with ``primes`` a list of integers and ``px_grid`` an
-    object mapping each prime to ``[r_min, r_max, s_max]``."""
+    """The ``corpus --config`` file: a JSON object with any of the keys
+    ``primes`` (a list of distinct primes), ``max_vertices`` (an integer),
+    ``px_grid`` (an object mapping each prime to ``[r_min, r_max, s_max]``),
+    ``include_named`` and ``include_coset_search`` (booleans), each setting
+    the ``CorpusConfig`` field of its name. Any other key, and a key given
+    twice in any object, ends in exit 2."""
     from .families import CorpusConfig
 
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"--config {path}: {exc}") from None
     if not isinstance(raw, dict):
@@ -359,15 +370,15 @@ def _cmd_corpus(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     instances = corpus_generate(cfg)
-    payloads = [(inst, args.seed, args.bound) for inst in instances]
+    seeds = [args.seed] * len(instances)
     if args.jobs > 1:
         # imported here: only a parallel run pays for the pool's import
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_corpus_worker, payloads))
+            results = list(pool.map(_corpus_worker, instances, seeds))
     else:
-        results = [_corpus_worker(p) for p in payloads]
+        results = list(map(_corpus_worker, instances, seeds))
     manifest_path = outdir / "manifest.jsonl"
     with manifest_path.open("w") as fh:
         for row, doc in results:
@@ -423,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.set_defaults(func=_cmd_triangle)
 
-    p = sub.add_parser("find", help="search for a semiregular automorphism")
+    fixed = f"Groups of order at most {DEFAULT_BOUND} are enumerated in full (a fixed bound)."
+    p = sub.add_parser("find", help="search for a semiregular automorphism", description=fixed)
     p.add_argument("--graph", required=True)
     p.add_argument("--group", required=True)
     p.add_argument(
@@ -433,23 +445,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated steps to run; they run in the fixed order "
         f"{','.join(ALL_ROUTES)}, whatever order is given",
     )
-    p.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--id", default=None)
     p.set_defaults(func=_cmd_find)
 
-    p = sub.add_parser("verify", help="verify a certificate document")
+    p = sub.add_parser("verify", help="verify a certificate document", description=fixed)
     p.add_argument("--graph", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--certificate", required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("corpus", help="generate the corpus and certify it")
+    p = sub.add_parser("corpus", help="generate the corpus and certify it", description=fixed)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", default="corpus-out")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND)
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("report", help="the proof's structural checks on an instance")

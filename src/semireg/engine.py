@@ -102,17 +102,16 @@ class EngineConfig:
 
     ``routes`` switches the steps of the search on at the top level; they
     run in the order of ``ALL_ROUTES`` whatever order they are given in.
-    ``enum_bound`` is the largest group order that direct-search enumerates
-    (and that a certificate check re-enumerates); ``seed`` fixes the random
-    draws of direct-search and prime-power; ``graph_id`` labels the
-    certificate. The normal-subgroup bound and the sample count are the
-    constants ``NORMAL_BOUND`` and ``SAMPLE_COUNT``. Quotient-lift needs no
-    depth bound, because each quotient it recurses on has at most half the
+    ``seed`` fixes the random draws of direct-search and prime-power;
+    ``graph_id`` labels the certificate. The bounds are fixed: direct-search
+    enumerates, and a certificate check re-enumerates, groups of order at
+    most ``DEFAULT_BOUND``; the normal-subgroup bound and the sample count
+    are ``NORMAL_BOUND`` and ``SAMPLE_COUNT``. Quotient-lift needs no depth
+    bound, because each quotient it recurses on has at most half the
     vertices.
     """
 
     routes: tuple[str, ...] = ALL_ROUTES
-    enum_bound: int = DEFAULT_BOUND
     seed: int = 0
     graph_id: str = "graph"
 
@@ -180,9 +179,7 @@ def local_action(g: Graph, grp: PermGroup, v: int) -> PermGroup:
 # -- certificates -------------------------------------------------------------
 
 
-def verify_certificate(
-    g: Graph, grp: PermGroup, cert: Certificate, *, bound: int = DEFAULT_BOUND
-) -> tuple[bool, str]:
+def verify_certificate(g: Graph, grp: PermGroup, cert: Certificate) -> tuple[bool, str]:
     """Independently check a certificate against the graph and group.
 
     For element certificates: degrees, automorphism, nontrivial,
@@ -191,8 +188,9 @@ def verify_certificate(
     requires (degree n, every generator an automorphism, transitive), since
     the claim is about the graph's group; then re-enumerate the group and
     confirm no nontrivial semiregular element exists. Raises
-    ``BoundExceededError`` when the group order is above ``bound``, since
-    that says nothing about the certificate.
+    ``BoundExceededError`` when the group order is above ``DEFAULT_BOUND``,
+    since that says nothing about the certificate; ``find_semiregular``
+    enumerates no further, so no certificate it returns stops at that bound.
     """
     if cert.method == EXHAUSTED_NONE:
         if cert.element is not None:
@@ -203,7 +201,7 @@ def verify_certificate(
             return False, str(exc)
         if not grp.is_transitive():
             return False, "group is not vertex-transitive"
-        hit = next(_semiregular_elements(grp, bound), None)
+        hit = next(_semiregular_elements(grp), None)
         if hit is not None:
             return False, f"group contains semiregular element {hit[1].cycle_string()}"
         return True, ""
@@ -235,15 +233,15 @@ def _certificate(graph_id, element, method, trace) -> Certificate:
     return Certificate(graph_id, element, order, order, method, tuple(trace))
 
 
-def _semiregular_elements(grp: PermGroup, bound: int):
+def _semiregular_elements(grp: PermGroup):
     """Every nontrivial semiregular element of grp, in ``iter_elements``
     order, as (place, element) pairs, the places counting from 1 in that
     order. Whole blocks of elements are tested at once
     (``StabilizerChain.element_blocks``). Raises ``BoundExceededError`` when
-    |grp| > bound."""
+    |grp| > ``DEFAULT_BOUND``."""
     order = grp.order()
-    if order > bound:
-        raise BoundExceededError(f"order {order} exceeds bound {bound}")
+    if order > DEFAULT_BOUND:
+        raise BoundExceededError(f"order {order} exceeds bound {DEFAULT_BOUND}")
     count = 0
     for block in grp.chain().element_blocks():
         for i in _kernels.semiregular_rows(block).nonzero()[0].tolist():
@@ -259,7 +257,7 @@ def find_semiregular(
     Requires a connected graph and a vertex-transitive group. Returns the
     first certificate of the search (method exhausted-none when full
     enumeration proves the group elusive); raises InconclusiveError when
-    bounds stop every route, and ValueError on an unknown route name.
+    the fixed bounds stop every route, and ValueError on an unknown route.
     """
     config = config or EngineConfig()
     unknown = [route for route in config.routes if route not in ALL_ROUTES]
@@ -273,7 +271,7 @@ def find_semiregular(
     cert = next(_search(g, grp, config, trace=[]), None)
     if cert is None:
         raise InconclusiveError("all routes exhausted their bounds without an answer")
-    ok, reason = verify_certificate(g, grp, cert, bound=config.enum_bound)
+    ok, reason = verify_certificate(g, grp, cert)
     if not ok:
         raise RuntimeError(f"certificate failed verification: {reason} (internal)")
     return cert
@@ -311,9 +309,9 @@ def _search(g, grp, config, trace):
 
 def _route_direct(g, grp, config, trace):
     order = grp.order()
-    if order <= config.enum_bound:
+    if order <= DEFAULT_BOUND:
         el = None
-        for count, el in _semiregular_elements(grp, config.enum_bound):
+        for count, el in _semiregular_elements(grp):
             line = f"direct-search: exhaustive hit after {count} elements"
             yield _certificate(config.graph_id, el, ROUTE_DIRECT, (*trace, line))
         if el is None:
@@ -343,9 +341,7 @@ def _route_prime_power(g, grp, config, trace):
     if len(factors) != 1:
         return
     try:
-        el = semiregular_of_prime_power_degree(
-            grp, bound=config.enum_bound, seed=config.seed
-        )
+        el = semiregular_of_prime_power_degree(grp, seed=config.seed)
     except BoundExceededError as exc:
         trace.append(f"prime-power: {exc}")
         return
@@ -615,7 +611,7 @@ def _conjugate_cover_counting(r: _ReportInputs):
     for p_sub, partition in r.quotients:
         if not _is_2_group(p_sub):
             continue
-        if next(_semiregular_elements(p_sub, NORMAL_BOUND), None) is not None:
+        if next(_semiregular_elements(p_sub), None) is not None:
             result = (False, None, "M contains a semiregular element; bound not required")
             continue
         m_v = r.stabilizer(p_sub).order()

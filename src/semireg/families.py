@@ -414,11 +414,8 @@ def paley_instance(q: int) -> tuple[Graph, PermGroup]:
 class CorpusConfig:
     primes: tuple[int, ...] = (2, 3, 5)
     max_vertices: int = 2000
-    include_px: bool = True
-    include_covers: bool = True
     include_named: bool = True
     include_coset_search: bool = True
-    include_quotients: bool = True
     px_grid: dict = field(
         default_factory=lambda: {
             2: (range(3, 9), 3),
@@ -478,8 +475,9 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
     members (with the lifted action), named instances (complete, complete
     bipartite, hypercube, rook, triangular, Paley), the five coset graphs
     of PSL(2,5) and PGL(2,5), and quotients of s >= 2 Praeger-Xu members
-    by the diagonal translation subgroup. Instances failing validation are
-    skipped with a log entry.
+    by the diagonal translation subgroup; an empty ``cfg.px_grid`` leaves
+    out the grid with its covers and quotients. Instances failing
+    validation are skipped with a log entry.
     """
     cfg = cfg or CorpusConfig()
     out: list[CorpusInstance] = []
@@ -490,52 +488,50 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
             out.append(checked)
 
     px_members = []
-    if cfg.include_px:
-        for p in cfg.primes:
-            grid = cfg.px_grid.get(p)
-            if grid is None:
-                continue
-            # r_range ascends, so the first r (then s) too large for
-            # max_vertices ends its loop
-            r_range, s_max = grid
-            for r in r_range:
-                if r * p > cfg.max_vertices:
+    for p in cfg.primes:
+        grid = cfg.px_grid.get(p)
+        if grid is None:
+            continue
+        # r_range ascends, so the first r (then s) too large for
+        # max_vertices ends its loop
+        r_range, s_max = grid
+        for r in r_range:
+            if r * p > cfg.max_vertices:
+                break
+            for s in range(1, min(s_max, r - 1) + 1):
+                if r * p**s > cfg.max_vertices:
                     break
-                for s in range(1, min(s_max, r - 1) + 1):
-                    if r * p**s > cfg.max_vertices:
-                        break
-                    graph, rot = praeger_xu(p, r, s)
-                    group = praeger_xu_group(p, r, s)
-                    family = "px" if s > 1 else "px-lexicographic"
-                    inst = CorpusInstance(
-                        id=f"px-p{p}-r{r}-s{s}",
-                        family=family,
-                        params={"p": p, "r": r, "s": s},
-                        graph=graph,
-                        group=group,
-                        known_semiregular=rot,
-                    )
-                    add(inst)
-                    px_members.append(inst)
-
-    if cfg.include_covers:
-        for base in px_members:
-            if base.graph.is_bipartite():
-                continue  # the cover would be disconnected
-            cover = standard_double_cover(base.graph)
-            gens = [lift_to_double_cover(x) for x in base.group.generators]
-            gens.append(double_cover_swap(base.graph.n))
-            group = PermGroup(gens, cover.n)
-            add(
-                CorpusInstance(
-                    id=f"cover-{base.id}",
-                    family="double-cover",
-                    params=dict(base.params),
-                    graph=cover,
+                graph, rot = praeger_xu(p, r, s)
+                group = praeger_xu_group(p, r, s)
+                family = "px" if s > 1 else "px-lexicographic"
+                inst = CorpusInstance(
+                    id=f"px-p{p}-r{r}-s{s}",
+                    family=family,
+                    params={"p": p, "r": r, "s": s},
+                    graph=graph,
                     group=group,
-                    known_semiregular=lift_to_double_cover(base.known_semiregular),
+                    known_semiregular=rot,
                 )
+                add(inst)
+                px_members.append(inst)
+
+    for base in px_members:
+        if base.graph.is_bipartite():
+            continue  # the cover would be disconnected
+        cover = standard_double_cover(base.graph)
+        gens = [lift_to_double_cover(x) for x in base.group.generators]
+        gens.append(double_cover_swap(base.graph.n))
+        group = PermGroup(gens, cover.n)
+        add(
+            CorpusInstance(
+                id=f"cover-{base.id}",
+                family="double-cover",
+                params=dict(base.params),
+                graph=cover,
+                group=group,
+                known_semiregular=lift_to_double_cover(base.known_semiregular),
             )
+        )
 
     if cfg.include_named:
         for id_, family, params, (graph, group) in _named_table(cfg):
@@ -548,23 +544,22 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
     if cfg.include_coset_search:
         out.extend(_coset_search_instances(cfg))
 
-    if cfg.include_quotients:
-        for base in px_members:
-            s = base.params["s"]
-            if s < 2:
-                continue
-            p, r = base.params["p"], base.params["r"]
-            partition = _px_diagonal_subgroup(p, r, s).orbit_partition()
-            _, class_index = partition_index(partition, base.graph.n)
-            add(
-                CorpusInstance(
-                    id=f"quotient-{base.id}",
-                    family="px-quotient",
-                    params=dict(base.params),
-                    graph=quotient_graph(base.graph, partition),
-                    group=induced_group(base.group, class_index),
-                )
+    for base in px_members:
+        s = base.params["s"]
+        if s < 2:
+            continue
+        p, r = base.params["p"], base.params["r"]
+        partition = _px_diagonal_subgroup(p, r, s).orbit_partition()
+        _, class_index = partition_index(partition, base.graph.n)
+        add(
+            CorpusInstance(
+                id=f"quotient-{base.id}",
+                family="px-quotient",
+                params=dict(base.params),
+                graph=quotient_graph(base.graph, partition),
+                group=induced_group(base.group, class_index),
             )
+        )
 
     return out
 

@@ -14,9 +14,9 @@ partitions with kernels, bounded normal-subgroup enumeration,
 quasiprimitivity classification, a prime-power-degree semiregular element
 finder and coprime lifting of semiregular elements through quotients.
 
-Heavy operations (normal subgroups, full enumeration) take an explicit
-element-count bound and fail loudly when it is exceeded; group orders
-are exact Python integers throughout.
+Full enumeration stops at the fixed ``DEFAULT_BOUND`` elements, and the
+normal-subgroup search at its caller's bound, each with a loud
+``BoundExceededError``; group orders are exact Python integers throughout.
 """
 
 from __future__ import annotations
@@ -558,11 +558,11 @@ class PermGroup:
         ]
         return PermGroup(gens, self._degree)
 
-    def elements(self, bound: int = DEFAULT_BOUND):
-        """Iterate every element exactly once; errors if order > bound."""
+    def elements(self):
+        """Iterate every element exactly once; errors if order > ``DEFAULT_BOUND``."""
         order = self.order()
-        if order > bound:
-            raise BoundExceededError(f"order {order} exceeds bound {bound}")
+        if order > DEFAULT_BOUND:
+            raise BoundExceededError(f"order {order} exceeds bound {DEFAULT_BOUND}")
         for arr in self.chain().iter_elements():
             yield Permutation._wrap(arr.copy())
 
@@ -982,16 +982,14 @@ def _p_part(n: int, p: int) -> int:
     return out
 
 
-def semiregular_of_prime_power_degree(
-    g: PermGroup, *, bound: int = DEFAULT_BOUND, seed: int = 0
-) -> Permutation:
+def semiregular_of_prime_power_degree(g: PermGroup, *, seed: int = 0) -> Permutation:
     """A semiregular element of order p in a transitive group of degree p^k.
 
     Builds a Sylow p-subgroup P (adjoining p-parts of random elements while
-    the subgroup stays a p-group, with a deterministic enumeration fallback),
-    reaches a nontrivial element of Z(P) by taking commutators with P's
-    generators, then powers it down to order p. Centrality in a transitive
-    group forces equal cycle lengths.
+    the subgroup stays a p-group, then enumerating G up to ``DEFAULT_BOUND``
+    elements), reaches a nontrivial element of Z(P) by taking commutators
+    with P's generators, then powers it down to order p. Centrality in a
+    transitive group forces equal cycle lengths.
     """
     n = g.degree
     if not g.is_transitive():
@@ -1030,14 +1028,14 @@ def semiregular_of_prime_power_degree(
     if sylow_chain.order < target:
         # deterministic fallback: greedy over all p-elements
         order = g.order()
-        if order > bound:
+        if order > DEFAULT_BOUND:
             raise BoundExceededError(
-                f"order {order} exceeds bound {bound} for Sylow fallback"
+                f"order {order} exceeds bound {DEFAULT_BOUND} for Sylow fallback"
             )
         progress = True
         while sylow_chain.order < target and progress:
             before = sylow_chain.order
-            for el in g.elements(bound):
+            for el in g.elements():
                 o = el.order()
                 if o > 1 and _p_part(o, p) == o:
                     try_adjoin(el.images)

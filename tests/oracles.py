@@ -322,12 +322,12 @@ def minimal_normal_subgroups_all_closures(g):
     return [sel for _, _, sel in minimal]
 
 
-def semiregular_per_element(grp, bound):
+def semiregular_per_element(grp):
     """``engine._semiregular_elements`` as it was before elements were
     scanned in blocks: one ``Permutation`` at a time from
     ``PermGroup.elements``. Yields every nontrivial semiregular element
     after its place in the walk, counting from 1."""
-    for count, el in enumerate(grp.elements(bound), 1):
+    for count, el in enumerate(grp.elements(), 1):
         if not el.is_identity() and el.is_semiregular():
             yield count, el
 

@@ -10,6 +10,8 @@ import pytest
 
 from semireg.cli import main
 from semireg.formats import (
+    certificate_to_document,
+    document_to_json,
     format_generators,
     parse_certificate_document,
     read_graph6,
@@ -18,6 +20,8 @@ from semireg.formats import (
 from semireg.graphs import cycle_graph, standard_double_cover, quotient_graph
 from semireg.group import PermGroup
 from semireg.perm import Permutation
+
+from forgeries import NAMES, forgeries
 
 
 @pytest.fixture
@@ -240,6 +244,52 @@ def test_verify_exhausted_none_above_the_bound_is_inconclusive(tmp_path, capsys)
     assert "exceeds bound" in capsys.readouterr().err
 
 
+# a document's element is parsed at the document's n, and verify refuses an
+# n that is not the graph's before that, so no document carries an element
+# of another degree
+@pytest.mark.parametrize("name", [name for name in NAMES if name != "another-degree"])
+def test_verify_exits_1_on_each_forgery(tmp_path, capsys, name):
+    graph, group, cert, reason = forgeries()[name]
+    graph_path, group_path, cert_path = (tmp_path / f for f in ("g.g6", "g.gens", "cert.json"))
+    graph_path.write_bytes(write_graph6(graph) + b"\n")
+    group_path.write_text(format_generators(group))
+    doc = certificate_to_document(cert, graph, group, verified=True)
+    cert_path.write_text(document_to_json(doc))
+    files = ["--graph", str(graph_path), "--group", str(group_path)]
+    assert main(["verify", *files, "--certificate", str(cert_path)]) == 1
+    assert capsys.readouterr().err == f"invalid: {reason}\n"
+
+
+def test_find_then_verify_on_each_benchmark_instance(tmp_path, capsys):
+    # verify re-enumerates as far as find enumerates, so it checks every
+    # certificate find writes, k12-m11's exhausted-none one included
+    methods = {}
+    for name, args in CONSTRUCT_CASES:
+        assert main(["construct", *args, "--out", str(tmp_path)]) == 0
+        files = ["--graph", str(tmp_path / f"{name}.g6"), "--group", str(tmp_path / f"{name}.gens")]
+        capsys.readouterr()
+        assert main(["find", *files]) == 0, name
+        cert_path = tmp_path / f"{name}.cert.json"
+        cert_path.write_text(capsys.readouterr().out)
+        assert main(["verify", *files, "--certificate", str(cert_path)]) == 0, name
+        methods[name] = json.loads(cert_path.read_text())["method"]
+    assert methods["k12-m11"] == "exhausted-none"
+
+
+def test_find_and_corpus_take_no_bound(capsys, c6_files):
+    # a find --bound above the constant once wrote exhausted-none
+    # certificates that verify, enumerating only to the constant, could not
+    # check (exit 5)
+    for command in ("find", "corpus"):
+        capsys.readouterr()
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--bound" not in out and "enumerated in full (a fixed bound)" in out, command
+    graph_path, group_path = c6_files
+    find = ["find", "--graph", str(graph_path), "--group", str(group_path)]
+    assert main(find + ["--bound", "5"]) == 2
+
+
 def test_find_exhausted_none_exit_zero(tmp_path, capsys):
     from semireg.families import k12_m11
 
@@ -286,7 +336,6 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
     assert main(["find"]) == 2
     find = ["find", "--graph", str(graph_path), "--group", str(group_path)]
     assert main(find + ["--routes", "bogus"]) == 2
-    assert main(find + ["--bound", "-5"]) == 2
     negative_seed = [
         find,
         ["corpus", "--out", str(tmp_path / "corpus")],
@@ -479,21 +528,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
     verify_other = ["verify", "--graph", str(graph_path), "--group", str(other)]
     assert main(verify_other + ["--certificate", str(element_cert)]) == 1
     assert "group degree does not match vertex count" in capsys.readouterr().err
-    # inconclusive: sampling cannot conclude on C6 rotations with tiny bound
+    # inconclusive: buddy-swap alone finds nothing on C6 with its rotations
     rot_only = tmp_path / "rot.gens"
     rot_only.write_text("n=6\n(1,2,3,4,5,6)\n")
     code = main(
-        [
-            "find",
-            "--graph",
-            str(graph_path),
-            "--group",
-            str(rot_only),
-            "--bound",
-            "1",
-            "--routes",
-            "buddy-swap",
-        ]
+        ["find", "--graph", str(graph_path), "--group", str(rot_only), "--routes", "buddy-swap"]
     )
     assert code == 5
 
@@ -560,10 +599,8 @@ def test_report_cli(capsys, c6_files):
 
 SMALL_CORPUS_CONFIG = {
     "primes": [2],
-    "include_covers": False,
     "include_named": False,
     "include_coset_search": False,
-    "include_quotients": False,
     "px_grid": {"2": [3, 4, 2]},
 }
 
@@ -577,6 +614,25 @@ def _small_corpus(tmp_path, name: str, jobs: int) -> Path:
     )
     assert code == 0
     return outdir
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # json.loads keeps the last of a repeated key, and one value is lost
+        ('{"primes": [2], "primes": [3]}', "key 'primes' is given twice"),
+        ('{"px_grid": {"3": [3, 4, 1], "3": [3, 6, 2]}}', "key '3' is given twice"),
+        # gone: "px_grid": {} leaves out the grid, its covers and quotients
+        ('{"include_px": false}', "unknown key 'include_px'"),
+        ('{"include_covers": false}', "unknown key 'include_covers'"),
+        ('{"include_quotients": false}', "unknown key 'include_quotients'"),
+    ],
+)
+def test_corpus_config_usage_errors_name_the_key(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["corpus", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"usage error: --config: {message}\n"
 
 
 def test_corpus_config_reads_any_decimal_digit(tmp_path):
@@ -651,9 +707,11 @@ def test_find_and_verify_leave_families_logging_and_numpy_ma_out(tmp_path, c6_fi
         f"    assert main(['verify', *{files!r}, '--certificate', {cert!r}]) == 0\n"
         f"print([m for m in {loaded} if m in sys.modules])\n"
         # |D6| = 12 is above a bound of 1, so this find samples
+        "import semireg.engine\n"
+        "semireg.engine.DEFAULT_BOUND = 1\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        f"    assert main(['find', *{files!r}, '--bound', '1']) == 0\n"
+        f"    assert main(['find', *{files!r}]) == 0\n"
         "print(json.loads(out.getvalue())['trace'])"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

@@ -31,6 +31,7 @@ from semireg.families import (
     px_fiber_translations,
 )
 
+from forgeries import forgeries
 from oracles import orbit_t, s_arcs_t
 
 
@@ -87,35 +88,10 @@ def test_verify_certificate_valid(d6):
     assert ok, reason
 
 
-def test_verify_certificate_rejections(d6):
-    c6 = cycle_graph(6)
-
-    def cert_for(el, order=None):
-        o = order if order is not None else el.order()
-        return Certificate("c6", el, o, o, "direct-search", ())
-
-    bad_aut = Permutation.from_cycles(6, [(0, 1)])
-    ok, reason = verify_certificate(c6, d6, cert_for(bad_aut))
-    assert not ok and "automorphism" in reason
-
-    not_semi = Permutation.from_cycles(6, [(0, 1, 2)])
-    ok, reason = verify_certificate(c6, d6, cert_for(not_semi))
-    assert not ok and ("automorphism" in reason or "semiregular" in reason)
-
-    ident = Permutation.identity(6)
-    ok, reason = verify_certificate(c6, d6, cert_for(ident))
-    assert not ok and "trivial" in reason
-
-    # semiregular automorphism NOT in the group: reflection outside C6-rotations
-    rot_only = PermGroup([Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
-    reflection = Permutation.from_cycles(6, [(1, 5), (2, 4)])
-    ok, reason = verify_certificate(c6, rot_only, cert_for(reflection))
-    assert not ok and "not semiregular" in reason or "group" in reason
-
-    # order mismatch
-    rot = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
-    ok, reason = verify_certificate(c6, d6, cert_for(rot, order=3))
-    assert not ok and "order" in reason
+def test_verify_certificate_rejections():
+    # one forgery for each guard, each refused with its own reason only
+    for name, (graph, group, cert, reason) in forgeries().items():
+        assert verify_certificate(graph, group, cert) == (False, reason), name
 
 
 def test_find_on_c6_d6(d6):
@@ -226,15 +202,16 @@ def test_find_buddy_swap_route():
     assert ok, reason
 
 
-def test_find_inconclusive_vs_exhausted():
+def test_find_inconclusive_vs_exhausted(monkeypatch):
     # M11 on 12 points has no semiregular element: random sampling under a
     # tiny enumeration bound cannot conclude, full enumeration proves none
     g, grp = k12_m11()
-    with pytest.raises(InconclusiveError):
-        find_semiregular(
-            g, grp, EngineConfig(routes=("direct-search",), enum_bound=10)
-        )
-    cert = find_semiregular(g, grp, EngineConfig(routes=("direct-search",)))
+    direct = EngineConfig(routes=("direct-search",))
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "DEFAULT_BOUND", 10)
+        with pytest.raises(InconclusiveError):
+            find_semiregular(g, grp, direct)
+    cert = find_semiregular(g, grp, direct)
     assert cert.method == "exhausted-none" and cert.element is None
 
 

@@ -15,6 +15,7 @@ from semireg.group import (
     normalizes,
 )
 from semireg.graphs import (
+    Graph,
     complete_graph,
     coset_graph,
     coset_graph_connected,
@@ -23,8 +24,10 @@ from semireg.graphs import (
 )
 from semireg.families import (
     CorpusConfig,
+    CorpusInstance,
     _coset_search_instances,
     _px_diagonal_subgroup,
+    _validated,
     corpus_generate,
     k12_m11,
     m11_degree11,
@@ -334,7 +337,7 @@ def test_k12_m11_arc_orbit_count():
 def test_m11_elusive_on_12_points():
     _, grp = k12_m11()
     count = 0
-    for el in grp.elements(10**4):
+    for el in grp.elements():
         count += 1
         assert el.is_identity() or not el.is_semiregular()
     assert count == 7920
@@ -367,15 +370,31 @@ def test_corpus_default_size_and_validity(corpus):
 def test_corpus_px_grid_p2():
     cfg = CorpusConfig(
         primes=(2,),
-        include_covers=False,
         include_named=False,
         include_coset_search=False,
-        include_quotients=False,
     )
     corpus = corpus_generate(cfg)
     assert len(corpus) >= 15
     assert all(inst.graph.valency() == 4 for inst in corpus)
     assert all(is_arc_transitive(inst.graph, inst.group) for inst in corpus)
+
+
+def test_validated_refuses_a_disconnected_and_an_arc_intransitive_instance():
+    # 2.K5 under S5 wr S2 is arc-transitive of valency 4 but not connected;
+    # K5 under C5 is connected of valency 4 but has five arc orbits
+    halves = [(i + h, j + h) for h in (0, 5) for i, j in itertools.combinations(range(5), 2)]
+    s5_wr_s2 = PermGroup(
+        [
+            Permutation.from_cycles(10, [(0, 1, 2, 3, 4)]),
+            Permutation.from_cycles(10, [(0, 1)]),
+            Permutation.from_cycles(10, [(i, i + 5) for i in range(5)]),
+        ]
+    )
+    c5 = PermGroup([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    cfg = CorpusConfig()
+    for graph, group in [(Graph(10, halves), s5_wr_s2), (complete_graph(5), c5)]:
+        assert graph.valency() == 4
+        assert _validated(CorpusInstance("x", "x", {}, graph, group), cfg) is None
 
 
 def test_corpus_px_grid_stops_at_the_first_r_above_max_vertices():

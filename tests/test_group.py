@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from semireg import group as group_module
 from semireg.engine import NORMAL_BOUND
 from semireg.perm import Permutation
 from semireg.group import (
@@ -92,7 +93,7 @@ def test_orbit_stabilizer_identity(s4, a5, d6):
                 assert grp.order() == len(orbit) * grp.point_stabilizer(v).order()
 
 
-def test_elements_enumeration(s4):
+def test_elements_enumeration(s4, monkeypatch):
     s3 = PermGroup(
         [Permutation.from_cycles(3, [(0, 1)]), Permutation.from_cycles(3, [(0, 1, 2)])]
     )
@@ -100,11 +101,13 @@ def test_elements_enumeration(s4):
     assert len(els) == 6 == len(set(els))
     m11 = m11_degree11()
     seen = set()
-    for el in m11.elements(10**4):
+    for el in m11.elements():
         seen.add(el)
     assert len(seen) == 7920
-    with pytest.raises(BoundExceededError, match="exceeds bound"):
-        list(s4.elements(10))
+    # the bound is the module constant, read at each call
+    monkeypatch.setattr(group_module, "DEFAULT_BOUND", 10)
+    with pytest.raises(BoundExceededError, match="order 24 exceeds bound 10"):
+        list(s4.elements())
 
 
 def test_action_on_partition_d4():
@@ -680,8 +683,8 @@ def test_semiregular_elements_match_the_per_element_oracle(corpus):
     with_hits = 0
     for g in groups.values():
         # every hit, in walk order, with its place in the walk
-        ours = [(c, el.images.tobytes()) for c, el in _semiregular_elements(g, DEFAULT_BOUND)]
-        ref = [(c, el.images.tobytes()) for c, el in semiregular_per_element(g, DEFAULT_BOUND)]
+        ours = [(c, el.images.tobytes()) for c, el in _semiregular_elements(g)]
+        ref = [(c, el.images.tobytes()) for c, el in semiregular_per_element(g)]
         assert ours == ref
         with_hits += bool(ours)
     # M11 on 12 points, the last group, yields nothing

@@ -340,6 +340,22 @@ def test_every_parameter_default_is_overridden_somewhere():
     assert unoverridden_defaults(*_package_and_others()) == []
 
 
+# parameter defaults that only the tests override, each with why it stays a
+# parameter; any other such default is a setting no caller changes, and is
+# a constant
+_TEST_ONLY_DEFAULTS = {
+    "engine.py: arc_stabilizer_bound_check(s_values)": (
+        "acceptance criterion 09 checks s = 4; the report reads only s <= 3"
+    ),
+}
+
+
+def test_every_parameter_default_is_overridden_outside_the_tests():
+    package, others = _package_and_others()
+    perfbench = {path: source for path, source in others.items() if path.startswith("perfbench")}
+    assert unoverridden_defaults(package, perfbench) == list(_TEST_ONLY_DEFAULTS)
+
+
 def kernels_without_package_caller(kernels: str, others: dict[str, str]) -> list[str]:
     """Public functions of the ``_kernels`` source whose name no other
     package module reads, imports or takes as an attribute. A kernel that
