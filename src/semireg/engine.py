@@ -10,7 +10,9 @@ these steps in this order, each switched on by its route name.
 1. direct-search: exhaustive scan (small groups) or seeded random sampling
    of prime-order powers;
 2. prime-power: on prime-power degree, the Sylow-center construction;
-3. for each minimal normal subgroup N with at least three orbits in turn,
+3. for each normal subgroup N with at least three orbits in turn, taken
+   from the derived series and the normal closures of prime-order elements
+   (``_normal_quotients``, which needs no bound on |G|), smallest first:
    quotient-lift: recurse on the quotient by N (at most half the vertices,
    so the recursion ends), then lift through the kernel K the first
    quotient element with a prime order that does not divide |K|; then,
@@ -47,9 +49,12 @@ from .group import (
     PermGroup,
     PreconditionError,
     action_on_partition,
+    derived_series,
     is_prime,
     lift_semiregular,
     minimal_normal_subgroups,
+    normal_closure,
+    normal_closure_orbits,
     partition_index,
     prime_factors,
     semiregular_of_prime_power_degree,
@@ -66,7 +71,7 @@ EXHAUSTED_NONE = "exhausted-none"
 
 ALL_ROUTES = (ROUTE_DIRECT, ROUTE_PRIME_POWER, ROUTE_QUOTIENT_LIFT, ROUTE_BUDDY_SWAP)
 
-# largest group order whose minimal normal subgroups are computed
+# largest group order whose minimal normal subgroups the proof report computes
 NORMAL_BOUND = 20_000
 # random elements direct-search draws when the group is too large to enumerate
 SAMPLE_COUNT = 3000
@@ -105,10 +110,10 @@ class EngineConfig:
     ``seed`` fixes the random draws of direct-search and prime-power;
     ``graph_id`` labels the certificate. The bounds are fixed: direct-search
     enumerates, and a certificate check re-enumerates, groups of order at
-    most ``DEFAULT_BOUND``; the normal-subgroup bound and the sample count
-    are ``NORMAL_BOUND`` and ``SAMPLE_COUNT``. Quotient-lift needs no depth
-    bound, because each quotient it recurses on has at most half the
-    vertices.
+    most ``DEFAULT_BOUND``, and it samples ``SAMPLE_COUNT`` elements above
+    that. The normal quotients that quotient-lift and buddy-swap read have
+    no bound on |G|, and quotient-lift needs no depth bound, because each
+    quotient it recurses on has at most half the vertices.
     """
 
     routes: tuple[str, ...] = ALL_ROUTES
@@ -280,8 +285,8 @@ def find_semiregular(
 def _search(g, grp, config, trace):
     """Every certificate the steps switched on in ``config.routes`` find at
     this node, in the step order of the module docstring, made only as the
-    reader asks for the next one. A group above ``NORMAL_BOUND`` has no
-    normal quotients, and one trace line says so.
+    reader asks for the next one. The normal quotients are listed, whatever
+    |G| is, only when quotient-lift or buddy-swap is switched on.
 
     ``trace`` is the path to where the search stands: a step appends the
     lines of what it tried and did not find. A certificate's trace is that
@@ -295,12 +300,7 @@ def _search(g, grp, config, trace):
     lift, swap = ROUTE_QUOTIENT_LIFT in config.routes, ROUTE_BUDDY_SWAP in config.routes
     if not (lift or swap):
         return
-    try:
-        quotients = _normal_quotients(grp)
-    except BoundExceededError as exc:
-        trace.append(f"normal-subgroup scan skipped: {exc}")
-        return
-    for nsub, partition in quotients:
+    for nsub, partition in _normal_quotients(grp):
         if lift:
             yield from _route_quotient_lift(g, grp, config, trace, nsub, partition)
         if swap and _is_2_group(nsub):
@@ -351,11 +351,41 @@ def _route_prime_power(g, grp, config, trace):
 
 
 def _normal_quotients(grp) -> list[tuple[PermGroup, list[list[int]]]]:
-    """Each minimal normal subgroup with at least three orbits, paired with
-    its orbit partition; raises ``BoundExceededError`` when
-    |G| > ``NORMAL_BOUND``."""
-    pairs = [(m, m.orbit_partition()) for m in minimal_normal_subgroups(grp, NORMAL_BOUND)]
-    return [(nsub, partition) for nsub, partition in pairs if len(partition) >= 3]
+    """Normal subgroups of G with at least three orbits, each paired with its
+    orbit partition, one subgroup per partition, sorted stably by order: the
+    list quotient-lift and buddy-swap read.
+
+    The candidates are the nontrivial terms D1, D2, ... of the derived
+    series (a later term, being smaller, replaces an earlier one with the
+    same orbits), then the normal closures of the prime-order powers y of
+    the generators of its last nontrivial term. The orbits of y's closure
+    are found first, with no chain (``normal_closure_orbits``), and its
+    chain is built only when they are at least three and no candidate
+    before it has them. When that leaves no candidate, G's own generators
+    are tried the same way: the centre of the dihedral group of order 12 on
+    a hexagon has three orbits and lies in no term of its derived series.
+    Normal closures cost polynomial time, so no bound on |G| applies.
+    """
+    series = derived_series(grp)
+    if len(series) > 1 and series[-1].is_trivial():
+        series.pop()
+    kept: dict[tuple, tuple[PermGroup, list[list[int]]]] = {}
+    for term in series[1:]:
+        partition = term.orbit_partition()
+        kept[tuple(map(tuple, partition))] = (term, partition)
+    for source in (series[-1], grp):
+        for x in source.generators:
+            o = x.order()
+            for q in sorted(prime_factors(o)):
+                y = (x ** (o // q)).images
+                partition = normal_closure_orbits(grp, y)
+                key = tuple(map(tuple, partition))
+                if len(partition) >= 3 and key not in kept:
+                    kept[key] = (normal_closure(grp, [y]), partition)
+        pairs = [pair for pair in kept.values() if len(pair[1]) >= 3]
+        if pairs:
+            break
+    return sorted(pairs, key=lambda pair: pair[0].order())
 
 
 def _is_2_group(grp: PermGroup) -> bool:
@@ -562,9 +592,9 @@ def _neighbour_orbit_sizes(g: Graph, stab: PermGroup) -> set[int] | None:
 
 class _ReportInputs:
     """What the report checks read, each part built at most once per report:
-    the normal quotients; ``bundle(i)``, the action of G on the partition of
-    the i-th of them; and ``stabilizer(sub)``, the stabilizer of vertex 0 in
-    a subgroup that a check takes."""
+    the minimal normal quotients; ``bundle(i)``, the action of G on the
+    partition of the i-th of them; and ``stabilizer(sub)``, the stabilizer
+    of vertex 0 in a subgroup that a check takes."""
 
     def __init__(self, g: Graph, grp: PermGroup):
         self.g, self.grp = g, grp
@@ -573,9 +603,13 @@ class _ReportInputs:
 
     @cached_property
     def quotients(self) -> list[tuple[PermGroup, list[list[int]]]]:
-        """The list the lift and swap steps read; raises
-        ``BoundExceededError`` when |G| > ``NORMAL_BOUND``."""
-        return _normal_quotients(self.grp)
+        """Each minimal normal subgroup with at least three orbits, paired
+        with its orbit partition; raises ``BoundExceededError`` when
+        |G| > ``NORMAL_BOUND``."""
+        pairs = [
+            (m, m.orbit_partition()) for m in minimal_normal_subgroups(self.grp, NORMAL_BOUND)
+        ]
+        return [(nsub, partition) for nsub, partition in pairs if len(partition) >= 3]
 
 
 def _local_action_prime_divisibility(r: _ReportInputs):
@@ -682,10 +716,14 @@ def _no_intra_class_edges(r: _ReportInputs):
 
 # The report's checks, in report order. Each returns (applicable, passed,
 # detail), and is inapplicable, with a note, when nothing meets its
-# hypothesis. The normal quotients are the minimal normal subgroups N with
-# at least three orbits, with their orbit partitions (the list quotient-lift
-# and buddy-swap read); a check that reads them is inapplicable when
-# |G| > NORMAL_BOUND, as is any check a bound stops. Hypothesis: claim.
+# hypothesis. The normal quotients here are the minimal normal subgroups N
+# with at least three orbits, with their orbit partitions, and not the list
+# quotient-lift and buddy-swap read: (c) and (e) take M = N, which needs N
+# minimal and so elementary abelian when it is a 2-group, and (d) reads every
+# minimal normal subgroup. Minimal normal subgroups are found by enumerating
+# G, so the report keeps NORMAL_BOUND: a check that reads them is
+# inapplicable when |G| > NORMAL_BOUND, as is any check a bound stops.
+# Hypothesis: claim.
 # (a) G has orbits of one size: every prime dividing |G_v| divides the order
 #     of the action of G_v on the neighbours of v.
 # (b) the first normal quotient of odd prime valency on which N_v has orbits

@@ -10,17 +10,20 @@ conjugation act row-wise. The random pre-pass follows a fixed walk read
 off recorded words of numpy's default generator, so building a chain does
 not import ``numpy.random``; only the samplers (direct-search above its
 bound, the Sylow builder) do. On top of those sit induced actions on invariant
-partitions with kernels, bounded normal-subgroup enumeration,
-quasiprimitivity classification, a prime-power-degree semiregular element
-finder and coprime lifting of semiregular elements through quotients.
+partitions with kernels, normal closures and the derived series (in
+polynomial time; the orbits of a normal closure need no chain at all),
+bounded minimal-normal-subgroup enumeration, quasiprimitivity
+classification, a prime-power-degree semiregular element finder and coprime
+lifting of semiregular elements through quotients.
 
 Full enumeration stops at the fixed ``DEFAULT_BOUND`` elements, and the
-normal-subgroup search at its caller's bound, each with a loud
+minimal-normal-subgroup search at its caller's bound, each with a loud
 ``BoundExceededError``; group orders are exact Python integers throughout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -75,12 +78,20 @@ def is_prime(n: int) -> bool:
 
 
 class _Level:
-    __slots__ = ("point", "transversal")
+    __slots__ = ("point", "transversal", "_orbit")
 
     def __init__(self, point: int):
         self.point = point
         # orbit point -> (rep, rep_inverse); rep maps self.point to the key
         self.transversal: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._orbit: np.ndarray | None = None
+
+    def orbit(self) -> np.ndarray:
+        """The transversal's points as an int64 array, in its order; built
+        on the first call after each rebuild of the level."""
+        if self._orbit is None:
+            self._orbit = np.fromiter(self.transversal, _INT, len(self.transversal))
+        return self._orbit
 
 
 def _reps(lv: _Level) -> list[np.ndarray]:
@@ -302,6 +313,7 @@ class StabilizerChain:
         gens = [(g, inv) for g, inv, d in self._strong if d >= i]
         ident = identity_images(self.degree)
         trans = lv.transversal = {lv.point: (ident, ident)}
+        lv._orbit = None
         queue = [lv.point]
         for p in queue:
             rep, rep_inv = trans[p]
@@ -584,17 +596,18 @@ def coset_key(h_chain: StabilizerChain, x: Permutation) -> bytes:
 
     One greedy pass down H's levels: at each level left-multiply by the
     transversal rep whose point has the least image under the current
-    element. The result is the element of Hx that is lexicographically least
-    on H's base points, returned whole (its base images alone would not
-    separate cosets when H is trivial). Keys are comparable only between
-    calls that pass the same chain.
+    element, found with one ``argmin`` over the level's orbit points. The
+    result is the element of Hx that is lexicographically least on H's
+    base points, returned whole (its base images alone would not separate
+    cosets when H is trivial). Keys are comparable only between calls that
+    pass the same chain.
     """
     if x.degree != h_chain.degree:
         raise ValueError("degree mismatch")
     g = x.images
     for lv in h_chain.levels:
-        q = min(lv.transversal, key=g.item)
-        g = _compose(lv.transversal[q][0], g)
+        orbit = lv.orbit()
+        g = _compose(lv.transversal[orbit.item(g[orbit].argmin())][0], g)
     return g.tobytes()
 
 
@@ -952,6 +965,95 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
     return result
 
 
+def normal_closure(g: PermGroup, elems) -> PermGroup:
+    """The normal closure in ``g`` of the image arrays ``elems``: the least
+    normal subgroup of ``g`` that holds them.
+
+    ``StabilizerChain._adjoin`` sifts in the elements, then the conjugates
+    under ``g``'s generators of those it newly added, round by round until
+    a round adds nothing, and one ``_schreier_sims`` pass then verifies the
+    chain, as in ``extend_all``. Sifting without verifying between rounds
+    is sound: every rep is a product of adjoined elements, so a conjugate
+    that sifts to the identity is a member, and one that does not is at
+    worst a redundant generator. The result keeps that chain, as the
+    subgroups ``minimal_normal_subgroups`` returns do.
+    """
+    n = g.degree
+    chain = StabilizerChain([], n)
+    conjugators = [(s.images, inverse_images(s.images)) for s in g._gens]
+    gens, deepest = chain._adjoin(elems)
+    new = gens
+    while new:
+        # s^-1 x s: apply s^-1, then x, then s
+        new, depth = chain._adjoin([s[x[s_inv]] for x in new for s, s_inv in conjugators])
+        gens, deepest = gens + new, max(deepest, depth)
+    chain._schreier_sims(deepest)
+    closure = PermGroup([Permutation._wrap(a.copy()) for a in gens], n)
+    closure._chain = chain
+    return closure
+
+
+def normal_closure_orbits(g: PermGroup, y: np.ndarray) -> list[list[int]]:
+    """The orbits of the normal closure of ``y`` in ``g``, as
+    ``orbit_partition`` lists them, found without a chain.
+
+    They are the finest g-invariant partition that holds the cycles of y:
+    the closure's orbits form one, and each conjugate s^-1 y s moves points
+    inside the blocks of any such partition. A union-find merges each point
+    with its image under y, then, for each pair (a, b) it merged and each
+    generator s, s(a) with s(b), until nothing merges. Each root is the
+    least point of its block.
+    """
+    n = g.degree
+    rows = g.gen_arrays().tolist()
+    parent = list(range(n))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    merged = []
+
+    def merge(a, b):
+        a, b = root(a), root(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            merged.append((a, b))
+
+    for a, b in enumerate(np.asarray(y).tolist()):
+        merge(a, b)
+    for a, b in merged:
+        for s in rows:
+            merge(s[a], s[b])
+    blocks: dict[int, list[int]] = {}
+    for v in range(n):
+        blocks.setdefault(root(v), []).append(v)
+    return list(blocks.values())
+
+
+def derived_series(g: PermGroup) -> list[PermGroup]:
+    """G = D0 > D1 > D2 > ..., as sympy's ``derived_series`` lists it: up
+    to the trivial group, or up to a perfect term, listed once.
+
+    Each term is the normal closure in ``g`` of the commutators of the
+    previous term's generators. That is the previous term's derived
+    subgroup, which is characteristic in it and so normal in ``g``.
+    """
+    series = [g]
+    while not series[-1].is_trivial():
+        gens = [(x.images, inverse_images(x.images)) for x in series[-1].generators]
+        commutators = [
+            b[a[b_inv[a_inv]]]  # a^-1 b^-1 a b
+            for (a, a_inv), (b, b_inv) in itertools.combinations(gens, 2)
+        ]
+        term = normal_closure(g, commutators)
+        if term.order() == series[-1].order():
+            break
+        series.append(term)
+    return series
+
+
 def transitivity_class(g: PermGroup) -> str:
     """One of intransitive / quasiprimitive / biquasiprimitive / neither.
 
@@ -1026,12 +1128,8 @@ def semiregular_of_prime_power_degree(g: PermGroup, *, seed: int = 0) -> Permuta
             continue
         try_adjoin((perm ** (o // a)).images)
     if sylow_chain.order < target:
-        # deterministic fallback: greedy over all p-elements
-        order = g.order()
-        if order > DEFAULT_BOUND:
-            raise BoundExceededError(
-                f"order {order} exceeds bound {DEFAULT_BOUND} for Sylow fallback"
-            )
+        # deterministic fallback: greedy over all p-elements; ``elements``
+        # raises BoundExceededError above DEFAULT_BOUND
         progress = True
         while sylow_chain.order < target and progress:
             before = sylow_chain.order

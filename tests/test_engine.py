@@ -555,7 +555,7 @@ GOLDEN_ROUTE_SETTINGS = (
     ALL_ROUTES,
 )
 GOLDEN_CERTIFICATES_SHA256 = (
-    "6aba13dbc8bfd99227df8b35b55ed32bd8b2f34dd437b060b43a137adcc438be"
+    "91b0992eb31fe12dd1d82a1e8e7915ce1c86265a01b0c0ec055938d6548c6167"
 )
 
 
@@ -621,8 +621,8 @@ def test_each_certificate_trace_has_one_leaf_line(golden_certificates):
 
 
 def test_quotient_lift_reads_past_quotient_elements_that_do_not_lift(golden_certificates):
-    # the first five semiregular elements of the quotient have order 2 or
-    # 4, and |K| = 2; the route lifts the sixth, of order 5
+    # the first semiregular element of the quotient has order 2, and
+    # |K| = 32; the route lifts the second, of order 5
     (cert,) = [
         cert
         for routes, inst, cert in golden_certificates
@@ -630,10 +630,10 @@ def test_quotient_lift_reads_past_quotient_elements_that_do_not_lift(golden_cert
     ]
     assert cert.method == "quotient-lift"
     assert cert.trace == (
-        "quotient-lift: normal subgroup of order 2 with 40 orbits; recursing on 40 classes",
-        "direct-search: exhaustive hit after 9 elements",
+        "quotient-lift: normal subgroup of order 16 with 10 orbits; recursing on 10 classes",
+        "direct-search: exhaustive hit after 3 elements",
         "quotient-lift: lifted element of order 5 through kernel "
-        "(skipped 5 quotient certificates before it)",
+        "(skipped 1 quotient certificates before it)",
     )
 
 
@@ -691,8 +691,6 @@ def test_normal_quotients_have_at_most_half_the_vertices(corpus):
     # why quotient-lift needs no depth bound: it recurses only on these
     # quotients, and each has at least three classes of one size >= 2
     for inst in corpus:
-        if inst.group.order() > engine.NORMAL_BOUND:
-            continue
         for _, partition in engine._normal_quotients(inst.group):
             sizes = {len(c) for c in partition}
             assert len(partition) >= 3, inst.id
@@ -714,15 +712,15 @@ def test_route_order_does_not_change_the_certificate(corpus):
     assert runs == 192
 
 
-def test_the_normal_subgroup_bound_is_met_once_per_search_node(corpus):
+def test_px_p5_r6_s1_gets_a_verified_quotient_lift_certificate(corpus):
+    # |G| is above both enumeration bounds; the normal quotients come from
+    # the derived series, which enumerates nothing
     (inst,) = [inst for inst in corpus if inst.id == "px-p5-r6-s1"]
-    with pytest.raises(BoundExceededError, match="^order 187500 exceeds bound 20000$"):
-        engine._normal_quotients(inst.group)
+    assert inst.group.order() == 187_500 > max(engine.NORMAL_BOUND, engine.DEFAULT_BOUND)
     config = EngineConfig(routes=("quotient-lift", "buddy-swap"), graph_id=inst.id)
-    trace = []
-    assert list(engine._search(inst.graph, inst.group, config, trace)) == []
-    assert [line for line in trace if line.startswith("normal-subgroup scan skipped")] == [
-        "normal-subgroup scan skipped: order 187500 exceeds bound 20000"
-    ]
-    with pytest.raises(InconclusiveError):
-        find_semiregular(inst.graph, inst.group, config)
+    cert = find_semiregular(inst.graph, inst.group, config)
+    assert cert.method == "quotient-lift"
+    assert cert.trace[0] == (
+        "quotient-lift: normal subgroup of order 625 with 6 orbits; recursing on 6 classes"
+    )
+    assert verify_certificate(inst.graph, inst.group, cert) == (True, "")

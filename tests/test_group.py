@@ -18,9 +18,14 @@ from semireg.group import (
     _prime_order_classes,
     action_on_partition,
     coset_key,
+    derived_series,
     is_prime,
     lift_semiregular,
     minimal_normal_subgroups,
+    normal_closure,
+    normal_closure_orbits,
+    normalizes,
+    prime_factors,
     semiregular_of_prime_power_degree,
     transitivity_class,
 )
@@ -163,14 +168,13 @@ def test_kernel_and_image_orders_multiply_to_the_group_order(corpus):
 
     count = 0
     for inst in corpus:
-        if inst.group.order() > NORMAL_BOUND:
-            continue
         for _, partition in _normal_quotients(inst.group):
             bundle = action_on_partition(inst.group, partition)
             assert bundle.kernel.order() * bundle.image_group.order() == inst.group.order()
             assert bundle.kernel_order == bundle.kernel.order(), inst.id
             count += 1
-    assert count > 50
+    # the normal quotients of all 86 groups
+    assert count == 71
 
 
 def test_action_on_partition_rejects_bad_partition(s4):
@@ -608,30 +612,41 @@ def test_minimal_normal_subgroups_close_each_cyclic_subgroup_class_once(
     assert len(verifications) == verified
 
 
-def _structural_pass_groups(corpus) -> list[PermGroup]:
-    """The groups one in-process pass of the normal-quotient routes over the
-    corpus reaches: those whose minimal normal subgroups it asks for, and
-    the quotient images the lift recurses on."""
+@pytest.fixture(scope="module")
+def structural_pass(corpus):
+    """What one in-process pass of the normal-quotient routes over the
+    corpus reaches, as (groups, closure_orbits). ``groups`` are the groups
+    whose normal quotients it lists, and the quotient images the lift
+    recurses on; ``closure_orbits`` holds each (G, y, orbits) for which it
+    found the orbits of the normal closure of y in G without a chain."""
     from semireg import engine
 
-    reached = []
-    real_minimal, real_action = engine.minimal_normal_subgroups, engine.action_on_partition
+    groups, closure_orbits = [], []
+    real_quotients, real_action, real_orbits = (
+        engine._normal_quotients,
+        engine.action_on_partition,
+        engine.normal_closure_orbits,
+    )
 
-    def minimal(g, bound):
-        # a group above the bound raises here, and is not reached
-        subgroups = real_minimal(g, bound)
-        reached.append(g)
-        return subgroups
+    def quotients(g):
+        groups.append(g)
+        return real_quotients(g)
 
     def action(g, partition):
         bundle = real_action(g, partition)
-        reached.append(bundle.image_group)
+        groups.append(bundle.image_group)
         return bundle
+
+    def orbits(g, y):
+        found = real_orbits(g, y)
+        closure_orbits.append((g, y, found))
+        return found
 
     routes = (engine.ROUTE_PRIME_POWER, engine.ROUTE_QUOTIENT_LIFT, engine.ROUTE_BUDDY_SWAP)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "minimal_normal_subgroups", minimal)
+        mp.setattr(engine, "_normal_quotients", quotients)
         mp.setattr(engine, "action_on_partition", action)
+        mp.setattr(engine, "normal_closure_orbits", orbits)
         for inst in corpus:
             grp = PermGroup(inst.group.generators)
             config = engine.EngineConfig(routes=routes, graph_id=inst.id)
@@ -639,18 +654,19 @@ def _structural_pass_groups(corpus) -> list[PermGroup]:
                 engine.find_semiregular(inst.graph, grp, config)
             except engine.InconclusiveError:
                 pass
-    return reached
+    return groups, closure_orbits
 
 
-def test_minimal_normal_subgroups_match_the_all_closures_oracle(corpus):
+def test_minimal_normal_subgroups_match_the_all_closures_oracle(corpus, structural_pass):
     from oracles import minimal_normal_subgroups_all_closures
 
     groups = {}
     for g in [inst.group for inst in corpus if inst.group.order() <= NORMAL_BOUND]:
         groups.setdefault(g.gen_arrays().tobytes(), g)
     in_corpus = len(groups)
-    for g in _structural_pass_groups(corpus):
-        groups.setdefault(g.gen_arrays().tobytes(), g)
+    for g in structural_pass[0]:
+        if g.order() <= NORMAL_BOUND:
+            groups.setdefault(g.gen_arrays().tobytes(), g)
     # the pass reaches quotient images that are not corpus groups
     assert len(groups) > in_corpus
     for g in groups.values():
@@ -670,13 +686,13 @@ def test_minimal_normal_subgroups_match_the_all_closures_oracle(corpus):
                 assert m.order() == closure.order()
 
 
-def test_semiregular_elements_match_the_per_element_oracle(corpus):
+def test_semiregular_elements_match_the_per_element_oracle(corpus, structural_pass):
     from semireg.engine import _semiregular_elements
 
     from oracles import semiregular_per_element
 
     groups = {}
-    for g in [inst.group for inst in corpus] + _structural_pass_groups(corpus):
+    for g in [inst.group for inst in corpus] + structural_pass[0]:
         if g.order() <= DEFAULT_BOUND:
             groups.setdefault(g.gen_arrays().tobytes(), g)
     groups["k12-m11"] = k12_m11()[1]
@@ -689,6 +705,99 @@ def test_semiregular_elements_match_the_per_element_oracle(corpus):
         with_hits += bool(ours)
     # M11 on 12 points, the last group, yields nothing
     assert with_hits == len(groups) - 1 and ours == []
+
+
+def test_normal_quotients_are_normal_with_three_orbits(corpus, structural_pass):
+    # every candidate that quotient-lift and buddy-swap read, on every
+    # corpus group and every group the structural pass reaches
+    from semireg.engine import _normal_quotients
+
+    groups = {}
+    for g in [inst.group for inst in corpus] + structural_pass[0]:
+        groups.setdefault(g.gen_arrays().tobytes(), g)
+    assert len(groups) > len(corpus)
+    count = 0
+    for g in groups.values():
+        quotients = _normal_quotients(g)
+        orders = [nsub.order() for nsub, _ in quotients]
+        assert orders == sorted(orders)
+        partitions = [partition for _, partition in quotients]
+        assert len({repr(p) for p in partitions}) == len(partitions)
+        for nsub, partition in quotients:
+            assert not nsub.is_trivial()
+            assert all(g.contains(x) for x in nsub.generators)
+            assert all(normalizes(s, nsub) for s in g.generators)
+            assert partition == nsub.orbit_partition() and len(partition) >= 3
+            count += 1
+    assert count > 71
+
+
+def test_closure_orbits_without_a_chain_match_the_built_closures(structural_pass):
+    # each union-find the structural pass ran, whether or not it then built
+    # the closure, against the orbits of the closure built in full
+    _, closure_orbits = structural_pass
+    assert len(closure_orbits) > 100
+    assert any(len(orbits) < 3 for _, _, orbits in closure_orbits)
+    for g, y, orbits in closure_orbits:
+        assert orbits == normal_closure(g, [y]).orbit_partition()
+
+
+def _s2_wr_s3():
+    """S2 wr S3 on 6 points: its D1 is transitive, its D2 has 3 orbits."""
+    return PermGroup(
+        [
+            Permutation.from_cycles(6, [(0, 1)]),
+            Permutation.from_cycles(6, [(0, 2, 4), (1, 3, 5)]),
+            Permutation.from_cycles(6, [(0, 2), (1, 3)]),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [
+        lambda: symmetric_group(4),
+        lambda: PermGroup(
+            [
+                Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]),
+                Permutation.from_cycles(5, [(0, 1, 2)]),
+            ]
+        ),
+        lambda: PermGroup([Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])]),
+        _s2_wr_s3,
+        lambda: praeger_xu_group(2, 3, 1),
+    ],
+    ids=["s4", "a5", "c6", "s2-wr-s3", "px-2-3-1"],
+)
+def test_derived_series_and_normal_closures_match_sympy(make_group):
+    g = make_group()
+    sym_g = _sympy_group(x.images for x in g.generators)
+    series = derived_series(g)
+    assert [d.order() for d in series] == [d.order() for d in sym_g.derived_series()]
+    for d in series[1:]:
+        assert all(normalizes(s, d) for s in g.generators)
+    rng = np.random.default_rng(7)
+    elements = [*g.generators, *(g.random_element(rng) for _ in range(5))]
+    for x in elements:
+        o = x.order()
+        for y in [x] + [x ** (o // q) for q in sorted(prime_factors(o))]:
+            closure = normal_closure(g, [y.images])
+            sym_closure = sym_g.normal_closure(_sympy_group([y.images]))
+            assert closure.order() == sym_closure.order()
+            assert closure.orbit_partition() == normal_closure_orbits(g, y.images)
+            assert all(normalizes(s, closure) for s in g.generators)
+
+
+def test_derived_series_does_not_stop_at_a_transitive_term():
+    from semireg.engine import _normal_quotients
+
+    g = _s2_wr_s3()
+    series = derived_series(g)
+    assert [d.order() for d in series] == [48, 12, 4, 1]
+    assert [len(d.orbit_partition()) for d in series] == [1, 1, 3, 6]
+    assert [(nsub.order(), partition) for nsub, partition in _normal_quotients(g)] == [
+        (4, [[0, 1], [2, 3], [4, 5]])
+    ]
 
 
 def test_random_walk_is_numpys_draws():
@@ -729,15 +838,14 @@ def test_chains_built_with_their_known_order_are_unchanged(corpus):
             known = StabilizerChain(gens, n, base_prefix=prefix, order=order)
             assert known.order == order
             assert _chain_digest(known) == _chain_digest(plain), (inst.id, prefix)
-        if order > NORMAL_BOUND:
-            continue
         for _, partition in _normal_quotients(inst.group):
             # a group without a built chain passes no order
             plain = action_on_partition(PermGroup(inst.group.generators), partition)
             known = action_on_partition(inst.group, partition)
             assert _chain_digest(known._combined) == _chain_digest(plain._combined), inst.id
             combined += 1
-    assert combined > 50
+    # the normal quotients of all 86 groups
+    assert combined == 71
 
 
 def test_chain_copy_grows_without_changing_the_original():
