@@ -1,12 +1,13 @@
 """Generator-defined permutation groups.
 
 Stabilizer chains (randomized Schreier-Sims with a deterministic verification
-pass) support exact orders, membership sifting, point stabilizers and element
-enumeration. One walk lists the elements in two shapes: (rows, degree)
-arrays of bounded size that start at one row, for scans that may stop early,
-or their rows one at a time. All of them also come as one (order, degree)
-array built with a numpy gather per transversal rep, on which powers and
-conjugation act row-wise. The random pre-pass follows a fixed walk read
+pass that sifts each Schreier generator once, at level 0 from the group's
+generators alone) support exact orders, membership sifting, point stabilizers
+and element enumeration. One walk lists the elements in two shapes: (rows,
+degree) arrays of bounded size that start at one row, for scans that may stop
+early, or their rows one at a time. All of them also come as one (order,
+degree) array built with a numpy gather per transversal rep, on which powers
+and conjugation act row-wise. The random pre-pass follows a fixed walk read
 off recorded words of numpy's default generator, so building a chain does
 not import ``numpy.random``; only the samplers (direct-search above its
 bound, the Sylow builder) do. On top of those sit induced actions on invariant
@@ -78,17 +79,24 @@ def is_prime(n: int) -> bool:
 
 
 class _Level:
-    __slots__ = ("point", "transversal", "_orbit")
+    __slots__ = ("point", "transversal", "closed", "sifted", "_orbit")
 
     def __init__(self, point: int):
         self.point = point
-        # orbit point -> (rep, rep_inverse); rep maps self.point to the key
+        # orbit point -> (rep, rep_inverse); rep maps self.point to the key.
+        # Only ever extended: a point's rep, once set, is never replaced
         self.transversal: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the transversal is closed under the level's first ``closed``
+        # generators
+        self.closed = 0
+        # sifted[j]: the Schreier generators of the j-th point (in insertion
+        # order) with the level's first sifted[j] generators have sifted
+        self.sifted: list[int] = []
         self._orbit: np.ndarray | None = None
 
     def orbit(self) -> np.ndarray:
         """The transversal's points as an int64 array, in its order; built
-        on the first call after each rebuild of the level."""
+        on the first call after the level last grew."""
         if self._orbit is None:
             self._orbit = np.fromiter(self.transversal, _INT, len(self.transversal))
         return self._orbit
@@ -199,14 +207,18 @@ class StabilizerChain:
 
     The base extension rule is "smallest moved point first" (after any caller
     supplied prefix), and the random pre-pass has a fixed seed, so chains
-    are deterministic.
+    are deterministic. A level's transversal only grows: a point keeps the
+    rep it was first given, which lets verification skip every Schreier
+    generator that has sifted once (``_schreier_sims``).
 
     The inner loops take one Python step per orbit point or Schreier
     generator: a point's image is one ``ndarray.item`` call and a product is
     one numpy gather. A whole-row ``tolist`` would cost O(degree) per level
-    where orbits are small and the degree is large, and batching a level's
+    where orbits are small and the degree is large. Batching a level's
     Schreier generators into one array computes many that are never looked
-    at, since the first that fails to sift usually comes early.
+    at, since the first that fails to sift usually comes early: batching
+    only the levels with at least 256 of them made a ``structural`` pass 20%
+    slower.
     """
 
     def __init__(self, generators, degree: int, base_prefix=(), order=None):
@@ -228,6 +240,9 @@ class StabilizerChain:
             if key not in seen and not is_identity_images(arr):
                 seen.add(key)
                 self._add_strong(arr)
+        # generators of the group: the given ones, then each residue
+        # ``_adjoin`` adds; level 0 forms its Schreier generators from these
+        self._given = [g for g, _, _ in self._strong]
         for lv_index in range(len(self.levels)):
             self._rebuild_level(lv_index)
         self._random_boost([(g, inv) for g, inv, _ in self._strong])
@@ -240,9 +255,12 @@ class StabilizerChain:
         Incremental Schreier-Sims: ``_adjoin`` sifts each element in
         without verifying, then one deterministic pass verifies the levels
         from the deepest one touched up to 0. Deeper levels keep their
-        generators and stay verified. Between the two steps the chain is
-        incomplete, but every rep is a product of adjoined elements, so an
-        element that sifts to the identity there is already proved a member.
+        generators and stay verified. The levels it verifies keep their
+        reps and sift only the Schreier generators that are new: those of a
+        new point or a new generator (at level 0, of a residue ``_adjoin``
+        added). Between the two steps the chain is incomplete, but every rep
+        is a product of adjoined elements, so an element that sifts to the
+        identity there is already proved a member.
         """
         added, deepest = self._adjoin(arrs)
         if added:
@@ -251,16 +269,21 @@ class StabilizerChain:
 
     def copy(self) -> StabilizerChain:
         """A copy that ``extend_all`` grows without changing this chain. The
-        arrays and transversal dicts are shared: a rebuild replaces a
-        level's dict and never edits one in place."""
+        arrays are shared, since nothing edits one in place; each level's
+        transversal dict and ``sifted`` list are copied, since a rebuild
+        extends them in place."""
         new = object.__new__(StabilizerChain)
         new.__dict__.update(self.__dict__)
         new.levels = []
         for lv in self.levels:
             level = _Level(lv.point)
-            level.transversal = lv.transversal
+            level.transversal = dict(lv.transversal)
+            level.closed = lv.closed
+            level.sifted = list(lv.sifted)
+            level._orbit = lv._orbit
             new.levels.append(level)
         new._strong = list(self._strong)
+        new._given = list(self._given)
         return new
 
     # -- construction ----------------------------------------------------
@@ -271,7 +294,9 @@ class StabilizerChain:
         where base point d is the first one it moves, and level d gets its
         orbit recomputed, so later elements sift further. Return the
         elements that left a residue and the deepest such d (-1 if none).
-        Nothing is verified."""
+        Each residue also joins the group's generators that level 0 reads
+        (``_given``): with the elements adjoined, they still generate the
+        group. Nothing is verified."""
         added = []
         deepest = -1
         for arr in arrs:
@@ -282,6 +307,7 @@ class StabilizerChain:
             if is_identity_images(residue):
                 continue
             depth = self._add_strong(residue)
+            self._given.append(residue)
             self._rebuild_level(depth)
             deepest = max(deepest, depth)
             added.append(arr)
@@ -302,27 +328,36 @@ class StabilizerChain:
         self._strong.append((arr, inverse_images(arr), depth))
         return depth
 
-    def _rebuild_level(self, i: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Recompute level i's transversal by a breadth-first search under
-        its generators; return them as (array, inverse) pairs.
+    def _rebuild_level(self, i: int) -> list[np.ndarray]:
+        """Extend level i's transversal to the orbit of its generators by a
+        breadth-first search; return the generators.
 
-        The rep reached from p's rep by g is ``g[rep]``, and its inverse is
-        the gather ``rep_inv[g_inv]`` of two known inverses.
+        A point's rep, once set, is never replaced, so the keys already
+        there stay a prefix of the level's keys. The points already there
+        are closed under the first ``closed`` generators and only meet the
+        later ones; each new point meets all. The rep reached from p's rep
+        by g is ``g[rep]``, and its inverse is the gather ``rep_inv[g_inv]``
+        of two known inverses.
         """
         lv = self.levels[i]
         gens = [(g, inv) for g, inv, d in self._strong if d >= i]
-        ident = identity_images(self.degree)
-        trans = lv.transversal = {lv.point: (ident, ident)}
-        lv._orbit = None
-        queue = [lv.point]
-        for p in queue:
+        trans = lv.transversal
+        if not trans:
+            ident = identity_images(self.degree)
+            trans[lv.point] = (ident, ident)
+        queue = list(trans)
+        old = len(queue)
+        for j, p in enumerate(queue):
             rep, rep_inv = trans[p]
-            for g, g_inv in gens:
+            for g, g_inv in gens[lv.closed if j < old else 0 :]:
                 q = g.item(p)
                 if q not in trans:
                     trans[q] = (g[rep], rep_inv[g_inv])
                     queue.append(q)
-        return gens
+        lv.closed = len(gens)
+        if len(queue) > old:
+            lv._orbit = None
+        return [g for g, _ in gens]
 
     def _sift(self, arr: np.ndarray) -> np.ndarray:
         """Reduce arr by the transversal reps of every level and return the
@@ -345,7 +380,7 @@ class StabilizerChain:
         the next sift every level from d on is current again: ``fresh`` is
         the depth of the previous residue (at first the level count), the
         levels from it on are current already, and levels d up to it are
-        rebuilt. The shallower levels wait for ``_schreier_sims``.
+        extended. The shallower levels wait for ``_schreier_sims``.
         """
         if not gens:
             return
@@ -369,8 +404,21 @@ class StabilizerChain:
         fixing base[:i+1]; it becomes a strong generator of depth d > i (d
         may be a new last level), and verification restarts at level d.
         Levels deeper than d do not gain it, so they keep their generators
-        and transversals and stay verified; levels d down to 0 are rebuilt
+        and transversals and stay verified; levels d down to 0 are extended
         as the loop reaches them.
+
+        Each Schreier generator is sifted once. A level records, for each
+        point in insertion order, how many of its generators have given a
+        Schreier generator that sifted (``_Level.sifted``), and a restart
+        resumes from there. That pair's Schreier generator is the same
+        permutation when the level is reached again, since reps are never
+        replaced and generators only appended, and it sifts along the same
+        path to the identity, since the levels below have only grown.
+
+        Level 0 forms its Schreier generators from ``_given``, which
+        generate the group, not from every strong generator: by Schreier's
+        lemma the Schreier generators of any generating set, over any
+        transversal, generate the stabilizer of the first base point.
 
         With the group's ``order`` known, the pass stops once the product of
         the level sizes reaches it, after rebuilding the levels above. Each
@@ -389,15 +437,19 @@ class StabilizerChain:
                 for j in range(i - 1, -1, -1):
                     self._rebuild_level(j)
                 break
-            trans = self.levels[i].transversal
+            level = self.levels[i]
+            if i == 0:
+                gens = self._given
             below = [(lv.point, lv.transversal) for lv in self.levels[i + 1 :]]
             restart = None
-            for p in sorted(trans):
-                rep = trans[p][0]
-                for g, _ in gens:
+            for j, (p, (rep, _)) in enumerate(level.transversal.items()):
+                if j == len(level.sifted):
+                    level.sifted.append(0)
+                for k in range(level.sifted[j], len(gens)):
+                    g = gens[k]
                     # the Schreier generator rep * g * rep(p^g)^-1, sifted
                     # through the levels below i
-                    h = trans[g.item(p)][1][g[rep]]
+                    h = level.transversal[g.item(p)][1][g[rep]]
                     if h.tobytes() == ident:
                         continue
                     for pt, below_trans in below:
@@ -413,9 +465,11 @@ class StabilizerChain:
                         if h.tobytes() == ident:
                             continue
                     restart = self._add_strong(h)
+                    level.sifted[j] = k
                     break
                 if restart is not None:
                     break
+                level.sifted[j] = len(gens)
             i = i - 1 if restart is None else restart
         self.order = math.prod(len(lv.transversal) for lv in self.levels)
         self.base = tuple(lv.point for lv in self.levels)

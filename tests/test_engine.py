@@ -555,7 +555,7 @@ GOLDEN_ROUTE_SETTINGS = (
     ALL_ROUTES,
 )
 GOLDEN_CERTIFICATES_SHA256 = (
-    "91b0992eb31fe12dd1d82a1e8e7915ce1c86265a01b0c0ec055938d6548c6167"
+    "7c3b5dab0c320e1471362aa94be7801b9da58bd6b79aa55c73e1b1fa4e13cb39"
 )
 
 

@@ -302,8 +302,9 @@ def test_semiregular_prime_power_degree_sylow_of_s32():
 
 
 def test_semiregular_prime_power_degree_enumeration_fallback(monkeypatch):
-    # at seed 1 the random Sylow 2-subgroup of S8 stays short of |S8|_2 = 128
-    # within its attempts, so the greedy scan over all elements completes it
+    # every random element drawn is the identity, so the random Sylow
+    # 2-subgroup of S8 stays trivial and the greedy scan over all elements
+    # builds it, in one pass or more
     calls = []
     elements = PermGroup.elements
 
@@ -312,9 +313,12 @@ def test_semiregular_prime_power_degree_enumeration_fallback(monkeypatch):
         return elements(self, *args, **kwargs)
 
     monkeypatch.setattr(PermGroup, "elements", counted)
+    monkeypatch.setattr(
+        StabilizerChain, "random_element", lambda self, rng: np.arange(self.degree)
+    )
     s8 = symmetric_group(8)
     w = semiregular_of_prime_power_degree(s8, seed=1)
-    assert calls == [s8]
+    assert calls and all(c is s8 for c in calls)
     assert w.order() == 2 and w.is_semiregular() and s8.contains(w)
 
 
@@ -860,6 +864,123 @@ def test_chain_copy_grows_without_changing_the_original():
     assert not chain.contains_array(gens[1])
 
 
+def _level_snapshot(lv):
+    return [(p, rep.tobytes(), rep_inv.tobytes()) for p, (rep, rep_inv) in lv.transversal.items()]
+
+
+def _assert_extends(before, lv):
+    """``lv`` holds every point of the snapshot ``before``, first and in the
+    same order, with the same rep and inverse byte for byte."""
+    assert _level_snapshot(lv)[: len(before)] == before
+
+
+_STABLE_GROUPS = {
+    "psl2-7": lambda: psl2_action(7),
+    "m11": m11_degree11,
+    "px-2-4-2": lambda: praeger_xu_group(2, 4, 2),
+    "px-3-3-1": lambda: praeger_xu_group(3, 3, 1),
+    "s8": lambda: symmetric_group(8),
+}
+
+
+@pytest.mark.parametrize("make_group", _STABLE_GROUPS.values(), ids=list(_STABLE_GROUPS))
+def test_rebuilds_never_replace_a_rep(make_group, monkeypatch):
+    g = make_group()
+    gens, n, order = g.gen_arrays(), g.degree, g.order()
+    rebuild = StabilizerChain._rebuild_level
+    calls = []
+
+    def checked(self, i):
+        before = _level_snapshot(self.levels[i])
+        out = rebuild(self, i)
+        _assert_extends(before, self.levels[i])
+        calls.append(i)
+        return out
+
+    monkeypatch.setattr(StabilizerChain, "_rebuild_level", checked)
+    # every level as the pre-pass left it, against the verified chain
+    schreier_sims = StabilizerChain._schreier_sims
+    pre_pass = []
+
+    def snapshot_first(self, start, order=None):
+        pre_pass.append((len(self._strong), [_level_snapshot(lv) for lv in self.levels]))
+        schreier_sims(self, start, order)
+
+    monkeypatch.setattr(StabilizerChain, "_schreier_sims", snapshot_first)
+    chain = StabilizerChain(gens, n)
+    assert chain.order == order
+    (strong, levels), = pre_pass
+    assert strong > len(gens)  # the pre-pass added residues
+    for before, lv in zip(levels, chain.levels):
+        _assert_extends(before, lv)
+    # the same across extend_all, one generator at a time
+    grown = StabilizerChain(gens[:1], n)
+    for x in gens[1:]:
+        levels = [_level_snapshot(lv) for lv in grown.levels]
+        grown.extend_all([x])
+        for before, lv in zip(levels, grown.levels):
+            _assert_extends(before, lv)
+    assert grown.order == order
+    assert calls
+
+
+def _level_zero_cases():
+    """(name, given generators, base prefix, then extend_all's elements)."""
+    psl, m11, px = psl2_action(7), m11_degree11(), praeger_xu_group(2, 4, 1)
+    cases = []
+    for name, g in (("psl2-7", psl), ("m11", m11), ("px-2-4-1", px)):
+        a = g.point_stabilizer(0).gen_arrays()[0]
+        b = next(x for x in g.gen_arrays() if x[0] != 0)
+        # a fixes the first base point and b does not
+        cases.append((f"{name}-fixed", [a, b], [0], []))
+        # repeated generators, and a product of two of them
+        cases.append((f"{name}-repeated", [a, b, a, b[a], b, a], [], []))
+        # a subgroup of a point stabilizer, grown by an element that moves
+        # the point
+        cases.append((f"{name}-grown", [a], [0], [b]))
+        # the first generator, grown by the others
+        gens = list(g.gen_arrays())
+        cases.append((f"{name}-generators-grown", gens[:1], [], gens[1:]))
+    # the first given generator fixes the first base point, and extend_all
+    # adds a residue that moves it
+    s4 = [Permutation.from_cycles(4, c).images for c in ([(2, 3)], [(0, 1, 2, 3)])]
+    cases.append(("s4-grown", s4[:1], [0], s4[1:]))
+    cases.append(("s4-unprefixed-grown", s4[:1], [], s4[1:]))
+    return cases
+
+
+_LEVEL_ZERO_CASES = _level_zero_cases()
+
+
+@pytest.mark.parametrize(
+    "given, prefix, extra",
+    [case[1:] for case in _LEVEL_ZERO_CASES],
+    ids=[case[0] for case in _LEVEL_ZERO_CASES],
+)
+def test_level_zero_from_the_given_generators_matches_sympy(given, prefix, extra):
+    # level 0 reads its Schreier generators from the given generators and
+    # from the residues extend_all adds, not from every strong generator
+    from sympy.combinatorics import Permutation as SymPerm
+
+    n = len(given[0])
+    rng = np.random.default_rng(n)
+    chain = StabilizerChain(given, n, base_prefix=prefix)
+    steps = [(chain, given)]
+    if extra:
+        grown = chain.copy()
+        assert grown.extend_all(extra)
+        steps.append((grown, given + extra))
+    for c, gens in steps:
+        sym = _sympy_group(gens)
+        assert c.order == sym.order() == StabilizerChain(gens, n).order
+        assert c.base[: len(prefix)] == tuple(prefix)
+        assert all(c.contains_array(x) for x in gens)
+        for _ in range(20):
+            assert c.contains_array(np.array(sym.random().array_form, dtype=np.int64))
+            y = rng.permutation(n)
+            assert c.contains_array(y) == sym.contains(SymPerm(y.tolist()))
+
+
 def _s4():
     return PermGroup(
         [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])]
@@ -1001,7 +1122,7 @@ def test_minimal_normal_subgroups_ties_by_first_element():
 # NORMAL_BOUND. Update this hash only with a change that means to alter
 # chains, and say so in CHANGES.md.
 GOLDEN_CHAINS_SHA256 = (
-    "842d05b3343c936a99a14c8907f75dee747e1cc721e0076044ee9729846bfa11"
+    "afcde52b768cbf8363d1ab3402143ee1600cfaa5e21449c104b9481da9d80998"
 )
 
 
