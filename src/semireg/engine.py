@@ -11,7 +11,7 @@ these steps in this order, each switched on by its route name.
    of prime-order powers;
 2. prime-power: on prime-power degree, the Sylow-center construction;
 3. for each normal subgroup N with at least three orbits in turn, taken
-   from the derived series and the normal closures of prime-order elements
+   from the normal closures of the prime-order powers of G's generators
    (``_normal_quotients``, which needs no bound on |G|), smallest first:
    quotient-lift: recurse on the quotient by N (at most half the vertices,
    so the recursion ends), then lift through the kernel K the first
@@ -49,7 +49,6 @@ from .group import (
     PermGroup,
     PreconditionError,
     action_on_partition,
-    derived_series,
     is_prime,
     lift_semiregular,
     minimal_normal_subgroups,
@@ -355,37 +354,23 @@ def _normal_quotients(grp) -> list[tuple[PermGroup, list[list[int]]]]:
     orbit partition, one subgroup per partition, sorted stably by order: the
     list quotient-lift and buddy-swap read.
 
-    The candidates are the nontrivial terms D1, D2, ... of the derived
-    series (a later term, being smaller, replaces an earlier one with the
-    same orbits), then the normal closures of the prime-order powers y of
-    the generators of its last nontrivial term. The orbits of y's closure
-    are found first, with no chain (``normal_closure_orbits``), and its
-    chain is built only when they are at least three and no candidate
-    before it has them. When that leaves no candidate, G's own generators
-    are tried the same way: the centre of the dihedral group of order 12 on
-    a hexagon has three orbits and lies in no term of its derived series.
-    Normal closures cost polynomial time, so no bound on |G| applies.
+    The induction may pass to the quotient by any such subgroup, wherever
+    it comes from; the candidates are the normal closures of the
+    prime-order powers y of G's generators. The orbits of y's closure are
+    found first, with no chain (``normal_closure_orbits``), and its chain is
+    built only when they are at least three and no candidate before it has
+    them. Normal closures cost polynomial time, so no bound on |G| applies.
     """
-    series = derived_series(grp)
-    if len(series) > 1 and series[-1].is_trivial():
-        series.pop()
     kept: dict[tuple, tuple[PermGroup, list[list[int]]]] = {}
-    for term in series[1:]:
-        partition = term.orbit_partition()
-        kept[tuple(map(tuple, partition))] = (term, partition)
-    for source in (series[-1], grp):
-        for x in source.generators:
-            o = x.order()
-            for q in sorted(prime_factors(o)):
-                y = (x ** (o // q)).images
-                partition = normal_closure_orbits(grp, y)
-                key = tuple(map(tuple, partition))
-                if len(partition) >= 3 and key not in kept:
-                    kept[key] = (normal_closure(grp, [y]), partition)
-        pairs = [pair for pair in kept.values() if len(pair[1]) >= 3]
-        if pairs:
-            break
-    return sorted(pairs, key=lambda pair: pair[0].order())
+    for x in grp.generators:
+        o = x.order()
+        for q in sorted(prime_factors(o)):
+            y = (x ** (o // q)).images
+            partition = normal_closure_orbits(grp, y)
+            key = tuple(map(tuple, partition))
+            if len(partition) >= 3 and key not in kept:
+                kept[key] = (normal_closure(grp, [y]), partition)
+    return sorted(kept.values(), key=lambda pair: pair[0].order())
 
 
 def _is_2_group(grp: PermGroup) -> bool:

@@ -11,11 +11,10 @@ and conjugation act row-wise. The random pre-pass follows a fixed walk read
 off recorded words of numpy's default generator, so building a chain does
 not import ``numpy.random``; only the samplers (direct-search above its
 bound, the Sylow builder) do. On top of those sit induced actions on invariant
-partitions with kernels, normal closures and the derived series (in
-polynomial time; the orbits of a normal closure need no chain at all),
-bounded minimal-normal-subgroup enumeration, quasiprimitivity
-classification, a prime-power-degree semiregular element finder and coprime
-lifting of semiregular elements through quotients.
+partitions with kernels, normal closures (in polynomial time; their orbits
+need no chain at all), bounded minimal-normal-subgroup enumeration,
+quasiprimitivity classification, a prime-power-degree semiregular element
+finder and coprime lifting of semiregular elements through quotients.
 
 Full enumeration stops at the fixed ``DEFAULT_BOUND`` elements, and the
 minimal-normal-subgroup search at its caller's bound, each with a loud
@@ -24,7 +23,6 @@ minimal-normal-subgroup search at its caller's bound, each with a loud
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -1084,28 +1082,6 @@ def normal_closure_orbits(g: PermGroup, y: np.ndarray) -> list[list[int]]:
     for v in range(n):
         blocks.setdefault(root(v), []).append(v)
     return list(blocks.values())
-
-
-def derived_series(g: PermGroup) -> list[PermGroup]:
-    """G = D0 > D1 > D2 > ..., as sympy's ``derived_series`` lists it: up
-    to the trivial group, or up to a perfect term, listed once.
-
-    Each term is the normal closure in ``g`` of the commutators of the
-    previous term's generators. That is the previous term's derived
-    subgroup, which is characteristic in it and so normal in ``g``.
-    """
-    series = [g]
-    while not series[-1].is_trivial():
-        gens = [(x.images, inverse_images(x.images)) for x in series[-1].generators]
-        commutators = [
-            b[a[b_inv[a_inv]]]  # a^-1 b^-1 a b
-            for (a, a_inv), (b, b_inv) in itertools.combinations(gens, 2)
-        ]
-        term = normal_closure(g, commutators)
-        if term.order() == series[-1].order():
-            break
-        series.append(term)
-    return series
 
 
 def transitivity_class(g: PermGroup) -> str:

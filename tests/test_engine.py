@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,7 +556,7 @@ GOLDEN_ROUTE_SETTINGS = (
     ALL_ROUTES,
 )
 GOLDEN_CERTIFICATES_SHA256 = (
-    "7c3b5dab0c320e1471362aa94be7801b9da58bd6b79aa55c73e1b1fa4e13cb39"
+    "b5eef0103f9eb6f60563f8bf2ea461bafe392c6943e94d950fe3fc3cd96c95eb"
 )
 
 
@@ -621,8 +622,8 @@ def test_each_certificate_trace_has_one_leaf_line(golden_certificates):
 
 
 def test_quotient_lift_reads_past_quotient_elements_that_do_not_lift(golden_certificates):
-    # the first semiregular element of the quotient has order 2, and
-    # |K| = 32; the route lifts the second, of order 5
+    # the first five semiregular elements of the quotient have order 2 or
+    # 4, and |K| = 2; the route lifts the sixth, of order 5
     (cert,) = [
         cert
         for routes, inst, cert in golden_certificates
@@ -630,10 +631,10 @@ def test_quotient_lift_reads_past_quotient_elements_that_do_not_lift(golden_cert
     ]
     assert cert.method == "quotient-lift"
     assert cert.trace == (
-        "quotient-lift: normal subgroup of order 16 with 10 orbits; recursing on 10 classes",
-        "direct-search: exhaustive hit after 3 elements",
+        "quotient-lift: normal subgroup of order 2 with 40 orbits; recursing on 40 classes",
+        "direct-search: exhaustive hit after 9 elements",
         "quotient-lift: lifted element of order 5 through kernel "
-        "(skipped 1 quotient certificates before it)",
+        "(skipped 5 quotient certificates before it)",
     )
 
 
@@ -714,13 +715,40 @@ def test_route_order_does_not_change_the_certificate(corpus):
 
 def test_px_p5_r6_s1_gets_a_verified_quotient_lift_certificate(corpus):
     # |G| is above both enumeration bounds; the normal quotients come from
-    # the derived series, which enumerates nothing
+    # normal closures, which enumerate nothing
     (inst,) = [inst for inst in corpus if inst.id == "px-p5-r6-s1"]
     assert inst.group.order() == 187_500 > max(engine.NORMAL_BOUND, engine.DEFAULT_BOUND)
     config = EngineConfig(routes=("quotient-lift", "buddy-swap"), graph_id=inst.id)
     cert = find_semiregular(inst.graph, inst.group, config)
     assert cert.method == "quotient-lift"
     assert cert.trace[0] == (
-        "quotient-lift: normal subgroup of order 625 with 6 orbits; recursing on 6 classes"
+        "quotient-lift: normal subgroup of order 250 with 3 orbits; recursing on 3 classes"
     )
     assert verify_certificate(inst.graph, inst.group, cert) == (True, "")
+
+
+def test_structural_reach_on_the_committed_corpus_configs():
+    # the reach the structural routes keep beyond the default corpus, at
+    # seed 1; the large tier is only parsed here
+    from semireg.cli import _corpus_config
+    from semireg.families import corpus_generate
+
+    paths = (Path(__file__).resolve().parents[1] / "configs").glob("*.json")
+    configs = {path.stem: _corpus_config(str(path)) for path in paths}
+    assert sorted(configs) == ["large-tier", "primes-7-11", "wide-grid"]
+    routes = ("prime-power", "quotient-lift", "buddy-swap")
+    for name, expected_inconclusive, expected_certified in (
+        ("wide-grid", [], 158),
+        ("primes-7-11", ["complete-K15", "bipartite-K1414", "bipartite-K2222"], 30),
+    ):
+        certified, inconclusive = 0, []
+        for inst in corpus_generate(configs[name]):
+            config = EngineConfig(routes=routes, seed=1, graph_id=inst.id)
+            try:
+                cert = find_semiregular(inst.graph, inst.group, config)
+            except InconclusiveError:
+                inconclusive.append(inst.id)
+                continue
+            assert verify_certificate(inst.graph, inst.group, cert) == (True, ""), inst.id
+            certified += 1
+        assert (certified, inconclusive) == (expected_certified, expected_inconclusive), name

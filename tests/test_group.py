@@ -18,7 +18,6 @@ from semireg.group import (
     _prime_order_classes,
     action_on_partition,
     coset_key,
-    derived_series,
     is_prime,
     lift_semiregular,
     minimal_normal_subgroups,
@@ -174,7 +173,7 @@ def test_kernel_and_image_orders_multiply_to_the_group_order(corpus):
             assert bundle.kernel_order == bundle.kernel.order(), inst.id
             count += 1
     # the normal quotients of all 86 groups
-    assert count == 71
+    assert count == 102
 
 
 def test_action_on_partition_rejects_bad_partition(s4):
@@ -733,7 +732,7 @@ def test_normal_quotients_are_normal_with_three_orbits(corpus, structural_pass):
             assert all(normalizes(s, nsub) for s in g.generators)
             assert partition == nsub.orbit_partition() and len(partition) >= 3
             count += 1
-    assert count > 71
+    assert count > 102
 
 
 def test_closure_orbits_without_a_chain_match_the_built_closures(structural_pass):
@@ -747,7 +746,8 @@ def test_closure_orbits_without_a_chain_match_the_built_closures(structural_pass
 
 
 def _s2_wr_s3():
-    """S2 wr S3 on 6 points: its D1 is transitive, its D2 has 3 orbits."""
+    """S2 wr S3 on 6 points: the normal closure of (0 1) is its base group
+    C2^3, with 3 orbits; those of its other generators are transitive."""
     return PermGroup(
         [
             Permutation.from_cycles(6, [(0, 1)]),
@@ -773,13 +773,9 @@ def _s2_wr_s3():
     ],
     ids=["s4", "a5", "c6", "s2-wr-s3", "px-2-3-1"],
 )
-def test_derived_series_and_normal_closures_match_sympy(make_group):
+def test_normal_closures_match_sympy(make_group):
     g = make_group()
     sym_g = _sympy_group(x.images for x in g.generators)
-    series = derived_series(g)
-    assert [d.order() for d in series] == [d.order() for d in sym_g.derived_series()]
-    for d in series[1:]:
-        assert all(normalizes(s, d) for s in g.generators)
     rng = np.random.default_rng(7)
     elements = [*g.generators, *(g.random_element(rng) for _ in range(5))]
     for x in elements:
@@ -792,16 +788,16 @@ def test_derived_series_and_normal_closures_match_sympy(make_group):
             assert all(normalizes(s, closure) for s in g.generators)
 
 
-def test_derived_series_does_not_stop_at_a_transitive_term():
+def test_normal_quotients_are_the_generators_closures(d6):
     from semireg.engine import _normal_quotients
 
-    g = _s2_wr_s3()
-    series = derived_series(g)
-    assert [d.order() for d in series] == [48, 12, 4, 1]
-    assert [len(d.orbit_partition()) for d in series] == [1, 1, 3, 6]
-    assert [(nsub.order(), partition) for nsub, partition in _normal_quotients(g)] == [
-        (4, [[0, 1], [2, 3], [4, 5]])
-    ]
+    def pairs(g):
+        return [(nsub.order(), partition) for nsub, partition in _normal_quotients(g)]
+
+    assert pairs(_s2_wr_s3()) == [(8, [[0, 1], [2, 3], [4, 5]])]
+    # on the hexagon, the centre, the closure of the rotation's cube, is the
+    # only normal subgroup with three orbits
+    assert pairs(d6) == [(2, [[0, 3], [1, 4], [2, 5]])]
 
 
 def test_random_walk_is_numpys_draws():
@@ -849,7 +845,7 @@ def test_chains_built_with_their_known_order_are_unchanged(corpus):
             assert _chain_digest(known._combined) == _chain_digest(plain._combined), inst.id
             combined += 1
     # the normal quotients of all 86 groups
-    assert combined == 71
+    assert combined == 102
 
 
 def test_chain_copy_grows_without_changing_the_original():
