@@ -1,20 +1,19 @@
 """Generator-defined permutation groups.
 
-Stabilizer chains (randomized Schreier-Sims with a deterministic verification
-pass that sifts each Schreier generator once, at level 0 from the group's
-generators alone) support exact orders, membership sifting, point stabilizers
-and element enumeration. One walk lists the elements in two shapes: (rows,
-degree) arrays of bounded size that start at one row, for scans that may stop
-early, or their rows one at a time. All of them also come as one (order,
-degree) array built with a numpy gather per transversal rep, on which powers
-and conjugation act row-wise. The random pre-pass follows a fixed walk read
-off recorded words of numpy's default generator, so building a chain does
-not import ``numpy.random``; only the samplers (direct-search above its
-bound, the Sylow builder) do. On top of those sit induced actions on invariant
-partitions with kernels, normal closures (in polynomial time; their orbits
-need no chain at all), bounded minimal-normal-subgroup enumeration,
-quasiprimitivity classification, a prime-power-degree semiregular element
-finder and coprime lifting of semiregular elements through quotients.
+Stabilizer chains (deterministic Schreier-Sims that sifts each Schreier
+generator once, at level 0 from the group's generators alone) support exact
+orders, membership sifting, point stabilizers and element enumeration. One
+walk lists the elements in two shapes: (rows, degree) arrays of bounded size
+that start at one row, for scans that may stop early, or their rows one at a
+time. All of them also come as one (order, degree) array built with a numpy
+gather per transversal rep, on which powers and conjugation act row-wise.
+Building a chain draws nothing at random; only the samplers (direct-search
+above its bound, the Sylow builder) import ``numpy.random``. On top of those
+sit induced actions on invariant partitions with kernels, normal closures (in
+polynomial time; their orbits need no chain at all), bounded
+minimal-normal-subgroup enumeration, quasiprimitivity classification, a
+prime-power-degree semiregular element finder and coprime lifting of
+semiregular elements through quotients.
 
 Full enumeration stops at the fixed ``DEFAULT_BOUND`` elements, and the
 minimal-normal-subgroup search at its caller's bound, each with a loud
@@ -26,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +35,6 @@ from .perm import Permutation, identity_images, inverse_images, is_identity_imag
 _INT = np.int64
 
 DEFAULT_BOUND = 100_000
-
-_RANDOM_ROUNDS = 30
 
 # most entries (rows x degree) of a block of StabilizerChain.element_blocks
 _BLOCK_CELLS = 1 << 18
@@ -160,53 +157,13 @@ def _element_blocks(levels: list[_Level], n: int):
             yield table[a : a + chunk].take(h, axis=1)
 
 
-# The first 60 32-bit words of ``np.random.default_rng(0)``, the stream
-# from which its ``integers(k)`` draws come: a PCG64 output's low half, then
-# its high half. To record them again:
-#     raw = np.random.default_rng(0).bit_generator.random_raw(30).tolist()
-#     [half for r in raw for half in (r & 0xFFFFFFFF, r >> 32)]
-_RANDOM_WORDS = (
-    3653403231, 2735729615, 2195314465, 1158725112, 1322117304, 175979945,
-    323153949, 70985654, 752767291, 3492969080, 2789219406, 3920255353,
-    2163061375, 2605480817, 4169308741, 3133163871, 2715582399, 2334851559,
-    2404827117, 4016105479, 1191196492, 3504064333, 2881392816, 11761768,
-    1692857840, 3682523327, 2380764447, 144248947, 3285177209, 3133846279,
-    3636012966, 754435145, 383483662, 3707325242, 94927150, 2325558233,
-    345313848, 1287252768, 2066142961, 1815427791, 1731896076, 121632061,
-    22989416, 533792608, 35580840, 2880309929, 2257511099, 2779657786,
-    1105094193, 2643058928, 3281590885, 1647882547, 1979643162, 4282984061,
-    3457402175, 4212655702, 1630040365, 2944380403, 4080649790, 2793701318,
-)
-
-
-@cache
-def _random_walk(k: int) -> tuple[tuple[int, int], ...]:
-    """The steps of the fixed random walk of ``StabilizerChain._random_boost``
-    over k generators: a generator index and 1 to take its inverse, else 0.
-
-    Each round draws ``integers(k)``, then ``integers(2)``, the way
-    ``np.random.default_rng(0)`` does, without importing ``numpy.random``:
-    numpy maps a 32-bit word w to ``(w * k) >> 32`` (Lemire's method), and
-    ``integers(1)`` is 0 and takes no word. Lemire's method also rejects a
-    word whose low product bits fall below 2^32 mod k; none of
-    ``_RANDOM_WORDS`` is rejected for k below 15,451, so up to there the
-    walk is numpy's. Beyond it the walk is still fixed, and the chain is
-    still verified by ``_schreier_sims``.
-    """
-    words = iter(_RANDOM_WORDS)
-    return tuple(
-        (0 if k == 1 else next(words) * k >> 32, next(words) * 2 >> 32)
-        for _ in range(_RANDOM_ROUNDS)
-    )
-
-
 class StabilizerChain:
     """Base, strong generators and transversals for a permutation group.
 
     The base extension rule is "smallest moved point first" (after any caller
-    supplied prefix), and the random pre-pass has a fixed seed, so chains
-    are deterministic. A level's transversal only grows: a point keeps the
-    rep it was first given, which lets verification skip every Schreier
+    supplied prefix), and no step draws at random, so chains are
+    deterministic. A level's transversal only grows: a point keeps the rep
+    it was first given, which lets verification skip every Schreier
     generator that has sifted once (``_schreier_sims``).
 
     The inner loops take one Python step per orbit point or Schreier
@@ -243,7 +200,6 @@ class StabilizerChain:
         self._given = [g for g, _, _ in self._strong]
         for lv_index in range(len(self.levels)):
             self._rebuild_level(lv_index)
-        self._random_boost([(g, inv) for g, inv, _ in self._strong])
         self._schreier_sims(len(self.levels) - 1, order)
 
     def extend_all(self, arrs) -> list[np.ndarray]:
@@ -371,28 +327,6 @@ class StabilizerChain:
             g = pair[1][g]
         return g
 
-    def _random_boost(self, gens: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Seeded random walk; sifting residues pre-populates strong gens.
-
-        Each residue of depth d joins the generators of levels 0..d. Before
-        the next sift every level from d on is current again: ``fresh`` is
-        the depth of the previous residue (at first the level count), the
-        levels from it on are current already, and levels d up to it are
-        extended. The shallower levels wait for ``_schreier_sims``.
-        """
-        if not gens:
-            return
-        w = np.arange(self.degree, dtype=_INT)
-        fresh = len(self.levels)
-        for index, side in _random_walk(len(gens)):
-            w = gens[index][side][w]
-            residue = self._sift(w)
-            if not is_identity_images(residue):
-                depth = self._add_strong(residue)
-                for lv_index in range(depth, max(fresh, depth + 1)):
-                    self._rebuild_level(lv_index)
-                fresh = depth
-
     def _schreier_sims(self, start: int, order: int | None = None) -> None:
         """Deterministic verification of levels ``start`` down to 0, given
         that the deeper levels are complete: every Schreier generator must
@@ -517,8 +451,8 @@ class StabilizerChain:
         """Uniformly random element (exact, via transversal products)."""
         acc = np.arange(self.degree, dtype=_INT)
         for lv in reversed(self.levels):
-            keys = sorted(lv.transversal)
-            rep = lv.transversal[keys[int(rng.integers(len(keys)))]][0]
+            orbit = lv.orbit()
+            rep = lv.transversal[orbit.item(int(rng.integers(len(orbit))))][0]
             acc = _compose(acc, rep)
         return acc
 

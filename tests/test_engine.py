@@ -556,7 +556,7 @@ GOLDEN_ROUTE_SETTINGS = (
     ALL_ROUTES,
 )
 GOLDEN_CERTIFICATES_SHA256 = (
-    "b5eef0103f9eb6f60563f8bf2ea461bafe392c6943e94d950fe3fc3cd96c95eb"
+    "1be8c08a68cf95ad0198a67fdb65343b1352b77cab1b71de6d6931ba2211d7b0"
 )
 
 
