@@ -8,15 +8,17 @@ its reason (from ``REASONS``, or "no test fails" for a new survivor), and
 the first test that failed for each killed one. The working tree is never
 edited. Tier-1 does not collect this file. Run it from the repository root:
 
-    python tests/mutants.py [--jobs 2] [--work DIR]
+    python tests/mutants.py
 
-It exits 1 when the unmutated copy fails tier-1, since no mutant is then
-measured, and when a survivor has no entry in ``REASONS``.
+It runs one copy per core, at most 4, in a temporary directory. It exits
+1 when the unmutated copy fails tier-1, since no mutant is then measured,
+and when a survivor has no entry in ``REASONS``. A tier-1 test in
+``tests/test_hygiene.py`` checks that every guard listed here is still in
+the source; the sweep leaves that one test out, as no mutant passes it.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import os
@@ -30,7 +32,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "tests" / "mutants.json"
-TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+# tier-1 but for the check that each listed guard is in the source, which
+# no mutant passes
+TIER1 = [
+    "-m",
+    "pytest",
+    "-x",
+    "-q",
+    "-p",
+    "no:cacheprovider",
+    "--continue-on-collection-errors",
+    "--deselect",
+    "tests/test_hygiene.py::test_every_guard_of_the_mutation_sweep_is_in_the_source",
+]
 # a surviving mutant costs one whole tier-1 run
 TIMEOUT_S = 1200
 
@@ -116,22 +130,29 @@ def mutant_id(module: str, function: str, condition: str) -> str:
 def mutate(source: str, function: str, condition: str) -> str:
     """``source`` with the condition of the one ``if`` or ``elif`` in
     ``function`` whose test reads ``condition`` replaced by ``False``."""
-    tree = ast.parse(source)
+    data = source.encode()
+    # ast offsets count UTF-8 bytes within a line
+    line_starts = [0]
+    for line in data.splitlines(keepends=True):
+        line_starts.append(line_starts[-1] + len(line))
+
+    def span(node: ast.expr) -> tuple[int, int]:
+        return (
+            line_starts[node.lineno - 1] + node.col_offset,
+            line_starts[node.end_lineno - 1] + node.end_col_offset,
+        )
+
     found = [
-        node.test
-        for fn in ast.walk(tree)
+        span(node.test)
+        for fn in ast.walk(ast.parse(source))
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == function
         for node in ast.walk(fn)
-        if isinstance(node, ast.If) and ast.get_source_segment(source, node.test) == condition
+        if isinstance(node, ast.If)
     ]
+    found = [(a, b) for a, b in found if data[a:b] == condition.encode()]
     if len(found) != 1:
         raise LookupError(f"{function}: {len(found)} guards read {condition!r}")
-    test = found[0]
-    # ast offsets count UTF-8 bytes within a line
-    lines = source.encode().splitlines(keepends=True)
-    start = sum(map(len, lines[: test.lineno - 1])) + test.col_offset
-    end = sum(map(len, lines[: test.end_lineno - 1])) + test.end_col_offset
-    data = source.encode()
+    start, end = found[0]
     return (data[:start] + b"False" + data[end:]).decode()
 
 
@@ -182,18 +203,13 @@ def sweep(copies: list[Path]) -> dict[str, tuple[str, str | None]]:
     return results
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=1, choices=(1, 2, 3, 4))
-    parser.add_argument("--work", type=Path, help="where the copies go (default: a temporary directory)")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     # every guard must be found before anything runs
     for module, function, condition in MUTANTS:
         mutate((ROOT / "src" / "semireg" / module).read_text(), function, condition)
-    work = Path(tempfile.mkdtemp(prefix="semireg-mutants-", dir=args.work))
+    work = Path(tempfile.mkdtemp(prefix="semireg-mutants-"))
     try:
-        copies = [copy_repo(work / f"repo{k}") for k in range(args.jobs)]
+        copies = [copy_repo(work / f"repo{k}") for k in range(min(4, os.cpu_count() or 1))]
         status, first = run_tier1(copies[0])
         if status != "passed":
             print(f"tier-1 fails without a mutant ({status}: {first})", file=sys.stderr)

@@ -388,3 +388,17 @@ def test_every_kernel_has_a_package_caller():
     package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     kernels = package.pop("_kernels.py")
     assert kernels_without_package_caller(kernels, package) == []
+
+
+def test_every_guard_of_the_mutation_sweep_is_in_the_source():
+    # a rewritten guard must be renamed in tests/mutants.py with it, or the
+    # sweep stops before it runs
+    import mutants
+
+    sources = {module: (PACKAGE / module).read_text() for module, _, _ in mutants.MUTANTS}
+    ids = set()
+    for module, function, condition in mutants.MUTANTS:
+        assert mutants.mutate(sources[module], function, condition) != sources[module]
+        ids.add(mutants.mutant_id(module, function, condition))
+    assert len(ids) == len(mutants.MUTANTS)
+    assert set(mutants.REASONS) <= ids
