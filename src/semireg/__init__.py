@@ -27,7 +27,6 @@ from .group import (
     lift_semiregular,
     minimal_normal_subgroups,
     semiregular_of_prime_power_degree,
-    transitivity_class,
 )
 from .graphs import (
     CosetGraphBundle,

@@ -11,13 +11,12 @@ Building a chain draws nothing at random; only the samplers (direct-search
 above its bound, the Sylow builder) import ``numpy.random``. On top of those
 sit induced actions on invariant partitions with kernels, normal closures (in
 polynomial time; their orbits need no chain at all), bounded
-minimal-normal-subgroup enumeration, quasiprimitivity classification, a
-prime-power-degree semiregular element finder and coprime lifting of
-semiregular elements through quotients.
+minimal-normal-subgroup enumeration, a prime-power-degree semiregular element
+finder and coprime lifting of semiregular elements through quotients.
 
-Full enumeration stops at the fixed ``DEFAULT_BOUND`` elements, and the
-minimal-normal-subgroup search at its caller's bound, each with a loud
-``BoundExceededError``; group orders are exact Python integers throughout.
+Full enumeration, the minimal-normal-subgroup search included, stops at the
+fixed ``DEFAULT_BOUND`` elements with a loud ``BoundExceededError``; group
+orders are exact Python integers throughout.
 """
 
 from __future__ import annotations
@@ -858,9 +857,10 @@ def _prime_order_classes(g: PermGroup):
     return elements, classes
 
 
-def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[PermGroup]:
+def minimal_normal_subgroups(g: PermGroup) -> list[PermGroup]:
     """All minimal normal subgroups of ``g``, ordered by order, then by the
-    position of their first nontrivial element in ``iter_elements`` order.
+    position of their first element of prime order in ``iter_elements``
+    order.
 
     A minimal normal subgroup is the normal closure of any one of its
     nontrivial elements, and like every nontrivial group it has an element
@@ -884,13 +884,16 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
       sifted through that chain: one that sifts to the identity is a
       product of elements of N, and N is dropped unverified.
 
+    The classes, and so the closures of equal size, come in the order of
+    their first elements.
+
     The result is stored on ``g``, so later calls on the same group return
     it without recomputing; every call raises ``BoundExceededError`` when
-    |G| > ``bound``.
+    |G| > ``DEFAULT_BOUND``, as every other enumeration does.
     """
     order = g.order()
-    if order > bound:
-        raise BoundExceededError(f"order {order} exceeds bound {bound}")
+    if order > DEFAULT_BOUND:
+        raise BoundExceededError(f"order {order} exceeds bound {DEFAULT_BOUND}")
     if g._minimal_normal is not None:
         return list(g._minimal_normal)
     n = g.degree
@@ -918,32 +921,14 @@ def minimal_normal_subgroups(g: PermGroup, bound: int = DEFAULT_BOUND) -> list[P
         chain._schreier_sims(deepest)
         closures.append((chain.order, sel, chain, int(cls[0])))
     closures.sort(key=lambda t: t[0])
-    minimal = []
-    for order, sel, chain, first in closures:
+    result = []
+    for _, sel, chain, _ in closures:
         # a smaller minimal normal subgroup inside this closure, or an
         # earlier copy of it, sorts before it and has been kept. A kept one is
-        # the normal closure of its first element and this closure is normal,
-        # so it lies inside exactly when that one element does
-        if any(chain.contains_array(kept[0]) for _, _, kept, _ in minimal):
+        # the normal closure of its first generator and this closure is
+        # normal, so it lies inside exactly when that one element does
+        if any(chain.contains_array(kept.generators[0].images) for kept in result):
             continue
-        if len(prime_factors(order)) > 1:
-            # ``first`` is its first element of prime order. One of
-            # prime-power order is elementary abelian, so that is its first
-            # nontrivial element; this one is not, and an element of
-            # composite order may come before it.
-            first = next(
-                (
-                    i
-                    for i in range(first)
-                    if not is_identity_images(elements[i])
-                    and chain.contains_array(elements[i])
-                ),
-                first,
-            )
-        minimal.append((order, first, sel, chain))
-    minimal.sort(key=lambda t: t[:2])
-    result = []
-    for _, _, sel, chain in minimal:
         m = PermGroup([Permutation._wrap(a.copy()) for a in sel], n)
         m._chain = chain
         result.append(m)
@@ -1016,25 +1001,6 @@ def normal_closure_orbits(g: PermGroup, y: np.ndarray) -> list[list[int]]:
     for v in range(n):
         blocks.setdefault(root(v), []).append(v)
     return list(blocks.values())
-
-
-def transitivity_class(g: PermGroup) -> str:
-    """One of intransitive / quasiprimitive / biquasiprimitive / neither.
-
-    Quasiprimitive: every nontrivial normal subgroup is transitive.
-    Biquasiprimitive: not quasiprimitive, but every nontrivial normal
-    subgroup has at most two orbits. Both reduce to the minimal normal
-    subgroups, since orbits only coarsen when the subgroup grows.
-    """
-    if not g.is_transitive():
-        return "intransitive"
-    mins = minimal_normal_subgroups(g)
-    orbit_counts = [len(n.orbit_partition()) for n in mins]
-    if all(c == 1 for c in orbit_counts):
-        return "quasiprimitive"
-    if all(c <= 2 for c in orbit_counts):
-        return "biquasiprimitive"
-    return "neither"
 
 
 # -- semiregular element machinery ----------------------------------------
@@ -1126,16 +1092,16 @@ def semiregular_of_prime_power_degree(g: PermGroup, *, seed: int = 0) -> Permuta
     return result
 
 
-def lift_semiregular(
-    bundle: ActionBundle, source: PermGroup, image_element: Permutation, r: int
-) -> Permutation:
+def lift_semiregular(bundle: ActionBundle, image_element: Permutation, r: int) -> Permutation:
     """Lift a semiregular image element of prime order r coprime to the kernel.
 
-    Takes a preimage g. Its power g^r lies in the kernel, whose order is
-    coprime to r, so |g| = r * m with m coprime to r, and x = g^m has order r
-    and maps to a generator of the image element's cyclic group. That x is
-    semiregular by the coprime lifting lemma (if x^i fixes a point it fixes
-    that point's class, forcing r | i), so it is the one power computed.
+    Takes a preimage g in the acting group (``ActionBundle.preimage`` raises
+    ``PreconditionError`` outside the image group). Its power g^r lies in the
+    kernel, whose order is coprime to r, so |g| = r * m with m coprime to r,
+    and x = g^m has order r and maps to image_element^m, which generates the
+    image element's cyclic group. That x is semiregular by the coprime
+    lifting lemma (if x^i fixes a point it fixes that point's class, forcing
+    r | i), so nothing is checked after it.
     """
     if not is_prime(r):
         raise PreconditionError(f"r={r} is not prime")
@@ -1143,21 +1109,9 @@ def lift_semiregular(
         raise PreconditionError("image element does not have order r")
     if not image_element.is_semiregular():
         raise PreconditionError("image element is not semiregular")
-    if not bundle.image_group.contains(image_element):
-        raise PreconditionError("image element is not in the image group")
     k_order = bundle.kernel_order
     if math.gcd(r, k_order) != 1:
         raise PreconditionError(f"r={r} is not coprime to |kernel|={k_order}")
 
     g = bundle.preimage(image_element)
-    m = g.order() // r
-    x = g ** m
-    if not x.is_semiregular():
-        raise RuntimeError(
-            "g^m is not semiregular; contradicts the coprime lifting lemma"
-        )
-    if bundle.image_of(x) != image_element ** m:
-        raise RuntimeError("lift image inconsistent (internal error)")
-    if not source.contains(x):
-        raise RuntimeError("lift left the source group (internal error)")
-    return x
+    return g ** (g.order() // r)

@@ -18,13 +18,6 @@ def compose_t(a: tuple, b: tuple) -> tuple:
     return tuple(b[a[i]] for i in range(len(a)))
 
 
-def inverse_t(a: tuple) -> tuple:
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
-
-
 def cycle_lengths_t(a: tuple) -> list[int]:
     """Cycle lengths by pointer chasing, fixed points included."""
     seen = [False] * len(a)
@@ -92,80 +85,6 @@ def orbits_t(gens: list[tuple], n: int) -> list[frozenset]:
         seen |= orb
         parts.append(orb)
     return parts
-
-
-def all_normal_subgroups_t(gens: list[tuple]) -> list[frozenset]:
-    """Every normal subgroup as a frozenset of elements (brute force).
-
-    Normal closures of single elements are the atoms; arbitrary normal
-    subgroups are joins of atoms, so closing the atom set under pairwise
-    join yields the whole lattice. Conjugate elements have the same normal
-    closure, the closure of their class, so each class is closed once.
-    """
-    elements = closure_t(gens)
-    n = len(gens[0])
-    ident = tuple(range(n))
-
-    gen_invs = [inverse_t(g) for g in gens]
-
-    def conjugacy_class(x) -> set:
-        # closing under conjugation by the generators closes under the whole
-        # group: in a finite group every inverse is a positive power
-        cls = {x}
-        work = [x]
-        while work:
-            x = work.pop()
-            for g, g_inv in zip(gens, gen_invs):
-                y = compose_t(compose_t(g_inv, x), g)
-                if y not in cls:
-                    cls.add(y)
-                    work.append(y)
-        return cls
-
-    atoms = set()
-    seen = {ident}
-    for x in elements:
-        if x not in seen:
-            cls = conjugacy_class(x)
-            seen |= cls
-            # the normal closure: the class closed under multiplication
-            atoms.add(frozenset(closure_t(sorted(cls))))
-    lattice = set(atoms)
-    lattice.add(frozenset({ident}))
-    frontier = set(atoms)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in atoms:
-                joined = frozenset(closure_t(sorted(a | b)))
-                if joined not in lattice:
-                    lattice.add(joined)
-                    new.add(joined)
-        frontier = new
-    return sorted(lattice, key=len)
-
-
-def transitivity_class_t(gens: list[tuple], n: int) -> str:
-    """Classification by definition over the full normal subgroup lattice."""
-    if orbit_t(gens, 0) != set(range(n)):
-        return "intransitive"
-    ident = tuple(range(n))
-    quasi = True
-    biquasi = True
-    for sub in all_normal_subgroups_t(gens):
-        if sub == {ident}:
-            continue
-        sub_gens = sorted(sub)
-        count = len(orbits_t(sub_gens, n))
-        if count > 1:
-            quasi = False
-        if count > 2:
-            biquasi = False
-    if quasi:
-        return "quasiprimitive"
-    if biquasi:
-        return "biquasiprimitive"
-    return "neither"
 
 
 def is_automorphism_t(edges: set[frozenset], a: tuple) -> bool:
@@ -280,10 +199,11 @@ def random_group_t(rng, max_degree: int, max_order: int):
 
 def minimal_normal_subgroups_all_closures(g):
     """``group.minimal_normal_subgroups`` as it was before closures were
-    dropped unverified: every closure is verified, then one sorted pass
-    keeps each that contains none kept before it. No result is stored on
-    ``g``. Returns the kept subgroups' generators as lists of image arrays."""
-    from semireg.group import StabilizerChain, _prime_order_classes, _row_keys, prime_factors
+    dropped unverified: every closure is verified, then one pass in order of
+    size (a stable sort) keeps each that contains none kept before it. No
+    result is stored on ``g``. Returns the kept subgroups' generators as
+    lists of image arrays."""
+    from semireg.group import StabilizerChain, _prime_order_classes, _row_keys
     from semireg.perm import is_identity_images
 
     n = g.degree
@@ -301,25 +221,13 @@ def minimal_normal_subgroups_all_closures(g):
             continue
         chain = StabilizerChain([], n)
         sel = chain.extend_all(elements[cls])
-        closures.append((chain.order, sel, chain, int(cls[0])))
+        closures.append((chain.order, sel, chain))
     closures.sort(key=lambda t: t[0])
     minimal = []
-    for order, sel, chain, first in closures:
-        if any(chain.contains_array(kept[0]) for _, _, kept in minimal):
-            continue
-        if len(prime_factors(order)) > 1:
-            first = next(
-                (
-                    i
-                    for i in range(first)
-                    if not is_identity_images(elements[i])
-                    and chain.contains_array(elements[i])
-                ),
-                first,
-            )
-        minimal.append((order, first, sel))
-    minimal.sort(key=lambda t: t[:2])
-    return [sel for _, _, sel in minimal]
+    for _, sel, chain in closures:
+        if not any(chain.contains_array(kept[0]) for kept in minimal):
+            minimal.append(sel)
+    return minimal
 
 
 def semiregular_per_element(grp):

@@ -95,6 +95,14 @@ def test_verify_certificate_rejections():
         assert verify_certificate(graph, group, cert) == (False, reason), name
 
 
+def test_find_raises_on_a_certificate_that_fails_verification(monkeypatch):
+    # find_semiregular re-checks what the search yields before returning it
+    graph, group, cert, reason = forgeries()["not-semiregular"]
+    monkeypatch.setattr(engine, "_search", lambda *args, **kwargs: iter([cert]))
+    with pytest.raises(RuntimeError, match=f"certificate failed verification: {reason}"):
+        find_semiregular(graph, group)
+
+
 def test_find_on_c6_d6(d6):
     cert = find_semiregular(cycle_graph(6), d6)
     assert cert.method == "direct-search"
@@ -391,9 +399,9 @@ def test_neighbour_orbit_sizes_against_per_neighbour_orbits(corpus):
 
     seen = 0
     for inst in corpus:
-        if inst.group.order() > engine.NORMAL_BOUND:
+        if inst.group.order() > engine.DEFAULT_BOUND:
             continue
-        for m_sub in minimal_normal_subgroups(inst.group, engine.NORMAL_BOUND):
+        for m_sub in minimal_normal_subgroups(inst.group):
             stab = m_sub.point_stabilizer(0)
             gens = [tuple(x.images.tolist()) for x in stab.generators]
             expected = (
@@ -675,7 +683,7 @@ def test_structural_verdict_does_not_depend_on_vertex_labels(golden_certificates
 # hash only with a change that means to alter reports, and say so in
 # CHANGES.md.
 GOLDEN_REPORTS_SHA256 = (
-    "8bee3be59933348626daa81dfe946a7ab575e9962dc01ace5bafebbf08dc9c75"
+    "4459470ad30532bf6532b2fb7bd47b835ee4e743fbcde225216e1773aa201aab"
 )
 
 
@@ -714,10 +722,10 @@ def test_route_order_does_not_change_the_certificate(corpus):
 
 
 def test_px_p5_r6_s1_gets_a_verified_quotient_lift_certificate(corpus):
-    # |G| is above both enumeration bounds; the normal quotients come from
+    # |G| is above the enumeration bound; the normal quotients come from
     # normal closures, which enumerate nothing
     (inst,) = [inst for inst in corpus if inst.id == "px-p5-r6-s1"]
-    assert inst.group.order() == 187_500 > max(engine.NORMAL_BOUND, engine.DEFAULT_BOUND)
+    assert inst.group.order() == 187_500 > engine.DEFAULT_BOUND
     config = EngineConfig(routes=("quotient-lift", "buddy-swap"), graph_id=inst.id)
     cert = find_semiregular(inst.graph, inst.group, config)
     assert cert.method == "quotient-lift"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from semireg import group as group_module
-from semireg.engine import NORMAL_BOUND
 from semireg.perm import Permutation
 from semireg.group import (
     DEFAULT_BOUND,
@@ -26,7 +25,6 @@ from semireg.group import (
     normalizes,
     prime_factors,
     semiregular_of_prime_power_degree,
-    transitivity_class,
 )
 from semireg.families import (
     complete_bipartite_instance,
@@ -44,7 +42,6 @@ from oracles import (
     orbit_t,
     orbits_t,
     random_group_t,
-    transitivity_class_t,
 )
 
 
@@ -213,30 +210,6 @@ def test_minimal_normal_subgroups_a5_and_c6(a5, c6_regular):
     assert sorted(m.order() for m in minimal_normal_subgroups(c6_regular)) == [2, 3]
 
 
-def test_transitivity_class_examples(c6_regular):
-    c5 = PermGroup([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
-    assert transitivity_class(c5) == "quasiprimitive"
-    d4 = PermGroup(
-        [Permutation.from_cycles(4, [(0, 1, 2, 3)]), Permutation.from_cycles(4, [(1, 3)])]
-    )
-    assert transitivity_class(d4) == "biquasiprimitive"
-    assert transitivity_class(c6_regular) == "neither"
-    two_orbits = PermGroup([Permutation.from_cycles(4, [(0, 1), (2, 3)])])
-    assert transitivity_class(two_orbits) == "intransitive"
-
-
-def test_transitivity_class_against_brute_oracle():
-    rng = random.Random(99)
-    checked = 0
-    while checked < 12:
-        n, gens, elements = random_group_t(rng, 7, 2000)
-        if len(elements) > 400:
-            continue
-        grp = PermGroup([Permutation(list(g)) for g in gens], n)
-        assert transitivity_class(grp) == transitivity_class_t(gens, n)
-        checked += 1
-
-
 @pytest.mark.parametrize(
     "make_group", [lambda: psl2_action(5), lambda: pgl2_action(7)], ids=["psl2-5", "pgl2-7"]
 )
@@ -333,7 +306,7 @@ def test_semiregular_prime_power_degree_rejects_bad_inputs(s4, c6_regular):
 def test_lift_semiregular_c6(c6_regular):
     bundle = action_on_partition(c6_regular, [[0, 3], [1, 4], [2, 5]])
     image_gen = bundle.image_group.generators[0]
-    x = lift_semiregular(bundle, c6_regular, image_gen, 3)
+    x = lift_semiregular(bundle, image_gen, 3)
     assert x.order() == 3 and x.is_semiregular()
     assert x == Permutation.from_cycles(6, [(0, 2, 4), (1, 3, 5)])
 
@@ -343,7 +316,7 @@ def test_lift_semiregular_trivial_kernel(c6_regular):
     assert bundle.kernel.is_trivial()
     el = Permutation.from_cycles(6, [(0, 2, 4), (1, 3, 5)])
     img = bundle.image_of(el)
-    x = lift_semiregular(bundle, c6_regular, img, 3)
+    x = lift_semiregular(bundle, img, 3)
     assert x == el  # the unique preimage itself
     assert x.order() == 3 and x.is_semiregular()
 
@@ -357,7 +330,7 @@ def test_lift_semiregular_c2_x_c3():
     bundle = action_on_partition(grp, [[0, 3], [1, 4], [2, 5]])
     assert bundle.kernel.order() == 2
     img = bundle.image_of(rot)
-    x = lift_semiregular(bundle, grp, img, 3)
+    x = lift_semiregular(bundle, img, 3)
     assert x == rot
     assert x.order() == 3 and x.is_semiregular()
 
@@ -366,16 +339,24 @@ def test_lift_preconditions(c6_regular):
     bundle = action_on_partition(c6_regular, [[0, 3], [1, 4], [2, 5]])
     image_gen = bundle.image_group.generators[0]
     with pytest.raises(PreconditionError, match="not prime"):
-        lift_semiregular(bundle, c6_regular, image_gen, 4)
+        lift_semiregular(bundle, image_gen, 4)
     with pytest.raises(PreconditionError, match="order r"):
-        lift_semiregular(bundle, c6_regular, Permutation.identity(3), 3)
+        lift_semiregular(bundle, Permutation.identity(3), 3)
     # coprimality: C4 over its half-turn has kernel order 2 and image order 2
     c4 = PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)])])
     bundle2 = action_on_partition(c4, [[0, 2], [1, 3]])
     assert bundle2.kernel.order() == 2
     img2 = bundle2.image_group.generators[0]
     with pytest.raises(PreconditionError, match="coprime"):
-        lift_semiregular(bundle2, c4, img2, 2)
+        lift_semiregular(bundle2, img2, 2)
+    # C10 on the pairs {i, i + 5} acts as C5, which holds 4 of the 24
+    # 5-cycles; ActionBundle.preimage refuses the others
+    c10 = PermGroup([Permutation.from_cycles(10, [tuple(range(10))])])
+    bundle3 = action_on_partition(c10, [[i, i + 5] for i in range(5)])
+    outside = Permutation.from_cycles(5, [(0, 2, 1, 3, 4)])
+    assert not bundle3.image_group.contains(outside)
+    with pytest.raises(PreconditionError, match="not in the image group"):
+        lift_semiregular(bundle3, outside, 5)
 
 
 def test_lift_refuses_an_image_element_that_is_not_semiregular(d6):
@@ -384,7 +365,7 @@ def test_lift_refuses_an_image_element_that_is_not_semiregular(d6):
     # that check comes later
     bundle = action_on_partition(d6, [[0, 3], [1, 4], [2, 5]])
     with pytest.raises(PreconditionError, match="not semiregular"):
-        lift_semiregular(bundle, d6, Permutation.from_cycles(3, [(1, 2)]), 2)
+        lift_semiregular(bundle, Permutation.from_cycles(3, [(1, 2)]), 2)
 
 
 def test_chain_orders_for_random_groups_match_brute():
@@ -563,8 +544,10 @@ def test_minimal_normal_subgroups_stored_per_group(monkeypatch):
     second = minimal_normal_subgroups(g)
     assert builds == []
     assert [m.generators for m in second] == [m.generators for m in first]
+    s9 = symmetric_group(9)
+    assert s9.order() > DEFAULT_BOUND
     with pytest.raises(BoundExceededError):
-        minimal_normal_subgroups(g, bound=g.order() - 1)
+        minimal_normal_subgroups(s9)
     # a new group with the same generators computes afresh
     assert [m.order() for m in minimal_normal_subgroups(PermGroup(g.generators))] == [
         m.order() for m in first
@@ -674,17 +657,17 @@ def test_minimal_normal_subgroups_match_the_all_closures_oracle(corpus, structur
     from oracles import minimal_normal_subgroups_all_closures
 
     groups = {}
-    for g in [inst.group for inst in corpus if inst.group.order() <= NORMAL_BOUND]:
+    for g in [inst.group for inst in corpus if inst.group.order() <= DEFAULT_BOUND]:
         groups.setdefault(g.gen_arrays().tobytes(), g)
     in_corpus = len(groups)
     for g in structural_pass[0]:
-        if g.order() <= NORMAL_BOUND:
+        if g.order() <= DEFAULT_BOUND:
             groups.setdefault(g.gen_arrays().tobytes(), g)
     # the pass reaches quotient images that are not corpus groups
     assert len(groups) > in_corpus
     for g in groups.values():
         fresh = PermGroup(g.generators)
-        ours = minimal_normal_subgroups(fresh, NORMAL_BOUND)
+        ours = minimal_normal_subgroups(fresh)
         theirs = minimal_normal_subgroups_all_closures(PermGroup(g.generators))
         assert [[x.images.tobytes() for x in m.generators] for m in ours] == [
             [a.tobytes() for a in sel] for sel in theirs
@@ -1109,7 +1092,8 @@ def test_extend_all_matches_fresh_chains_and_sympy(make_group):
 
 # PSL(2,7) x PSL(2,7) on 7 + 7 points, from three random elements, its
 # points relabelled so that the first nontrivial element of the chain's
-# enumeration lying in a minimal normal subgroup has composite order
+# enumeration lying in a minimal normal subgroup has composite order, and
+# the subgroups' first elements of prime order come in the other order
 _PSL27_SQUARED = [
     [4, 1, 5, 11, 7, 12, 8, 0, 9, 6, 3, 10, 2, 13],
     [11, 2, 12, 7, 3, 6, 1, 4, 9, 5, 10, 13, 8, 0],
@@ -1118,14 +1102,14 @@ _PSL27_SQUARED = [
 
 
 def test_minimal_normal_subgroups_ties_by_first_element():
-    # The two minimal normal subgroups sort by their first nontrivial
-    # element in enumeration order. Here that element has composite order
-    # and lies in the subgroup whose first element of prime order comes
-    # later, so sorting by the first element of prime order would differ.
-    # Whether it does depends on the chain's reps: a change to chains may
-    # need new generators here
+    # The two minimal normal subgroups sort by their first element of prime
+    # order in enumeration order, the order their classes come in. Here the
+    # first nontrivial element has composite order and lies in the
+    # subgroup whose first element of prime order comes later, so sorting
+    # by the first nontrivial element would differ. Whether it does depends
+    # on the chain's reps: a change to chains may need new generators here
     g = PermGroup([Permutation(x) for x in _PSL27_SQUARED])
-    mins = minimal_normal_subgroups(g, g.order())
+    mins = minimal_normal_subgroups(g)
     assert g.order() == 168**2
     assert [m.order() for m in mins] == [168, 168]
     elements = g.chain().element_array()
@@ -1136,9 +1120,9 @@ def test_minimal_normal_subgroups_ties_by_first_element():
         members = [i for i, x in enumerate(elements) if x.tobytes() in inside]
         firsts.append(members[0])
         prime_firsts.append(next(i for i in members if is_prime(Permutation(elements[i]).order())))
-    assert firsts == sorted(firsts)
-    assert prime_firsts != sorted(prime_firsts)
-    assert not is_prime(Permutation(elements[firsts[0]]).order())
+    assert prime_firsts == sorted(prime_firsts)
+    assert firsts != sorted(firsts)
+    assert not is_prime(Permutation(elements[min(firsts)]).order())
     sym_g = _sympy_group(_PSL27_SQUARED)
     assert all(_sympy_group(x.images for x in m.generators).is_normal(sym_g) for m in mins)
 
@@ -1146,10 +1130,10 @@ def test_minimal_normal_subgroups_ties_by_first_element():
 # every default-corpus chain: its base, its strong generators in order, each
 # level's transversal keys in insertion order with their reps, then the
 # generators of the minimal normal subgroups of each group of order at most
-# NORMAL_BOUND. Update this hash only with a change that means to alter
+# DEFAULT_BOUND. Update this hash only with a change that means to alter
 # chains, and say so in CHANGES.md.
 GOLDEN_CHAINS_SHA256 = (
-    "931d1ae400aa0b13de2c9654103e83b90b471e889b2aee7c8ad3053c7bed1d76"
+    "d330d9293e8db3178b1a10d3e34675e1b694aaac2252cda46eaf1f0ccadcacfa"
 )
 
 
@@ -1165,8 +1149,8 @@ def test_golden_chains_on_corpus(corpus):
             digest.update(repr(list(lv.transversal)).encode())
             for rep, _ in lv.transversal.values():
                 digest.update(rep.tobytes())
-        if inst.group.order() <= NORMAL_BOUND:
-            for m in minimal_normal_subgroups(inst.group, NORMAL_BOUND):
+        if inst.group.order() <= DEFAULT_BOUND:
+            for m in minimal_normal_subgroups(inst.group):
                 digest.update(repr(len(m.generators)).encode())
                 for x in m.generators:
                     digest.update(x.images.tobytes())

@@ -390,9 +390,54 @@ def test_every_kernel_has_a_package_caller():
     assert kernels_without_package_caller(kernels, package) == []
 
 
+def unlisted_guards(sources: dict[str, str], swept, selectors) -> list[str]:
+    """The ``if`` and ``elif`` conditions, as written, in the functions that
+    ``swept`` names, that neither ``swept`` nor ``selectors`` holds, as
+    ``module.function: condition``. Both hold (module, function, condition)
+    triples, and ``sources`` maps each module to its source."""
+    listed = {*swept, *selectors}
+    functions = {(module, function) for module, function, _ in swept}
+    out = []
+    for module, source in sources.items():
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (module, fn.name) not in functions:
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.If):
+                    condition = ast.get_source_segment(source, node.test)
+                    if (module, fn.name, condition) not in listed:
+                        out.append(f"{module.removesuffix('.py')}.{fn.name}: {condition}")
+    return out
+
+
+def test_unlisted_guards_are_found():
+    sources = {
+        "a.py": "def f(x):\n    if x < 0:\n        raise ValueError\n"
+        "    if x == 0:\n        return 1\n    elif x > 9:\n"
+        "        def inner():\n            if x:\n                pass\n    return 0\n\n"
+        "def g(x):\n    if x:\n        raise ValueError\n",
+    }
+    swept = [("a.py", "f", "x < 0")]
+    assert unlisted_guards(sources, swept, [("a.py", "f", "x == 0")]) == ["a.f: x > 9", "a.f: x"]
+    assert unlisted_guards(sources, swept, []) == ["a.f: x == 0", "a.f: x > 9", "a.f: x"]
+
+
+# ``if`` conditions in the swept functions that pick one of two paths, each
+# covered by guards of the sweep, and so guard nothing themselves
+_BRANCH_SELECTORS = {
+    ("engine.py", "verify_certificate", "cert.method == EXHAUSTED_NONE"): (
+        "picks the exhausted-none checks or the element checks"
+    ),
+    ("cli.py", "_cmd_verify", "ok"): "picks the exit code and the message for the verdict",
+}
+
+
 def test_every_guard_of_the_mutation_sweep_is_in_the_source():
     # a rewritten guard must be renamed in tests/mutants.py with it, or the
-    # sweep stops before it runs
+    # sweep stops before it runs; a new guard in a swept function must join
+    # the sweep, and a new branch selector the list above
     import mutants
 
     sources = {module: (PACKAGE / module).read_text() for module, _, _ in mutants.MUTANTS}
@@ -402,3 +447,6 @@ def test_every_guard_of_the_mutation_sweep_is_in_the_source():
         ids.add(mutants.mutant_id(module, function, condition))
     assert len(ids) == len(mutants.MUTANTS)
     assert set(mutants.REASONS) <= ids
+    for module, function, condition in _BRANCH_SELECTORS:
+        mutants.mutate(sources[module], function, condition)
+    assert unlisted_guards(sources, mutants.MUTANTS, _BRANCH_SELECTORS) == []
