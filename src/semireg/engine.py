@@ -10,15 +10,15 @@ these steps in this order, each switched on by its route name.
 1. direct-search: exhaustive scan (small groups) or seeded random sampling
    of prime-order powers;
 2. prime-power: on prime-power degree, the Sylow-center construction;
-3. for each normal subgroup N with at least three orbits in turn, taken
-   from the normal closures of the prime-order powers of G's generators
-   (``_normal_quotients``, which needs no bound on |G|), smallest first:
-   quotient-lift: recurse on the quotient by N (at most half the vertices,
-   so the recursion ends), then lift through the kernel K the first
-   quotient element with a prime order that does not divide |K|; then,
-   when N is a 2-group, buddy-swap: if the structure between N's orbits is
-   a disjoint union of 4-cycles with unique antipodes, the involution
-   swapping every vertex with its antipode.
+3. for each orbit partition of at least three blocks of a normal subgroup
+   N in turn, N the normal closure of a prime-order power of a strong
+   generator of G (``_normal_quotients``, which needs no bound on |G|), in
+   the order they are met: quotient-lift: recurse on the quotient by N (at
+   most half the vertices, so the recursion ends), then lift through the
+   kernel K the first quotient element with a prime order that does not
+   divide |K|; then, when N is a 2-group, buddy-swap: if the structure
+   between N's orbits is a disjoint union of 4-cycles with unique
+   antipodes, the involution swapping every vertex with its antipode.
 
 "Inconclusive" (bounds stopped the search) is kept distinct from
 "exhausted-none" (the group was fully enumerated and is elusive).
@@ -282,8 +282,9 @@ def find_semiregular(
 def _search(g, grp, config, trace):
     """Every certificate the steps switched on in ``config.routes`` find at
     this node, in the step order of the module docstring, made only as the
-    reader asks for the next one. The normal quotients are listed, whatever
-    |G| is, only when quotient-lift or buddy-swap is switched on.
+    reader asks for the next one. The normal quotients are read one at a
+    time, whatever |G| is, only when quotient-lift or buddy-swap is on; N
+    is built only for buddy-swap's 2-group test, after quotient-lift.
 
     ``trace`` is the path to where the search stands: a step appends the
     lines of what it tried and did not find. A certificate's trace is that
@@ -297,10 +298,10 @@ def _search(g, grp, config, trace):
     lift, swap = ROUTE_QUOTIENT_LIFT in config.routes, ROUTE_BUDDY_SWAP in config.routes
     if not (lift or swap):
         return
-    for nsub, partition in _normal_quotients(grp):
+    for y, partition in _normal_quotients(grp):
         if lift:
-            yield from _route_quotient_lift(g, grp, config, trace, nsub, partition)
-        if swap and _is_2_group(nsub):
+            yield from _route_quotient_lift(g, grp, config, trace, partition)
+        if swap and _is_2_group(normal_closure(grp, [y])):
             yield from _route_buddy_swap(g, grp, config, trace, partition)
 
 
@@ -347,28 +348,25 @@ def _route_prime_power(g, grp, config, trace):
     yield _certificate(config.graph_id, el, ROUTE_PRIME_POWER, (*trace, line))
 
 
-def _normal_quotients(grp) -> list[tuple[PermGroup, list[list[int]]]]:
-    """Normal subgroups of G with at least three orbits, each paired with its
-    orbit partition, one subgroup per partition, sorted stably by order: the
-    list quotient-lift and buddy-swap read.
-
-    The induction may pass to the quotient by any such subgroup, wherever
-    it comes from; the candidates are the normal closures of the
-    prime-order powers y of G's generators. The orbits of y's closure are
-    found first, with no chain (``normal_closure_orbits``), and its chain is
-    built only when they are at least three and no candidate before it has
-    them. Normal closures cost polynomial time, so no bound on |G| applies.
+def _normal_quotients(grp):
+    """Yield (y, partition) for each new orbit partition of at least three
+    blocks of the normal closure N of y in G: the stream quotient-lift and
+    buddy-swap read. The quotient by N depends only on N's orbits, which
+    ``normal_closure_orbits`` finds with no chain and no bound on |G|. The
+    candidates y are the prime-order powers of the strong generators of G's
+    chain, which begin with G's given generators.
     """
-    kept: dict[tuple, tuple[PermGroup, list[list[int]]]] = {}
-    for x in grp.generators:
+    seen = set()
+    for x in grp.chain().strong_generators():
+        x = Permutation._wrap(x.view())  # marks only the view read-only
         o = x.order()
         for q in sorted(prime_factors(o)):
             y = (x ** (o // q)).images
             partition = normal_closure_orbits(grp, y)
             key = tuple(map(tuple, partition))
-            if len(partition) >= 3 and key not in kept:
-                kept[key] = (normal_closure(grp, [y]), partition)
-    return sorted(kept.values(), key=lambda pair: pair[0].order())
+            if len(partition) >= 3 and key not in seen:
+                seen.add(key)
+                yield y, partition
 
 
 def _is_2_group(grp: PermGroup) -> bool:
@@ -376,7 +374,7 @@ def _is_2_group(grp: PermGroup) -> bool:
     return order & (order - 1) == 0
 
 
-def _route_quotient_lift(g, grp, config, trace, nsub, partition):
+def _route_quotient_lift(g, grp, config, trace, partition):
     # The recursion ends without a depth bound: the orbits of a nontrivial
     # normal subgroup of a transitive group all have one size >= 2, so each
     # quotient has at most half the vertices of the graph above it. The
@@ -385,8 +383,8 @@ def _route_quotient_lift(g, grp, config, trace, nsub, partition):
     bundle = action_on_partition(grp, partition)
     qgraph = quotient_graph(g, partition)
     trace.append(
-        f"quotient-lift: normal subgroup of order {nsub.order()} with "
-        f"{len(partition)} orbits; recursing on {qgraph.n} classes"
+        f"quotient-lift: normal subgroup with {len(partition)} orbits; "
+        f"recursing on {qgraph.n} classes"
     )
     # the coprime lifting lemma needs prime order: read the quotient's
     # certificates until one has an element with a prime divisor q of its

@@ -55,8 +55,8 @@ def _element_cert(graph_id, el, order=None, cycle_length=None, method="direct-se
 def _buddy_swap(inst) -> Permutation:
     """The unique-buddy swap of the first normal 2-subgroup whose orbits
     carry a C4 buddy structure, as the buddy-swap step builds it."""
-    for nsub, partition in engine._normal_quotients(inst.group):
-        if not engine._is_2_group(nsub):
+    for y, partition in engine._normal_quotients(inst.group):
+        if not engine._is_2_group(engine.normal_closure(inst.group, [y])):
             continue
         try:
             bs = c4_buddy_structure(inst.graph, partition)

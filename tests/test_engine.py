@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -564,7 +565,7 @@ GOLDEN_ROUTE_SETTINGS = (
     ALL_ROUTES,
 )
 GOLDEN_CERTIFICATES_SHA256 = (
-    "1be8c08a68cf95ad0198a67fdb65343b1352b77cab1b71de6d6931ba2211d7b0"
+    "2d3a4c45ce884d4a9bb39756650010ce2a55537c43964a05eb3a49acdb2e4981"
 )
 
 
@@ -630,8 +631,8 @@ def test_each_certificate_trace_has_one_leaf_line(golden_certificates):
 
 
 def test_quotient_lift_reads_past_quotient_elements_that_do_not_lift(golden_certificates):
-    # the first five semiregular elements of the quotient have order 2 or
-    # 4, and |K| = 2; the route lifts the sixth, of order 5
+    # the first semiregular element of the quotient has order 2, and
+    # |K| = 32; the route lifts the second, of order 5
     (cert,) = [
         cert
         for routes, inst, cert in golden_certificates
@@ -639,10 +640,10 @@ def test_quotient_lift_reads_past_quotient_elements_that_do_not_lift(golden_cert
     ]
     assert cert.method == "quotient-lift"
     assert cert.trace == (
-        "quotient-lift: normal subgroup of order 2 with 40 orbits; recursing on 40 classes",
-        "direct-search: exhaustive hit after 9 elements",
+        "quotient-lift: normal subgroup with 10 orbits; recursing on 10 classes",
+        "direct-search: exhaustive hit after 3 elements",
         "quotient-lift: lifted element of order 5 through kernel "
-        "(skipped 5 quotient certificates before it)",
+        "(skipped 1 quotient certificates before it)",
     )
 
 
@@ -677,6 +678,36 @@ def test_structural_verdict_does_not_depend_on_vertex_labels(golden_certificates
                 continue
             assert found.method == expected, inst.id
             assert verify_certificate(g, grp, found) == (True, ""), inst.id
+
+
+def test_structural_verdict_does_not_depend_on_the_generating_set(golden_certificates):
+    # each group regenerated by random elements, drawn until they generate
+    # it; the candidate normal subgroups come from a strong generating set,
+    # so they do not hang on the generators given
+    rng = np.random.default_rng(0)
+    routes = GOLDEN_ROUTE_SETTINGS[0]
+    for settings, inst, cert in golden_certificates:
+        if settings != routes:
+            continue
+        gens = []
+        while PermGroup(gens, inst.graph.n).order() != inst.group.order():
+            gens.append(inst.group.random_element(rng))
+        # these routes never enumerate, so the verdict is certified or not
+        found = _find_or_none(replace(inst, group=PermGroup(gens, inst.graph.n)), routes)
+        assert (found is None) == (cert is None), inst.id
+
+
+def test_regenerated_quotient_px_p3_r5_s2_certifies_by_quotient_lift(corpus):
+    # both generators' normal closures have fewer than three orbits; a
+    # strong generator's closure, of order 81 with 5 orbits, does not
+    (inst,) = [inst for inst in corpus if inst.id == "quotient-px-p3-r5-s2"]
+    a = Permutation([12, 14, 13, 11, 10, 9, 8, 7, 6, 5, 4, 3, 0, 2, 1])
+    b = Permutation([11, 9, 10, 12, 13, 14, 0, 1, 2, 3, 4, 5, 7, 8, 6])
+    grp = PermGroup([a, b])
+    assert (a.order(), b.order(), grp.order()) == (2, 5, inst.group.order())
+    regenerated = replace(inst, group=grp)
+    for routes in (GOLDEN_ROUTE_SETTINGS[0], ("quotient-lift",)):
+        assert _find_or_none(regenerated, routes).method == "quotient-lift", routes
 
 
 # every default-corpus proof report, in corpus order. Update this
@@ -730,9 +761,24 @@ def test_px_p5_r6_s1_gets_a_verified_quotient_lift_certificate(corpus):
     cert = find_semiregular(inst.graph, inst.group, config)
     assert cert.method == "quotient-lift"
     assert cert.trace[0] == (
-        "quotient-lift: normal subgroup of order 250 with 3 orbits; recursing on 3 classes"
+        "quotient-lift: normal subgroup with 3 orbits; recursing on 3 classes"
     )
     assert verify_certificate(inst.graph, inst.group, cert) == (True, "")
+
+
+def test_normal_closures_are_built_only_at_the_buddy_swap_gate(corpus, monkeypatch):
+    # the normal quotients are read as orbit partitions; a closure is built
+    # only for buddy-swap's 2-group test, after quotient-lift found nothing
+    calls = []
+    real = engine.normal_closure
+    monkeypatch.setattr(engine, "normal_closure", lambda g, elems: calls.append(g) or real(g, elems))
+    for inst in corpus:
+        _find_or_none(inst, GOLDEN_ROUTE_SETTINGS[0])
+    assert len(calls) == 3
+    calls.clear()
+    (inst,) = [inst for inst in corpus if inst.id == "px-p5-r6-s1"]
+    assert _find_or_none(inst, ("quotient-lift",)).method == "quotient-lift"
+    assert calls == []
 
 
 def test_structural_reach_on_the_committed_corpus_configs():

@@ -714,12 +714,11 @@ def test_normal_quotients_are_normal_with_three_orbits(corpus, structural_pass):
     assert len(groups) > len(corpus)
     count = 0
     for g in groups.values():
-        quotients = _normal_quotients(g)
-        orders = [nsub.order() for nsub, _ in quotients]
-        assert orders == sorted(orders)
+        quotients = list(_normal_quotients(g))
         partitions = [partition for _, partition in quotients]
         assert len({repr(p) for p in partitions}) == len(partitions)
-        for nsub, partition in quotients:
+        for y, partition in quotients:
+            nsub = normal_closure(g, [y])
             assert not nsub.is_trivial()
             assert all(g.contains(x) for x in nsub.generators)
             assert all(normalizes(s, nsub) for s in g.generators)
@@ -785,7 +784,7 @@ def test_normal_quotients_are_the_generators_closures(d6):
     from semireg.engine import _normal_quotients
 
     def pairs(g):
-        return [(nsub.order(), partition) for nsub, partition in _normal_quotients(g)]
+        return [(normal_closure(g, [y]).order(), partition) for y, partition in _normal_quotients(g)]
 
     assert pairs(_s2_wr_s3()) == [(8, [[0, 1], [2, 3], [4, 5]])]
     # on the hexagon, the centre, the closure of the rotation's cube, is the
