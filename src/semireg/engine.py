@@ -9,7 +9,8 @@ these steps in this order, each switched on by its route name.
 
 1. direct-search: exhaustive scan (small groups) or seeded random sampling
    of prime-order powers;
-2. prime-power: on prime-power degree, the Sylow-center construction;
+2. prime-power: on prime-power degree, a central element of a transitive
+   p-subgroup;
 3. for each orbit partition of at least three blocks of a normal subgroup
    N in turn, N the normal closure of a prime-order power of a strong
    generator of G (``_normal_quotients``, which needs no bound on |G|), in
@@ -344,7 +345,7 @@ def _route_prime_power(g, grp, config, trace):
         trace.append(f"prime-power: {exc}")
         return
     p = next(iter(factors))
-    line = f"prime-power: degree {n} = {p}^{factors[p]}, Sylow center element"
+    line = f"prime-power: degree {n} = {p}^{factors[p]}, center element of a transitive p-subgroup"
     yield _certificate(config.graph_id, el, ROUTE_PRIME_POWER, (*trace, line))
 
 

@@ -8,11 +8,12 @@ that start at one row, for scans that may stop early, or their rows one at a
 time. All of them also come as one (order, degree) array built with a numpy
 gather per transversal rep, on which powers and conjugation act row-wise.
 Building a chain draws nothing at random; only the samplers (direct-search
-above its bound, the Sylow builder) import ``numpy.random``. On top of those
-sit induced actions on invariant partitions with kernels, normal closures (in
-polynomial time; their orbits need no chain at all), bounded
-minimal-normal-subgroup enumeration, a prime-power-degree semiregular element
-finder and coprime lifting of semiregular elements through quotients.
+above its bound, the transitive p-subgroup builder) import ``numpy.random``.
+On top of those sit induced actions on invariant partitions with kernels,
+normal closures (in polynomial time; their orbits need no chain at all),
+bounded minimal-normal-subgroup enumeration, a prime-power-degree semiregular
+element finder (a central element of a transitive p-subgroup) and coprime
+lifting of semiregular elements through quotients.
 
 Full enumeration, the minimal-normal-subgroup search included, stops at the
 fixed ``DEFAULT_BOUND`` elements with a loud ``BoundExceededError``; group
@@ -200,44 +201,6 @@ class StabilizerChain:
         for lv_index in range(len(self.levels)):
             self._rebuild_level(lv_index)
         self._schreier_sims(len(self.levels) - 1, order)
-
-    def extend_all(self, arrs) -> list[np.ndarray]:
-        """Adjoin every element of ``arrs`` to the group in place; return the
-        ones that were not members of the chain as it stood when sifted.
-
-        Incremental Schreier-Sims: ``_adjoin`` sifts each element in
-        without verifying, then one deterministic pass verifies the levels
-        from the deepest one touched up to 0. Deeper levels keep their
-        generators and stay verified. The levels it verifies keep their
-        reps and sift only the Schreier generators that are new: those of a
-        new point or a new generator (at level 0, of a residue ``_adjoin``
-        added). Between the two steps the chain is incomplete, but every rep
-        is a product of adjoined elements, so an element that sifts to the
-        identity there is already proved a member.
-        """
-        added, deepest = self._adjoin(arrs)
-        if added:
-            self._schreier_sims(deepest)
-        return added
-
-    def copy(self) -> StabilizerChain:
-        """A copy that ``extend_all`` grows without changing this chain. The
-        arrays are shared, since nothing edits one in place; each level's
-        transversal dict and ``sifted`` list are copied, since a rebuild
-        extends them in place."""
-        new = object.__new__(StabilizerChain)
-        new.__dict__.update(self.__dict__)
-        new.levels = []
-        for lv in self.levels:
-            level = _Level(lv.point)
-            level.transversal = dict(lv.transversal)
-            level.closed = lv.closed
-            level.sifted = list(lv.sifted)
-            level._orbit = lv._orbit
-            new.levels.append(level)
-        new._strong = list(self._strong)
-        new._given = list(self._given)
-        return new
 
     # -- construction ----------------------------------------------------
 
@@ -943,11 +906,11 @@ def normal_closure(g: PermGroup, elems) -> PermGroup:
     ``StabilizerChain._adjoin`` sifts in the elements, then the conjugates
     under ``g``'s generators of those it newly added, round by round until
     a round adds nothing, and one ``_schreier_sims`` pass then verifies the
-    chain, as in ``extend_all``. Sifting without verifying between rounds
-    is sound: every rep is a product of adjoined elements, so a conjugate
-    that sifts to the identity is a member, and one that does not is at
-    worst a redundant generator. The result keeps that chain, as the
-    subgroups ``minimal_normal_subgroups`` returns do.
+    chain from the deepest level touched up to 0. Sifting without verifying
+    between rounds is sound: every rep is a product of adjoined elements,
+    so a conjugate that sifts to the identity is a member, and one that
+    does not is at worst a redundant generator. The result keeps that
+    chain, as the subgroups ``minimal_normal_subgroups`` returns do.
     """
     n = g.degree
     chain = StabilizerChain([], n)
@@ -1006,90 +969,61 @@ def normal_closure_orbits(g: PermGroup, y: np.ndarray) -> list[list[int]]:
 # -- semiregular element machinery ----------------------------------------
 
 
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
 def semiregular_of_prime_power_degree(g: PermGroup, *, seed: int = 0) -> Permutation:
     """A semiregular element of order p in a transitive group of degree p^k.
 
-    Builds a Sylow p-subgroup P (adjoining p-parts of random elements while
-    the subgroup stays a p-group, then enumerating G up to ``DEFAULT_BOUND``
-    elements), reaches a nontrivial element of Z(P) by taking commutators
-    with P's generators, then powers it down to order p. Centrality in a
-    transitive group forces equal cycle lengths.
+    Grows a p-subgroup P greedily until it is transitive: it adjoins the
+    p-part y of each candidate (200 random elements, then every element of
+    G up to ``DEFAULT_BOUND``) for which <P, y> is still a p-group. A
+    p-element refused once is refused by every larger P, so one pass over G
+    ends at a Sylow subgroup at the latest, and a Sylow subgroup of a
+    transitive group of degree p^k is transitive. Commutators with P's
+    generators then reach a nontrivial element of Z(P), powered down to
+    order p: it centralizes a transitive group, so it is semiregular
+    (Dixon and Mortimer, *Permutation Groups*, Theorem 4.2A).
     """
     n = g.degree
     if not g.is_transitive():
         raise PreconditionError("group is not transitive")
-    p = min(prime_factors(n))
-    if _p_part(n, p) != n:
+    factors = prime_factors(n)
+    if len(factors) != 1:
         raise PreconditionError(f"degree {n} is not a prime power")
-    target = _p_part(g.order(), p)
-
-    sylow_gens: list[np.ndarray] = []
-    sylow_chain = StabilizerChain([], n)
-
-    def try_adjoin(arr: np.ndarray) -> None:
-        nonlocal sylow_chain
-        if sylow_chain.contains_array(arr):
-            return
-        cand = sylow_chain.copy()
-        cand.extend_all([arr])
-        if _p_part(cand.order, p) == cand.order:
-            sylow_gens.append(arr)
-            sylow_chain = cand
-
-    rng = np.random.default_rng(seed)
+    (p,) = factors
     chain = g.chain()
-    attempts = 0
-    max_attempts = 200
-    while sylow_chain.order < target and attempts < max_attempts:
-        attempts += 1
-        arr = chain.random_element(rng)
-        perm = Permutation._wrap(arr)
-        o = perm.order()
-        a = _p_part(o, p)
-        if a == 1:
+
+    def candidates():
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            yield Permutation._wrap(chain.random_element(rng))
+        yield from g.elements()
+
+    gens: list[np.ndarray] = []
+    p_chain = StabilizerChain([], n)
+    for x in candidates():
+        o = x.order()
+        y = (x ** (o // p ** prime_factors(o)[p])).images
+        if p_chain.contains_array(y):
             continue
-        try_adjoin((perm ** (o // a)).images)
-    if sylow_chain.order < target:
-        # deterministic fallback: greedy over all p-elements; ``elements``
-        # raises BoundExceededError above DEFAULT_BOUND
-        progress = True
-        while sylow_chain.order < target and progress:
-            before = sylow_chain.order
-            for el in g.elements():
-                o = el.order()
-                if o > 1 and _p_part(o, p) == o:
-                    try_adjoin(el.images)
-                    if sylow_chain.order == target:
-                        break
-            progress = sylow_chain.order > before
-        if sylow_chain.order < target:
-            raise RuntimeError("Sylow construction failed (internal error)")
+        cand = StabilizerChain(gens + [y], n)
+        if cand.order_factored().keys() == {p}:
+            gens.append(y)
+            p_chain = cand
+            if _kernels.orbit_mask(np.stack(gens), 0).all():
+                break
 
     # [x, s] lies one step further down the lower central series than x,
     # and P is nilpotent, so the descent stops at a nontrivial central x
-    gens = [Permutation._wrap(arr) for arr in sylow_gens]
-    central = gens[0]
+    perms = [Permutation._wrap(arr) for arr in gens]
+    central = perms[0]
     moved = True
     while moved:
         moved = False
-        for s in gens:
+        for s in perms:
             comm = central.inverse() * s.inverse() * central * s
             if not comm.is_identity():
                 central, moved = comm, True
                 break
-    o = central.order()
-    result = central ** (o // p)
-    if not result.is_semiregular() or result.order() != p:
-        raise RuntimeError("central element not semiregular (internal error)")
-    return result
+    return central ** (central.order() // p)
 
 
 def lift_semiregular(bundle: ActionBundle, image_element: Permutation, r: int) -> Permutation:

@@ -220,7 +220,8 @@ def minimal_normal_subgroups_all_closures(g):
         if not is_identity_images(y):
             continue
         chain = StabilizerChain([], n)
-        sel = chain.extend_all(elements[cls])
+        sel, deepest = chain._adjoin(elements[cls])
+        chain._schreier_sims(deepest)
         closures.append((chain.order, sel, chain))
     closures.sort(key=lambda t: t[0])
     minimal = []

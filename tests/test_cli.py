@@ -244,6 +244,27 @@ def test_verify_exhausted_none_above_the_bound_is_inconclusive(tmp_path, capsys)
     assert "exceeds bound" in capsys.readouterr().err
 
 
+def test_find_prime_power_above_the_bound_is_inconclusive(tmp_path, capsys):
+    # S9 on K9 at seed 0: the 200 samples leave the 3-subgroup intransitive,
+    # and |S9| = 362,880 is above the bound, so the scan over S9 cannot run
+    from semireg import engine
+    from semireg.families import symmetric_group
+    from semireg.graphs import complete_graph
+
+    k9, s9 = complete_graph(9), symmetric_group(9)
+    graph_path = tmp_path / "k9.g6"
+    graph_path.write_bytes(write_graph6(k9) + b"\n")
+    group_path = tmp_path / "s9.gens"
+    group_path.write_text(format_generators(s9))
+    find = ["find", "--graph", str(graph_path), "--group", str(group_path)]
+    assert main(find + ["--routes", "prime-power", "--seed", "0"]) == 5
+    assert "inconclusive" in capsys.readouterr().err
+    trace = []
+    config = engine.EngineConfig(routes=(engine.ROUTE_PRIME_POWER,), seed=0)
+    assert list(engine._route_prime_power(k9, s9, config, trace)) == []
+    assert trace == ["prime-power: order 362880 exceeds bound 100000"]
+
+
 # a document's element is parsed at the document's n, and verify refuses an
 # n that is not the graph's before that, so no document carries an element
 # of another degree

@@ -565,7 +565,7 @@ GOLDEN_ROUTE_SETTINGS = (
     ALL_ROUTES,
 )
 GOLDEN_CERTIFICATES_SHA256 = (
-    "2d3a4c45ce884d4a9bb39756650010ce2a55537c43964a05eb3a49acdb2e4981"
+    "0e86225ed85f824088251aa00c177342b98bd85fc1909c65509af88442157fce"
 )
 
 
@@ -610,7 +610,7 @@ _EXHAUSTED_LINE = re.compile(r"direct-search: exhausted all \d+ elements, none s
 _ELEMENT_LINE = re.compile(
     r"direct-search: exhaustive hit after \d+ elements"
     r"|direct-search: sampled element of prime order \d+"
-    r"|prime-power: degree \d+ = \d+\^\d+, Sylow center element"
+    r"|prime-power: degree \d+ = \d+\^\d+, center element of a transitive p-subgroup"
     r"|buddy-swap: unique-buddy involution"
 )
 

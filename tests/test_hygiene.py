@@ -158,7 +158,7 @@ def test_numpy_random_uses_are_found():
 
 
 # the two places that sample: direct-search above its enumeration bound, and
-# the random Sylow builder of the prime-power route
+# the transitive p-subgroup builder of the prime-power route
 _SAMPLERS = {
     "engine.py": ["_route_direct"],
     "group.py": ["semiregular_of_prime_power_degree"],
