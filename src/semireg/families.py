@@ -4,8 +4,8 @@ C(p,r,s) with their rotation, the complete graph K12 with M11 acting, and
 deterministic corpus generation of connected arc-transitive graphs of valency
 twice a prime.
 
-Every constructor validates what it builds (orders, transitivity,
-arc-transitivity) instead of trusting embedded data.
+``_validated`` checks every corpus instance once; constructors check only
+their own claims (orders, valency) and the embedded M11 data.
 """
 
 from __future__ import annotations
@@ -139,9 +139,6 @@ def psl2_coset_instance(p: int, s: int) -> CosetGraphBundle:
         raise RuntimeError("subgroup order is not p*s (internal error)")
     weyl = _mobius_permutation((0, 1, p - 1, 0), p)
     bundle = coset_graph(g_group, h_group, weyl)
-    expected_vertices = (p * p - 1) // (2 * s)
-    if bundle.graph.n != expected_vertices:
-        raise RuntimeError("coset graph vertex count mismatch (internal error)")
     if bundle.graph.valency() != p:
         raise RuntimeError("coset graph valency mismatch (internal error)")
     return bundle
@@ -167,6 +164,12 @@ def _px_digits(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, place
 
 
+def _px_rotation(p: int, r: int, s: int) -> Permutation:
+    """The rotation (i, x) -> (i+1, x) of C(p,r,s)."""
+    n = r * p**s
+    return Permutation((np.arange(n, dtype=_INT) + p**s) % n)
+
+
 def praeger_xu(p: int, r: int, s: int) -> tuple[Graph, Permutation]:
     """The graph C(p,r,s) and its rotation, semiregular with cycles of length r.
 
@@ -185,7 +188,7 @@ def praeger_xu(p: int, r: int, s: int) -> tuple[Graph, Permutation]:
     next_layer = (vertices // ps + 1) % r * ps
     targets = (next_layer + shifted[vertices % ps])[:, None] + np.arange(p)
     graph = Graph(n, np.column_stack((np.repeat(vertices, p), targets.ravel())))
-    rotation = Permutation((vertices + ps) % n)
+    rotation = _px_rotation(p, r, s)
     if graph.valency() != 2 * p:
         raise RuntimeError("C(p,r,s) is not 2p-regular (internal error)")
     if not graph.is_automorphism(rotation):
@@ -196,20 +199,14 @@ def praeger_xu(p: int, r: int, s: int) -> tuple[Graph, Permutation]:
 def praeger_xu_group(p: int, r: int, s: int) -> PermGroup:
     """An arc-transitive group on C(p,r,s): rotation, reflection and a
     base translation (whose rotation-conjugates give all of Z_p^r)."""
-    graph, rotation = praeger_xu(p, r, s)
+    _px_check(p, r, s)
     digits, place = _px_digits(p, s)
     # (i, x) -> (-i, x reversed)
     reversed_x = digits[:, ::-1] @ place
     mirrored = (-np.arange(r, dtype=_INT)) % r * p**s
     reflection = Permutation((mirrored[:, None] + reversed_x).ravel())
-    gens = [rotation, reflection, _px_translation(p, r, s, [0])]
-    group = PermGroup(gens, graph.n)
-    for gen in gens:
-        if not graph.is_automorphism(gen):
-            raise RuntimeError("generator is not an automorphism (internal error)")
-    if not is_arc_transitive(graph, group):
-        raise RuntimeError("C(p,r,s) group is not arc-transitive (internal error)")
-    return group
+    gens = [_px_rotation(p, r, s), reflection, _px_translation(p, r, s, [0])]
+    return PermGroup(gens, r * p**s)
 
 
 def _px_translation(p: int, r: int, s: int, positions) -> Permutation:
@@ -284,15 +281,13 @@ def m11_degree12_from_scratch() -> PermGroup:
 def k12_m11() -> tuple[Graph, PermGroup]:
     """The complete graph on 12 vertices with M11 acting arc-transitively.
 
-    The embedded generator data is validated at construction: order 7920,
-    transitivity, and arc-transitivity on K12.
+    The embedded generator data is validated at construction: order 7920
+    and arc-transitivity on K12 (which implies transitivity).
     """
     graph = complete_graph(12)
     group = PermGroup([Permutation(list(im)) for im in _M11_DEGREE12_GENS], 12)
     if group.order() != 7920:
         raise RuntimeError("embedded M11 data fails the order check")
-    if not group.is_transitive():
-        raise RuntimeError("embedded M11 data fails the transitivity check")
     if not is_arc_transitive(graph, group):
         raise RuntimeError("embedded M11 data fails the arc-transitivity check")
     return graph, group
@@ -471,13 +466,14 @@ def _validated(inst: CorpusInstance, cfg: CorpusConfig) -> CorpusInstance | None
 def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
     """Deterministic corpus of connected arc-transitive valency-2p instances.
 
-    Families: the Praeger-Xu grid, standard double covers of the odd-r
-    members (with the lifted action), named instances (complete, complete
+    Families: the Praeger-Xu grid, standard double covers of its members
+    (with the lifted action), named instances (complete, complete
     bipartite, hypercube, rook, triangular, Paley), the five coset graphs
     of PSL(2,5) and PGL(2,5), and quotients of s >= 2 Praeger-Xu members
     by the diagonal translation subgroup; an empty ``cfg.px_grid`` leaves
-    out the grid with its covers and quotients. Instances failing
-    validation are skipped with a log entry.
+    out the grid with its covers and quotients. ``_validated`` checks each
+    instance once; those failing it, such as the disconnected covers of the
+    even-r members, are skipped with a log entry.
     """
     cfg = cfg or CorpusConfig()
     out: list[CorpusInstance] = []
@@ -516,8 +512,7 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
                 px_members.append(inst)
 
     for base in px_members:
-        if base.graph.is_bipartite():
-            continue  # the cover would be disconnected
+        # an even-r base is bipartite, so _validated refuses its cover
         cover = standard_double_cover(base.graph)
         gens = [lift_to_double_cover(x) for x in base.group.generators]
         gens.append(double_cover_swap(base.graph.n))
@@ -542,7 +537,8 @@ def corpus_generate(cfg: CorpusConfig | None = None) -> list[CorpusInstance]:
             )
 
     if cfg.include_coset_search:
-        out.extend(_coset_search_instances(cfg))
+        for inst in _coset_search_instances(cfg):
+            add(inst)
 
     for base in px_members:
         s = base.params["s"]
@@ -605,9 +601,8 @@ _COSET_ROWS = (
 )
 
 
-def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
-    """The coset graphs of ``_COSET_ROWS`` that ``cfg`` admits."""
-    out = []
+def _coset_search_instances(cfg: CorpusConfig):
+    """The ``_COSET_ROWS`` coset graphs of index at most ``cfg.max_vertices``."""
     seeds = {"psl2-5": psl2_action(5), "pgl2-5": pgl2_action(5)}
     for name, h_cycles, x_cycles in _COSET_ROWS:
         big = seeds[name]
@@ -616,14 +611,10 @@ def _coset_search_instances(cfg: CorpusConfig) -> list[CorpusInstance]:
             continue
         bundle = coset_graph(big, h, Permutation.from_cycles(6, x_cycles))
         g = bundle.graph
-        inst = CorpusInstance(
+        yield CorpusInstance(
             id=f"coset-{name}-n{g.n}-v{g.valency()}-g{g.girth()}",
             family="coset-search",
             params={"seed_group": name, "subgroup_order": h.order()},
             graph=g,
             group=bundle.acting_group,
         )
-        checked = _validated(inst, cfg)
-        if checked is not None:
-            out.append(checked)
-    return out

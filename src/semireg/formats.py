@@ -233,9 +233,11 @@ def read_graph6(data: bytes) -> Graph:
         raise ParseError(
             f"byte {len(data)}: truncated payload, need {need} bytes after header"
         )
+    if values.size > need:
+        raise ParseError(f"byte {pos + need}: {values.size - need} bytes after the payload")
     if n == 1:  # no edges
         return Graph(1, ())
-    idx = np.flatnonzero(_payload_bits(values[:need])[: n * (n - 1) // 2])
+    idx = np.flatnonzero(_payload_bits(values)[: n * (n - 1) // 2])
     starts = _column_starts(n)
     j = np.searchsorted(starts, idx, side="right") - 1
     return Graph(n, np.column_stack((idx - starts[j], j)))

@@ -17,7 +17,6 @@ from . import _kernels
 from .group import (
     PermGroup,
     PreconditionError,
-    StabilizerChain,
     coset_action,
     coset_key,
     is_subgroup,
@@ -101,23 +100,6 @@ class Graph:
 
     def component_count(self) -> int:
         return len(_kernels.orbits(self.indptr, self.indices))
-
-    def is_bipartite(self) -> bool:
-        color = np.full(self.n, -1, dtype=np.int8)
-        for s in range(self.n):
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if color[w] < 0:
-                        color[w] = 1 - color[v]
-                        stack.append(int(w))
-                    elif color[w] == color[v]:
-                        return False
-        return True
 
     def girth(self) -> int | None:
         """Length of a shortest cycle, or None for a forest."""
@@ -305,15 +287,6 @@ class CosetGraphBundle:
         return index
 
 
-def coset_graph_connected(g: PermGroup, h: PermGroup, elem: Permutation) -> bool:
-    """True iff <H, elem> = G, which is when the coset graph of
-    (G, H, H elem H) is connected."""
-    generated = StabilizerChain(
-        [x.images for x in list(h.generators) + [elem]], g.degree
-    )
-    return generated.order == g.order()
-
-
 def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBundle:
     """Build the coset graph of (G, H, H elem H) with its G-action.
 
@@ -322,8 +295,8 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
     by right multiplication are the cosets of N_G(H), and the base coset's
     neighbours are the H-orbit of H elem, so neither G nor H is enumerated.
     The edges come from one breadth-first walk over the cosets, in which a
-    generator first taking coset u to v maps N(u) onto N(v). Connectivity is
-    verified to coincide with <H, elem> = G and recorded, not assumed.
+    generator first taking coset u to v maps N(u) onto N(v). ``generates``
+    records connectivity, which is equivalent to <H, elem> = G.
     """
     if not is_subgroup(h, g):
         raise PreconditionError("H is not a subgroup of G")
@@ -371,17 +344,13 @@ def coset_graph(g: PermGroup, h: PermGroup, elem: Permutation) -> CosetGraphBund
     if graph.valency() != base_nbrs.size:
         raise RuntimeError("coset graph is not regular (internal error)")
 
-    generates = coset_graph_connected(g, h, elem)
-    if generates != graph.is_connected():
-        raise RuntimeError("connectivity disagrees with <H, elem> = G (internal error)")
-
     return CosetGraphBundle(
         graph=graph,
         acting_group=acting_group,
         coset_reps=tuple(reps),
         subgroup_order=h.order(),
         normalizer_order=h.order() * fixed,
-        generates=generates,
+        generates=graph.is_connected(),
         group=g,
         subgroup=h,
         element=elem,

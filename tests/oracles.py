@@ -125,6 +125,16 @@ def s_arcs_t(edges: set[frozenset], n: int, s: int, starts=None) -> list[tuple]:
     return out
 
 
+def networkx_graph(g):
+    """A package ``Graph`` as a ``networkx.Graph`` on the same vertices."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
 def adjacency_t(n: int, edges) -> tuple[list[int], list[int]]:
     """CSR (indptr, indices) of a simple graph from vertex pairs, by a set of
     unordered edges and sorted neighbour lists."""

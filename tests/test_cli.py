@@ -460,6 +460,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
     short = tmp_path / "short.g6"
     short.write_bytes(b">?\n")
     assert main(["triangle", "--graph", str(short)]) == 3
+    # parse error: K3 with a byte after its graph6 payload
+    extra = tmp_path / "extra.g6"
+    extra.write_bytes(b"Bw~\n")
+    assert main(["find", "--graph", str(extra), "--group", str(c3)]) == 3
     # precondition error: group degree mismatch
     small = tmp_path / "small.gens"
     small.write_text("n=3\n(1,2,3)\n")

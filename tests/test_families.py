@@ -18,14 +18,12 @@ from semireg.graphs import (
     Graph,
     complete_graph,
     coset_graph,
-    coset_graph_connected,
     has_triangle,
     is_arc_transitive,
 )
 from semireg.families import (
     CorpusConfig,
     CorpusInstance,
-    _coset_search_instances,
     _px_diagonal_subgroup,
     _validated,
     corpus_generate,
@@ -41,7 +39,7 @@ from semireg.families import (
     px_fiber_translations,
 )
 
-from oracles import closure_t
+from oracles import closure_t, networkx_graph
 
 
 @pytest.mark.parametrize("p, s", [(7, 1), (13, 1)])
@@ -83,8 +81,8 @@ def test_psl2_coset_normalizer_is_the_borel(p, s):
 )
 def test_coset_graph_shape_matches_built_graph(big, pairs, disconnected):
     # every cyclic H = <g> with every involution x outside N_G(H): the base
-    # coset's neighbours H*x*y (y in H) number |H : H meet H^x|, and
-    # coset_graph_connected agrees with the built graph, mostly disconnected
+    # coset's neighbours H*x*y (y in H) number |H : H meet H^x|, and the
+    # graph is connected exactly when <H, x> = G, mostly not
     elements = list(big.elements())
     involutions = [x for x in elements if x.order() == 2]
     cyclic = {}
@@ -100,7 +98,8 @@ def test_coset_graph_shape_matches_built_graph(big, pairs, disconnected):
             meet = sum(h.contains(x * y * x) for y in h.elements())
             assert graph.valency() == h.order() // meet
             connected = graph.is_connected()
-            assert coset_graph_connected(big, h, x) == connected
+            generated = PermGroup([*h.generators, x], big.degree)
+            assert (generated.order() == big.order()) == connected
             seen.append(connected)
     assert (len(seen), seen.count(False)) == (pairs, disconnected)
 
@@ -112,13 +111,15 @@ def test_coset_rows_honour_the_config(corpus):
     for k in range(1, 5):
         for primes in itertools.combinations((2, 3, 5, 7), k):
             for max_vertices in (4, 5, 20, 30, 2000):
-                cfg = CorpusConfig(primes=primes, max_vertices=max_vertices)
+                cfg = CorpusConfig(
+                    primes=primes, max_vertices=max_vertices, px_grid={}, include_named=False
+                )
                 expected = [
                     inst.id
                     for inst in default
                     if inst.valency // 2 in primes and inst.graph.n <= max_vertices
                 ]
-                assert [i.id for i in _coset_search_instances(cfg)] == expected
+                assert [i.id for i in corpus_generate(cfg)] == expected
 
 
 # sha256 over the default corpus: per instance its id and a NUL byte, the
@@ -419,7 +420,22 @@ def test_corpus_px_grid_stops_at_the_first_r_above_max_vertices():
     assert corpus(range(3, 6)) == [("px-p2-r3-s1", 6), ("px-p2-r4-s1", 8), ("px-p2-r5-s1", 10)]
 
 
+def test_corpus_builds_and_checks_each_instance_once(monkeypatch):
+    # one Praeger-Xu build per grid member and one arc-transitivity check
+    # per kept instance, the one in _validated
+    from semireg import families
+
+    calls = []
+    for name in ("praeger_xu", "is_arc_transitive"):
+        real = getattr(families, name)
+        monkeypatch.setattr(families, name, lambda *a, n=name, f=real: calls.append(n) or f(*a))
+    assert len(corpus_generate()) == 86
+    assert (calls.count("praeger_xu"), calls.count("is_arc_transitive")) == (33, 86)
+
+
 def test_corpus_double_covers(corpus):
+    import networkx as nx
+
     # even-r bases are bipartite, so only odd-r covers appear (connected)
     cover_ids = {i.id for i in corpus if i.family == "double-cover"}
     assert "cover-px-p3-r3-s1" in cover_ids
@@ -427,7 +443,7 @@ def test_corpus_double_covers(corpus):
     cover = next(i for i in corpus if i.id == "cover-px-p3-r3-s1")
     assert cover.graph.n == 18
     assert cover.graph.valency() == 6
-    assert cover.graph.is_bipartite() and cover.graph.is_connected()
+    assert nx.is_bipartite(networkx_graph(cover.graph)) and cover.graph.is_connected()
 
 
 def test_corpus_known_witnesses_are_semiregular(corpus):

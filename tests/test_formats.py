@@ -28,7 +28,7 @@ from semireg.formats import (
     write_sparse6,
 )
 
-from oracles import sparse6_edges_t
+from oracles import networkx_graph, sparse6_edges_t
 
 
 def random_graph(rng, n, p) -> Graph:
@@ -128,9 +128,7 @@ def test_graph6_matches_reference_encoder():
     for _ in range(300):
         n = rng.randrange(1, 50)
         g = random_graph(rng, n, rng.random())
-        h = nx.Graph()
-        h.add_nodes_from(range(n))
-        h.add_edges_from(g.edges())
+        h = networkx_graph(g)
         assert write_graph6(g) == to_graph6_bytes(h, header=False).strip()
         assert write_sparse6(g) == to_sparse6_bytes(h, header=False).strip()
 
@@ -156,6 +154,10 @@ def test_graph6_truncation_errors():
     for data in (b">?", b":>", b"~?>??", b":~~???>???"):
         with pytest.raises(ParseError, match="outside graph6 range"):
             read_graph_auto(data)
+    # a payload is exactly ceil(n(n-1)/12) bytes: K3 and K1 with one more
+    for data in (b"Bw~", b"@?"):
+        with pytest.raises(ParseError, match="1 bytes after the payload"):
+            read_graph6(data)
 
 
 def test_size_header_bounds():
@@ -362,15 +364,6 @@ def test_validator_rejects_an_unsupported_schema_keyword():
         validate_document(doc, nested)
 
 
-def _networkx_graph(g):
-    import networkx as nx
-
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
-
-
 def _edge_set(edges) -> set:
     return {(min(u, w), max(u, w)) for u, w in edges}
 
@@ -385,7 +378,7 @@ def test_graph6_and_sparse6_readers_match_networkx(n):
     # the complete graph on 420 vertices would take networkx seconds
     for p in (0.0, 0.03, 0.3) + ((1.0,) if n <= 64 else ()):
         g = random_graph(rng, n, p)
-        h = _networkx_graph(g)
+        h = networkx_graph(g)
         for data in (write_graph6(g), to_graph6_bytes(h, header=False).strip()):
             assert data == write_graph6(g)
             ref = from_graph6_bytes(data)
