@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # every kernel in ``_kernels`` runs on the one numpy/Python path
 kernel_backend = "numpy"
 
-from .perm import CycleDecomposition, Permutation
+from .perm import Permutation
 from .group import (
     ActionBundle,
     BoundExceededError,
@@ -47,7 +47,6 @@ from .engine import (
     Certificate,
     EngineConfig,
     InconclusiveError,
-    ProofReport,
     buddy_swap_automorphism,
     c4_buddy_structure,
     find_semiregular,

@@ -11,6 +11,7 @@ so ``verify`` re-enumerates every group that ``find`` enumerated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -89,22 +90,22 @@ def _parse_params(text: str) -> dict:
     return out
 
 
-# the --params keys each construct family takes
-_FAMILY_PARAMS = {"px": ("p", "r", "s"), "coset": (), "lemma33": ("p", "s"), "k12m11": ()}
+# the --params keys each construct family needs, then those it may take
+_FAMILY_PARAMS = {
+    "px": (("p", "r"), ("s",)), "coset": ((), ()), "lemma33": (("p", "s"), ()), "k12m11": ((), ())
+}
 
 
 def _check_params(params: dict, family: str) -> None:
-    unknown = [k for k in params if k not in _FAMILY_PARAMS[family]]
+    needs, may = _FAMILY_PARAMS[family]
+    unknown = [k for k in params if k not in needs + may]
     if unknown:
-        takes = ", ".join(_FAMILY_PARAMS[family]) or "none"
+        takes = ", ".join(needs + may) or "none"
         raise UsageError(
             f"--family {family} does not take --params key(s) {', '.join(unknown)}; "
             f"it takes {takes}"
         )
-
-
-def _require(params: dict, family: str, *keys: str) -> None:
-    missing = [k for k in keys if k not in params]
+    missing = [k for k in needs if k not in params]
     if missing:
         raise UsageError(f"--family {family} needs --params key(s): {', '.join(missing)}")
 
@@ -150,7 +151,6 @@ def _cmd_construct(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     extra: dict = {}
     if args.family == "px":
-        _require(params, args.family, "p", "r")
         p, r, s = params["p"], params["r"], params.get("s", 1)
         # refuse, before building it, a graph too large for graph6; for
         # p >= 2 the capped exponent alone already gives more vertices,
@@ -166,7 +166,6 @@ def _cmd_construct(args) -> int:
         name = args.id or f"px-p{p}-r{r}-s{s}"
         extra["rotation"] = rotation.cycle_string(one_based=True)
     elif args.family == "lemma33":
-        _require(params, args.family, "p", "s")
         p, s = params["p"], params["s"]
         bundle = psl2_coset_instance(p, s)
         graph, group = bundle.graph, bundle.acting_group
@@ -178,9 +177,7 @@ def _cmd_construct(args) -> int:
         name = args.id or "k12-m11"
     elif args.family == "coset":
         if not (args.group and args.subgroup and args.element):
-            raise PreconditionError(
-                "--family coset needs --group, --subgroup and --element"
-            )
+            raise UsageError("--family coset needs --group, --subgroup and --element")
         big = _load_group(args.group)
         sub = _load_group(args.subgroup)
         elem = parse_permutation(args.element, big.degree)
@@ -190,8 +187,6 @@ def _cmd_construct(args) -> int:
         extra["subgroup_order"] = bundle.subgroup_order
         extra["normalizer_order"] = bundle.normalizer_order
         extra["generates"] = bundle.generates
-    else:
-        raise PreconditionError(f"unknown family {args.family!r}")
 
     (outdir / f"{name}.g6").write_bytes(write_graph6(graph) + b"\n")
     (outdir / f"{name}.gens").write_text(format_generators(group))
@@ -391,8 +386,8 @@ def _cmd_corpus(args) -> int:
 def _cmd_report(args) -> int:
     graph = _load_graph(args.graph)
     group = _load_group(args.group)
-    report = proof_invariant_report(graph, group)
-    sys.stdout.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    checks = [dataclasses.asdict(r) for r in proof_invariant_report(graph, group)]
+    sys.stdout.write(json.dumps({"checks": checks}, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

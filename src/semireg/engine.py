@@ -142,24 +142,6 @@ class CheckRecord:
     detail: str
 
 
-@dataclass(frozen=True)
-class ProofReport:
-    records: tuple[CheckRecord, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "checks": [
-                {
-                    "name": r.name,
-                    "applicable": r.applicable,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in self.records
-            ]
-        }
-
-
 # -- local action ------------------------------------------------------------
 
 
@@ -240,13 +222,10 @@ def _semiregular_elements(grp: PermGroup):
     """Every nontrivial semiregular element of grp, in ``iter_elements``
     order, as (place, element) pairs, the places counting from 1 in that
     order. Whole blocks of elements are tested at once
-    (``StabilizerChain.element_blocks``). Raises ``BoundExceededError`` when
-    |grp| > ``DEFAULT_BOUND``."""
-    order = grp.order()
-    if order > DEFAULT_BOUND:
-        raise BoundExceededError(f"order {order} exceeds bound {DEFAULT_BOUND}")
+    (``PermGroup.element_blocks``, which raises ``BoundExceededError`` when
+    |grp| > ``DEFAULT_BOUND``)."""
     count = 0
-    for block in grp.chain().element_blocks():
+    for block in grp.element_blocks():
         for i in _kernels.semiregular_rows(block).nonzero()[0].tolist():
             yield count + i + 1, Permutation._wrap(block[i].copy())
         count += len(block)
@@ -565,10 +544,11 @@ def _neighbour_orbit_sizes(g: Graph, stab: PermGroup) -> set[int] | None:
 
 
 class _ReportInputs:
-    """What the report checks read, each part built at most once per report:
-    the minimal normal quotients; ``bundle(i)``, the action of G on the
-    partition of the i-th of them; and ``stabilizer(sub)``, the stabilizer
-    of vertex 0 in a subgroup that a check takes."""
+    """What the report checks read, each part built at most once per report
+    and kept here, not on G: the minimal normal subgroups, which (d) reads;
+    the minimal normal quotients among them; ``bundle(i)``, the action of G
+    on the partition of the i-th quotient; and ``stabilizer(sub)``, the
+    stabilizer of vertex 0 in a subgroup that a check takes."""
 
     def __init__(self, g: Graph, grp: PermGroup):
         self.g, self.grp = g, grp
@@ -576,11 +556,15 @@ class _ReportInputs:
         self.stabilizer = cache(lambda sub: sub.point_stabilizer(0))
 
     @cached_property
+    def minimal_normal(self) -> list[PermGroup]:
+        """Raises ``BoundExceededError`` when |G| > ``DEFAULT_BOUND``."""
+        return minimal_normal_subgroups(self.grp)
+
+    @cached_property
     def quotients(self) -> list[tuple[PermGroup, list[list[int]]]]:
         """Each minimal normal subgroup with at least three orbits, paired
-        with its orbit partition; raises ``BoundExceededError`` when
-        |G| > ``DEFAULT_BOUND``."""
-        pairs = [(m, m.orbit_partition()) for m in minimal_normal_subgroups(self.grp)]
+        with its orbit partition."""
+        pairs = [(m, m.orbit_partition()) for m in self.minimal_normal]
         return [(nsub, partition) for nsub, partition in pairs if len(partition) >= 3]
 
 
@@ -639,7 +623,7 @@ def _arc_stabilizer_index(r: _ReportInputs):
         )
     # each kernel is built only when the loop reaches it
     kernels = (r.bundle(i).kernel for i in range(len(r.quotients)))
-    for m_sub in itertools.chain(minimal_normal_subgroups(r.grp), kernels):
+    for m_sub in itertools.chain(r.minimal_normal, kernels):
         m0 = r.stabilizer(m_sub)
         sizes = _neighbour_orbit_sizes(r.g, m0)
         if sizes is None or not sizes <= {1, 2}:
@@ -725,8 +709,9 @@ _CHECKS = (
 )
 
 
-def proof_invariant_report(g: Graph, grp: PermGroup) -> ProofReport:
-    """Run the structural checks of ``_CHECKS`` on one instance, in order.
+def proof_invariant_report(g: Graph, grp: PermGroup) -> tuple[CheckRecord, ...]:
+    """Run the structural checks of ``_CHECKS`` on one instance, in order,
+    one record each.
 
     A check whose hypothesis cannot be established within bounds is marked
     inapplicable, with the bound as its note, rather than failed.
@@ -740,7 +725,7 @@ def proof_invariant_report(g: Graph, grp: PermGroup) -> ProofReport:
         except BoundExceededError as exc:
             applicable, passed, detail = False, None, str(exc)
         records.append(CheckRecord(name, applicable, passed, detail))
-    return ProofReport(records=tuple(records))
+    return tuple(records)
 
 
 def _twin_classes(g: Graph) -> list[list[int]]:

@@ -5,19 +5,19 @@ generator once, at level 0 from the group's generators alone) support exact
 orders, membership sifting, point stabilizers and element enumeration. One
 walk lists the elements in two shapes: (rows, degree) arrays of bounded size
 that start at one row, for scans that may stop early, or their rows one at a
-time. All of them also come as one (order, degree) array built with a numpy
-gather per transversal rep, on which powers and conjugation act row-wise.
-Building a chain draws nothing at random; only the samplers (direct-search
-above its bound, the transitive p-subgroup builder) import ``numpy.random``.
-On top of those sit induced actions on invariant partitions with kernels,
-normal closures (in polynomial time; their orbits need no chain at all),
-bounded minimal-normal-subgroup enumeration, a prime-power-degree semiregular
-element finder (a central element of a transitive p-subgroup) and coprime
-lifting of semiregular elements through quotients.
+time. Building a chain draws nothing at random; only the samplers
+(direct-search above its bound, the transitive p-subgroup builder) import
+``numpy.random``. On top of those sit induced actions on invariant
+partitions with kernels, normal closures (in polynomial time; their orbits
+need no chain at all), bounded minimal-normal-subgroup enumeration, a
+prime-power-degree semiregular element finder (a central element of a
+transitive p-subgroup) and coprime lifting of semiregular elements through
+quotients.
 
-Full enumeration, the minimal-normal-subgroup search included, stops at the
-fixed ``DEFAULT_BOUND`` elements with a loud ``BoundExceededError``; group
-orders are exact Python integers throughout.
+Full enumeration, the minimal-normal-subgroup search included, goes through
+``PermGroup.element_blocks``, which stops at the fixed ``DEFAULT_BOUND``
+elements with a loud ``BoundExceededError``; group orders are exact Python
+integers throughout.
 """
 
 from __future__ import annotations
@@ -395,12 +395,6 @@ class StabilizerChain:
         for block in self.element_blocks():
             yield from block
 
-    def element_array(self) -> np.ndarray:
-        """Every element as one (order, degree) int64 array, rows in
-        ``iter_elements`` order."""
-        start = np.arange(self.degree, dtype=_INT)
-        return _product_rows(start, [_reps(lv) for lv in self.levels])
-
     def element_blocks(self):
         """Every element once, as (rows, degree) int64 arrays of at most
         ``_BLOCK_CELLS`` entries (or one row) that start at one row and
@@ -423,11 +417,12 @@ class PermGroup:
     """A permutation group given by generators on 0..degree-1.
 
     The group keeps the one stabilizer chain ``chain()`` builds, with the
-    default base, or, for a group ``minimal_normal_subgroups`` returns, the
-    chain its closure was computed in; a chain with a caller's base prefix
-    is built for one ``pointwise_stabilizer`` call and not kept. Its orbits
-    come from ``orbit_partition``, one walk over the generator rows;
-    ``is_transitive`` walks only the orbit of 0, with ``orbit_mask``.
+    default base, or, for a group ``minimal_normal_subgroups`` or
+    ``normal_closure`` returns, the chain its closure was computed in, and
+    stores nothing else; a chain with a caller's base prefix is built for
+    one ``pointwise_stabilizer`` call and not kept. Its orbits come from
+    ``orbit_partition``, one walk over the generator rows; ``is_transitive``
+    walks only the orbit of 0, with ``orbit_mask``.
     """
 
     def __init__(self, generators, degree: int | None = None):
@@ -451,7 +446,6 @@ class PermGroup:
                 kept.append(g)
         self._gens = tuple(kept)
         self._chain: StabilizerChain | None = None
-        self._minimal_normal: tuple[PermGroup, ...] | None = None
 
     @property
     def degree(self) -> int:
@@ -518,11 +512,20 @@ class PermGroup:
         ]
         return PermGroup(gens, self._degree)
 
-    def elements(self):
-        """Iterate every element exactly once; errors if order > ``DEFAULT_BOUND``."""
+    def element_blocks(self):
+        """The chain's ``element_blocks``: every whole-group walk starts
+        here, the only place that checks the enumeration bound. Raises
+        ``BoundExceededError`` when |G| > ``DEFAULT_BOUND`` (read at each
+        call), before any walk starts."""
         order = self.order()
         if order > DEFAULT_BOUND:
             raise BoundExceededError(f"order {order} exceeds bound {DEFAULT_BOUND}")
+        return self.chain().element_blocks()
+
+    def elements(self):
+        """Iterate every element exactly once, the rows of ``element_blocks``
+        (``StabilizerChain.iter_elements``)."""
+        self.element_blocks()  # the bound check; nothing is walked yet
         for arr in self.chain().iter_elements():
             yield Permutation._wrap(arr.copy())
 
@@ -765,17 +768,23 @@ def _row_keys(x: np.ndarray) -> np.ndarray:
 def _prime_order_classes(g: PermGroup):
     """The conjugacy classes of elements of prime order.
 
-    Returns every element as the rows of ``g.chain().element_array()`` and
-    each class as an array of row indices: the class's first row in
-    enumeration order, then the rest in the order a depth-first search
-    under conjugation by the generators reaches them. An element is
-    determined by its images of the base points, so x^p is the identity
-    exactly when it fixes them: for each prime p dividing |G|, p row-wise
-    steps from the base points give those images for every row at once. A
-    conjugate is looked up by its base images too.
+    Returns every element as the rows of ``g.element_blocks()`` (which
+    raises ``BoundExceededError`` above ``DEFAULT_BOUND``), copied into one
+    array block by block, and each class as an array of row indices: the
+    class's first row in enumeration order, then the rest in the order a
+    depth-first search under conjugation by the generators reaches them. An
+    element is determined by its images of the base points, so x^p is the
+    identity exactly when it fixes them: for each prime p dividing |G|, p
+    row-wise steps from the base points give those images for every row at
+    once. A conjugate is looked up by its base images too.
     """
     chain = g.chain()
-    elements = chain.element_array()
+    blocks = g.element_blocks()
+    elements = np.empty((chain.order, g.degree), dtype=_INT)
+    at = 0
+    for block in blocks:
+        elements[at : at + len(block)] = block
+        at += len(block)
     base = np.asarray(chain.base, dtype=_INT)
     moved = elements[:, base]
     prime = np.zeros(len(elements), dtype=bool)
@@ -850,15 +859,10 @@ def minimal_normal_subgroups(g: PermGroup) -> list[PermGroup]:
     The classes, and so the closures of equal size, come in the order of
     their first elements.
 
-    The result is stored on ``g``, so later calls on the same group return
-    it without recomputing; every call raises ``BoundExceededError`` when
-    |G| > ``DEFAULT_BOUND``, as every other enumeration does.
+    Nothing is stored on ``g``: each call computes afresh. It raises
+    ``BoundExceededError`` when |G| > ``DEFAULT_BOUND``, as every other
+    enumeration does (``PermGroup.element_blocks``).
     """
-    order = g.order()
-    if order > DEFAULT_BOUND:
-        raise BoundExceededError(f"order {order} exceeds bound {DEFAULT_BOUND}")
-    if g._minimal_normal is not None:
-        return list(g._minimal_normal)
     n = g.degree
     elements, classes = _prime_order_classes(g)
     class_of = {}
@@ -895,7 +899,6 @@ def minimal_normal_subgroups(g: PermGroup) -> list[PermGroup]:
         m = PermGroup([Permutation._wrap(a.copy()) for a in sel], n)
         m._chain = chain
         result.append(m)
-    g._minimal_normal = tuple(result)
     return result
 
 

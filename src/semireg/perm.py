@@ -8,8 +8,6 @@ notation ``v^g`` for group actions on points.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,8 +147,9 @@ class Permutation:
         lengths = _kernels.point_cycle_lengths(self._images)
         return math.lcm(*set(lengths.tolist()))
 
-    def cycle_decomposition(self) -> "CycleDecomposition":
-        """Disjoint cycles, each starting at its least point, sorted by it."""
+    def cycle_decomposition(self) -> tuple[tuple[int, ...], ...]:
+        """Disjoint cycles, each starting at its least point, sorted by it;
+        fixed points appear as 1-cycles."""
         n = self.degree
         seen = np.zeros(n, dtype=bool)
         cycles = []
@@ -165,7 +164,7 @@ class Permutation:
                 seen[j] = True
                 j = int(self._images[j])
             cycles.append(tuple(cyc))
-        return CycleDecomposition(degree=n, cycles=tuple(cycles))
+        return tuple(cycles)
 
     def is_semiregular(self) -> bool:
         """True iff every cycle (fixed points included) has the same length."""
@@ -197,23 +196,8 @@ class Permutation:
         off = 1 if one_based else 0
         parts = [
             "(" + " ".join(str(p + off) for p in cyc) + ")"
-            for cyc in self.cycle_decomposition().cycles
+            for cyc in self.cycle_decomposition()
             if len(cyc) > 1
         ]
         return "".join(parts)
 
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Cycles of a permutation; fixed points appear as 1-cycles."""
-
-    degree: int
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def lengths(self) -> Counter:
-        """Multiset of cycle lengths."""
-        return Counter(len(c) for c in self.cycles)
-
-    def to_permutation(self) -> Permutation:
-        return Permutation.from_cycles(self.degree, self.cycles)

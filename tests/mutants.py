@@ -81,6 +81,7 @@ MUTANTS = [
     ),
     ("families.py", "_validated", "not g.is_connected()"),
     ("families.py", "_validated", "not is_arc_transitive(g, grp)"),
+    ("group.py", "element_blocks", "order > DEFAULT_BOUND"),
     ("group.py", "lift_semiregular", "not is_prime(r)"),
     ("group.py", "lift_semiregular", "image_element.order() != r"),
     ("group.py", "lift_semiregular", "not image_element.is_semiregular()"),

@@ -211,6 +211,31 @@ def test_verify_tampered_certificate(tmp_path, capsys, c6_files):
     assert "automorphism" in capsys.readouterr().err
 
 
+def test_every_whole_group_walk_stops_at_the_bound_before_walking(monkeypatch):
+    # S9 (order 362,880) is above the enumeration bound: each enumeration
+    # refuses it through the one bound check, before its chain's walk starts
+    from semireg import engine
+    from semireg.families import symmetric_group
+    from semireg.graphs import complete_graph
+    from semireg.group import BoundExceededError, StabilizerChain, minimal_normal_subgroups
+
+    def refuse(self):
+        raise AssertionError("walked a group above the bound")
+
+    monkeypatch.setattr(StabilizerChain, "element_blocks", refuse)
+    s9 = symmetric_group(9)
+    exhausted = engine.Certificate("k9", None, 0, 0, engine.EXHAUSTED_NONE, ())
+    walks = [
+        lambda: next(s9.elements()),
+        lambda: next(engine._semiregular_elements(s9)),
+        lambda: minimal_normal_subgroups(s9),
+        lambda: engine.verify_certificate(complete_graph(9), s9, exhausted),
+    ]
+    for walk in walks:
+        with pytest.raises(BoundExceededError, match="^order 362880 exceeds bound 100000$"):
+            walk()
+
+
 def test_verify_exhausted_none_above_the_bound_is_inconclusive(tmp_path, capsys):
     # |S9| = 362,880 is above the enumeration bound: verify cannot decide the
     # claim, so it must say inconclusive (exit 5), not invalid (exit 1)
@@ -373,6 +398,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, c6_files):
     assert main(["construct", "--family", "px", "--params", "p=2", "--out", out]) == 2
     assert "needs --params key(s): r" in capsys.readouterr().err
     assert main(["construct", "--family", "px", "--params", "p=x", "--out", out]) == 3
+    # coset takes its group files as options, and a missing one is a usage
+    # error like a missing --params key
+    capsys.readouterr()
+    assert main(["construct", "--family", "coset", "--out", out]) == 2
+    assert "--family coset needs --group, --subgroup and --element" in capsys.readouterr().err
     # a --params key the family does not take
     for family, params in [("k12m11", "p=3"), ("px", "p=3,r=3,s=1,q=2")]:
         capsys.readouterr()

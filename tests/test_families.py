@@ -272,7 +272,7 @@ def test_praeger_xu_341():
     g, rot = praeger_xu(3, 4, 1)
     assert g.n == 12 and g.valency() == 6
     assert rot.order() == 4
-    assert len(rot.cycle_decomposition().cycles) == 3
+    assert len(rot.cycle_decomposition()) == 3
 
 
 def test_praeger_xu_242():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -65,14 +66,14 @@ def test_order_divides_any_annihilating_power():
 
 def test_cycle_decomposition_deterministic_order():
     a = Permutation.from_cycles(6, [(3, 4), (0, 2, 1)])
-    dec = a.cycle_decomposition()
-    assert dec.cycles == ((0, 2, 1), (3, 4), (5,))
-    assert sorted(dec.lengths.elements()) == [1, 2, 3]
+    cycles = a.cycle_decomposition()
+    assert cycles == ((0, 2, 1), (3, 4), (5,))
+    assert sorted(Counter(map(len, cycles)).elements()) == [1, 2, 3]
 
 
 def test_cycle_decomposition_identity():
-    dec = Permutation.identity(5).cycle_decomposition()
-    assert dec.lengths[1] == 5
+    cycles = Permutation.identity(5).cycle_decomposition()
+    assert Counter(map(len, cycles))[1] == 5
 
 
 def test_cycle_decomposition_round_trip():
@@ -82,7 +83,7 @@ def test_cycle_decomposition_round_trip():
         images = list(range(n))
         rng.shuffle(images)
         a = Permutation(images)
-        assert a.cycle_decomposition().to_permutation() == a
+        assert Permutation.from_cycles(n, a.cycle_decomposition()) == a
 
 
 def test_semiregular_examples():
@@ -116,7 +117,7 @@ def test_semiregular_brute_oracle_1000_random():
         a = Permutation(images)
         t = tuple(images)
         assert a.is_semiregular() == is_semiregular_t(t)
-        assert sorted(len(c) for c in a.cycle_decomposition().cycles) == cycle_lengths_t(t)
+        assert sorted(len(c) for c in a.cycle_decomposition()) == cycle_lengths_t(t)
 
 
 def test_validation_rejects_non_bijections():
